@@ -46,6 +46,8 @@ def _descriptor_from_args(args):
     if getattr(args, "descriptor", None):
         with open(args.descriptor, encoding="utf-8") as fh:
             return zeta.parse_descriptor(fh.read())
+    if args.q is None:
+        raise DescriptorError("--q is required unless --descriptor is given")
     L = tuple(int(x) for x in args.L.split(",")) if args.L else (1,)
     return zeta.CurveDescriptor(args.q, args.g, L)
 

@@ -153,7 +153,8 @@ def moebius_point_count(model: ClassModel | CurveDescriptor, n: int, m: int) -> 
         raise ConsistencyError("error decomposition does not reassemble the count")
 
     main = schanuel_constant(desc, n) * Fraction(q) ** (n * m)
-    assert piece_a == (q - 1) * main
+    if piece_a != (q - 1) * main:
+        raise ConsistencyError("main term does not match the Schanuel constant")
     return CountResult(
         q=q,
         g=g,
@@ -229,39 +230,8 @@ def count_fixed_degree_points(q, d, m, budget=DEFAULT_BUDGET) -> int:
     if m < 0:
         return 0
     check_budget(q ** ((d + 1) * (m + 1)), budget, f"degree-2 count q={q} m={m}")
-    K = GF(q)
-    if q % 2 and K.e == 1:
-        sep = kernels.count_quadratic_triples(q, m, want_bits=3)
-        return 2 * sep
-    sep, insep = _count_quadratic_triples_generic(K, m)
+    sep, insep = kernels.irreducible_triple_counts(q, m)
     return 2 * sep + insep
-
-
-def _count_quadratic_triples_generic(K, m):
-    """Pure classification loop for base fields without discriminant tables
-    (characteristic 2, or non-prime constant fields)."""
-    sep = insep = 0
-    all_polys = list(poly.enumerate_polys(K, m))
-    monics = [f for f in all_polys if f and f[-1] == 1]
-    for a in monics:
-        for b in all_polys:
-            g1 = poly.gcd(K, a, b) if b else a
-            for c in all_polys:
-                if max(poly.deg(a), poly.deg(b), poly.deg(c)) != m:
-                    continue
-                if g1 != poly.ONE:
-                    g2 = poly.gcd(K, g1, c) if c else g1
-                    if g2 != poly.ONE:
-                        continue
-                if not poly.quadratic_irreducible_over_base(K, a, b, c):
-                    continue
-                if not poly.stays_irreducible_over_constant_extension(K, (c, b, a), 2):
-                    continue
-                if K.q % 2 == 0 and not b:
-                    insep += 1
-                else:
-                    sep += 1
-    return sep, insep
 
 
 def brute_count_p1_over_field(field: QuadraticFieldDesc, m, budget=DEFAULT_BUDGET) -> int:

@@ -15,10 +15,9 @@ factor field is read off the discriminant.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels, poly
+from . import kernels
 from .counting import DEFAULT_BUDGET, check_budget
 from .errors import ConsistencyError, RefusalError
-from .gf import GF
 
 
 @dataclass(frozen=True)
@@ -96,25 +95,5 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     if m < 0:
         return 0
     check_budget(q ** (3 * (m + 1)), budget, f"form oracle q={q} m={m}")
-    K = GF(q)
-    if q % 2 and K.e == 1:
-        return kernels.count_quadratic_triples(q, m, want_bits=3)
-    total = 0
-    all_polys = list(poly.enumerate_polys(K, m))
-    monics = [f for f in all_polys if f and f[-1] == 1]
-    for a in monics:
-        for b in all_polys:
-            g1 = poly.gcd(K, a, b) if b else a
-            for c in all_polys:
-                if max(poly.deg(a), poly.deg(b), poly.deg(c)) != m:
-                    continue
-                if g1 != poly.ONE:
-                    g2 = poly.gcd(K, g1, c) if c else g1
-                    if g2 != poly.ONE:
-                        continue
-                if not poly.quadratic_irreducible_over_base(K, a, b, c):
-                    continue
-                if not poly.stays_irreducible_over_constant_extension(K, (c, b, a), 2):
-                    continue
-                total += 1
-    return total
+    sep, insep = kernels.irreducible_triple_counts(q, m)
+    return sep + insep

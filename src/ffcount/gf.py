@@ -11,7 +11,9 @@ fastest and simplest option for the enumeration loops built on top.
 
 import functools
 
-__all__ = ["FiniteField", "GF"]
+from .errors import ConsistencyError
+
+__all__ = ["FiniteField", "GF", "constant_extension"]
 
 
 def _is_prime(n: int) -> bool:
@@ -185,7 +187,8 @@ class FiniteField:
             if acc == 0:
                 root = r
                 break
-        assert root is not None, "modulus has no root in the extension"
+        if root is None:
+            raise ConsistencyError(f"modulus {self.modulus} has no root in F_{other.q}")
         images = []
         for code in range(self.q):
             vec = [(code // self.p**i) % self.p for i in range(self.e)]
@@ -226,3 +229,10 @@ def GF(q: int) -> FiniteField:
     if n != 1:
         raise ValueError(f"{q} is not a prime power")
     return FiniteField(p, e)
+
+
+@functools.lru_cache(maxsize=None)
+def constant_extension(K: FiniteField, r: int):
+    """(F_{q^r}, code map of the embedding of K = F_q into it)."""
+    big = FiniteField(K.p, K.e * r)
+    return big, tuple(K.embedding_into(big))

@@ -1,4 +1,4 @@
-"""Enumeration kernel tables and implementation selection.
+"""Enumeration kernels and the tables behind them.
 
 Two hot loops dominate everything in this package:
 
@@ -8,33 +8,28 @@ Two hot loops dominate everything in this package:
     of their discriminant (degree-2 points, forms, field matching).
 
 Both run over integer polynomial codes (base-q coefficient vectors) with
-all field work precomputed into flat tables here.  Two implementations
-exist: a compiled extension (ffcount._speedups, built from Cython when a
-compiler is available) doing literal nested enumeration, and a pure-Python
-fallback that shares subtrees of the same recursion via memoisation.  The
-strategies are intentionally different; they must agree exactly, and
-benchmarks/bench_kernels.py measures the gap.  Import order prefers the
-compiled lane; set FFCOUNT_PURE=1 to force the fallback.
+all field work precomputed into flat tables here.
+
+The vector count is a recursion over coordinates with a running monic gcd
+code; identical (remaining length, gcd, seen-max-degree) states are shared
+through a memo dictionary, and a branch whose gcd has reached 1 is
+completed in closed form.  Its gcd codes come from the flat gcd table up
+to GCD_TABLE_MAX_CODES codes and are computed on demand above it.
+
+The triple classification reads the discriminant tables for odd prime q.
+Characteristic 2 and non-prime q go through a loop over polynomial
+triples instead, which on odd prime q is the reference for the tables.
 """
 
 import functools
-import os
 from array import array
 
 from . import poly
 from .gf import GF
 
-try:  # pragma: no cover - exercised only when the extension is built
-    if os.environ.get("FFCOUNT_PURE"):
-        raise ImportError("pure lane forced by FFCOUNT_PURE")
-    from . import _speedups
-
-    USING_COMPILED = True
-except ImportError:  # pragma: no cover
-    _speedups = None
-    USING_COMPILED = False
-
-from . import _kernels_py
+# There is a single pure-Python lane; the benchmark harness still reads
+# this flag to label its records.
+USING_COMPILED = False
 
 GCD_TABLE_MAX_CODES = 2500  # above this the flat q^(2(m+1)) gcd table is skipped
 
@@ -54,7 +49,6 @@ def vector_tables(q: int, m: int):
     monic_codes = tuple(c for c, f in enumerate(polys) if f and f[-1] == 1)
     gcdtab = None
     if ncodes <= GCD_TABLE_MAX_CODES:
-        gcdtab = array("i", bytes(0))
         flat = [0] * (ncodes * ncodes)
         for i in range(ncodes):
             fi = polys[i]
@@ -80,23 +74,51 @@ def _gcd_code_fn(q: int):
     return gcd_code
 
 
+def count_completions(n_rest, m, q, ncodes, deg, gcd_row, g, flag, memo):
+    """Tuples (y_1..y_n_rest) of codes < ncodes with gcd(g, y_*) = 1 and
+    maximal degree m reached (flag marks degree m already seen).
+
+    gcd_row(g) lists the monic gcd codes of g with every code in
+    range(ncodes), in order.
+    """
+    if g == 1:
+        total = ncodes**n_rest
+        if flag:
+            return total
+        return total - (q**m) ** n_rest
+    if n_rest == 0:
+        return 0
+    key = (n_rest, g, flag)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    count = 0
+    for y, gy in enumerate(gcd_row(g)):
+        count += count_completions(
+            n_rest - 1, m, q, ncodes, deg, gcd_row, gy, deg[y] == m or flag, memo
+        )
+    memo[key] = count
+    return count
+
+
 def count_coprime_lead(q, n, m, lead_pos, lead_code):
     """Normalized coprime vectors of height exactly m whose first nonzero
     coordinate sits at `lead_pos` (0-based) and equals the monic polynomial
     with code `lead_code`."""
     ncodes, deg, gcdtab, _ = vector_tables(q, m)
-    n_rest = n - lead_pos - 1
-    flag = deg[lead_code] == m
-    if gcdtab is not None and USING_COMPILED:
-        return _speedups.count_completions(
-            n_rest, m, q, ncodes, deg, gcdtab, lead_code, flag
-        )
     if gcdtab is not None:
-        return _kernels_py.count_completions(
-            n_rest, m, q, ncodes, deg, gcdtab, lead_code, flag, {}
-        )
-    return _kernels_py.count_completions_nogcdtab(
-        n_rest, m, q, ncodes, deg, _gcd_code_fn(q), lead_code, flag, {}
+
+        def gcd_row(g):
+            return gcdtab[g * ncodes : (g + 1) * ncodes]
+
+    else:
+        gcd_code = _gcd_code_fn(q)
+
+        def gcd_row(g):
+            return [gcd_code(g, y) for y in range(ncodes)]
+
+    return count_completions(
+        n - lead_pos - 1, m, q, ncodes, deg, gcd_row, lead_code, deg[lead_code] == m, {}
     )
 
 
@@ -109,8 +131,7 @@ def quad_tables(q: int, m: int, target=None):
     classify[disc_code] a bitmask: 1 = disc is a non-square (the quadratic
     is irreducible over F_q(T)), 2 = squarefree part is non-constant (the
     constant field survives), 4 = square class matches `target` = (D, u).
-    Prime odd q only; characteristic 2 goes through the Artin-Schreier path
-    in the counting module instead.
+    Prime odd q only; other fields go through classify_triples_by_polys.
     """
     if q % 2 == 0 or GF(q).e != 1:
         raise ValueError("discriminant tables need odd prime q")
@@ -120,7 +141,6 @@ def quad_tables(q: int, m: int, target=None):
     polys = [poly.from_code(q, code) for code in range(ncodes)]
     sq = array("q", (poly.to_code(q, poly.mul(K, f, f)) for f in polys))
     four = 4 % q
-    prod4 = array("q", bytes(0))
     flat = [0] * (ncodes * ncodes)
     for ai in monic_codes:
         fa = polys[ai]
@@ -148,12 +168,72 @@ def quad_tables(q: int, m: int, target=None):
 def count_quadratic_triples(q, m, want_bits, target=None):
     """Count normalized triples (a monic nonzero, b, c) with max degree
     exactly m, gcd 1, whose discriminant classification has all `want_bits`."""
-    tables = quad_tables(q, m, target)
-    if tables[2] is None:
+    ncodes, deg, gcdtab, monic_codes, sq, prod4, classify = quad_tables(q, m, target)
+    if gcdtab is None:
         raise ValueError("degree too large for the discriminant tables")
-    if USING_COMPILED:
-        ncodes, deg, gcdtab, monic_codes, sq, prod4, classify = tables
-        return _speedups.count_quadratic_triples(
-            q, m, ncodes, deg, gcdtab, array("i", monic_codes), sq, prod4, classify, want_bits
-        )
-    return _kernels_py.count_quadratic_triples(q, m, tables, want_bits)
+    ndigits = 2 * m + 1
+    qpow = [q**i for i in range(ndigits + 1)]
+    total = 0
+    for a in monic_codes:
+        arow = a * ncodes
+        a_hits = deg[a] == m
+        for b in range(ncodes):
+            g1 = gcdtab[arow + b]
+            g1row = g1 * ncodes
+            sqb = sq[b]
+            ab_hits = a_hits or deg[b] == m
+            for c in range(ncodes):
+                if not ab_hits and deg[c] != m:
+                    continue
+                if g1 == 1:
+                    pass
+                elif gcdtab[g1row + c] != 1:
+                    continue
+                # disc code: digitwise (b^2 - 4ac) mod q
+                x, y = sqb, prod4[arow + c]
+                disc = 0
+                for i in range(ndigits):
+                    d = (x % q) - (y % q)
+                    x //= q
+                    y //= q
+                    disc += (d % q) * qpow[i]
+                if classify[disc] & want_bits == want_bits:
+                    total += 1
+    return total
+
+
+def irreducible_triple_counts(q, m):
+    """(sep, insep): normalized triples (a monic, b, c) with gcd 1 and max
+    degree exactly m whose quadratic a*Y^2 + b*Y + c is irreducible over
+    F_q(T) and keeps the constant field, split into separable ones and the
+    inseparable ones (characteristic 2 with b = 0)."""
+    if q % 2 and GF(q).e == 1:
+        return count_quadratic_triples(q, m, want_bits=3), 0
+    return classify_triples_by_polys(GF(q), m)
+
+
+def classify_triples_by_polys(K, m):
+    """irreducible_triple_counts by polynomial arithmetic on each triple,
+    for any constant field K."""
+    sep = insep = 0
+    all_polys = list(poly.enumerate_polys(K, m))
+    monics = [f for f in all_polys if f and f[-1] == 1]
+    for a in monics:
+        for b in all_polys:
+            g1 = poly.gcd(K, a, b) if b else a
+            for c in all_polys:
+                if max(poly.deg(a), poly.deg(b), poly.deg(c)) != m:
+                    continue
+                if g1 != poly.ONE:
+                    g2 = poly.gcd(K, g1, c) if c else g1
+                    if g2 != poly.ONE:
+                        continue
+                if not poly.quadratic_irreducible_over_base(K, a, b, c):
+                    continue
+                if not poly.stays_irreducible_over_constant_extension(K, (c, b, a), 2):
+                    continue
+                if K.q % 2 == 0 and not b:
+                    insep += 1
+                else:
+                    sep += 1
+    return sep, insep

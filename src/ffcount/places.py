@@ -117,15 +117,6 @@ def rf(K, num, den=ONE) -> RationalFunction:
     return RationalFunction(K, num, den)
 
 
-def rf_add(K, x, y):
-    num = poly.add(K, poly.mul(K, x.num, y.den), poly.mul(K, y.num, x.den))
-    return RationalFunction(K, num, poly.mul(K, x.den, y.den))
-
-
-def rf_mul(K, x, y):
-    return RationalFunction(K, poly.mul(K, x.num, y.num), poly.mul(K, x.den, y.den))
-
-
 def _ord_in_poly(K, place: Place, f) -> int:
     """Multiplicity of a finite place's prime in a nonzero polynomial."""
     n = 0

@@ -15,7 +15,7 @@ order with constants first.
 import functools
 
 from .errors import RefusalError
-from .gf import FiniteField
+from .gf import FiniteField, constant_extension
 
 ZERO = ()
 ONE = (1,)
@@ -302,18 +302,6 @@ def is_square_poly(K, f) -> bool:
     return s == ONE and K.is_square(unit)
 
 
-def poly_pth_root(K, f):
-    """p-th root of a polynomial that is a p-th power (used by kernels' tests)."""
-    p = K.p
-    out = []
-    for i in range(0, len(f), p):
-        if any(f[i + j] for j in range(1, min(p, len(f) - i))):
-            raise ValueError("polynomial is not a p-th power")
-        # c^(p^(e-1)) is the p-th root of c in F_{p^e}
-        out.append(K.pow(f[i], p ** (K.e - 1)))
-    return normalize(out)
-
-
 # -- quadratics over F_q[T]: irreducibility over F_{q^j}(T) -----------------
 
 
@@ -357,16 +345,10 @@ def stays_irreducible_over_constant_extension(K, coeffs, j: int) -> bool:
         return True
     # Artin-Schreier form: irreducible over F_{q^j}(T) iff w = a*c0/b^2 is
     # not of the form z^2 + z there
-    big, emb = _extension_embedding(K, j)
+    big, emb = constant_extension(K, j)
     num = tuple(emb[c] for c in mul(K, a, c0))
     den = tuple(emb[c] for c in mul(K, b, b))
     return not _artin_schreier_solvable(big, num, den)
-
-
-@functools.lru_cache(maxsize=None)
-def _extension_embedding(K: FiniteField, j: int):
-    big = FiniteField(K.p, K.e * j)
-    return big, tuple(K.embedding_into(big))
 
 
 def _artin_schreier_solvable(K, w_num, w_den) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .errors import RefusalError
-from .gf import GF, FiniteField
+from .errors import ConsistencyError, RefusalError
+from .gf import GF, FiniteField, constant_extension
 from .zeta import CurveDescriptor, hasse_weil_check
 
 __all__ = [
@@ -60,12 +60,6 @@ def min_generator_height_bound(field: QuadraticFieldDesc) -> Fraction:
     return Fraction(field.deg_D, 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _extension_with_embedding(K: FiniteField, r: int):
-    Kr = FiniteField(K.p, K.e * r)
-    return Kr, tuple(K.embedding_into(Kr))
-
-
 def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
     """Exact counts N_r = #{y^2 = u*D(x) over F_{q^r}} + points at infinity.
 
@@ -78,12 +72,12 @@ def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
         if r == 1:
             Kr, emb = K, list(range(K.q))
         else:
-            Kr, emb = _extension_with_embedding(K, r)
+            Kr, emb = constant_extension(K, r)
         Dr = tuple(emb[c] for c in D)
         ur = emb[u]
         n = 0
         for x in Kr.elements():
-            v = Kr.mul(ur, _eval(Kr, Dr, x))
+            v = Kr.mul(ur, poly.evaluate(Kr, Dr, x))
             n += 1 if v == 0 else (2 if Kr.is_square(v) else 0)
         if (len(D) - 1) % 2 == 1:
             n += 1
@@ -91,13 +85,6 @@ def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
             n += 2 if Kr.is_square(ur) else 0
         out.append(n)
     return tuple(out)
-
-
-def _eval(K, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = K.add(K.mul(acc, x), c)
-    return acc
 
 
 def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
@@ -159,7 +146,7 @@ def enumerate_quadratic_fields(q: int, degD_max: int, check: bool = True):
                 if check:
                     report = hasse_weil_check(desc)
                     if not report["ok"]:
-                        raise AssertionError(
+                        raise ConsistencyError(
                             f"{fdesc.label()} failed Hasse-Weil: {report['failures']}"
                         )
                 out.append(fdesc)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .errors import DescriptorError
+from .errors import ConsistencyError, DescriptorError
 from .places import INFINITY, Divisor, Place, RationalFunction, ord_at
 from .zeta import CurveDescriptor, divisor_counts
 
@@ -189,7 +189,8 @@ def genus0_section_basis(K, divisor: Divisor):
     bound = poly.deg(den) + n_inf - poly.deg(zreq)
     if divisor.degree() < 0:
         return []
-    assert bound == divisor.degree()
+    if bound != divisor.degree():
+        raise ConsistencyError(f"basis size {bound + 1} does not match degree {divisor.degree()}")
     basis = []
     for i in range(bound + 1):
         t_i = tuple([0] * i + [1])

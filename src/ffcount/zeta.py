@@ -13,7 +13,7 @@ integer arguments s >= 2.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DescriptorError, RefusalError
+from .errors import ConsistencyError, DescriptorError, RefusalError
 from .poly import count_monic_irreducibles
 
 __all__ = [
@@ -124,7 +124,8 @@ def closed_form_divisor_count(desc: CurveDescriptor, m: int) -> int:
     if m < 2 * desc.g - 1:
         raise ValueError("closed form requires m >= 2g-1")
     num = desc.J * (desc.q ** (m + 1 - desc.g) - 1)
-    assert num % (desc.q - 1) == 0
+    if num % (desc.q - 1):
+        raise ConsistencyError(f"(q-1) does not divide J*(q^(m+1-g)-1) = {num}")
     return num // (desc.q - 1)
 
 
@@ -142,7 +143,8 @@ def zeta_value(desc: CurveDescriptor, s: int) -> Fraction:
     q = desc.q
     t = Fraction(1, q**s)
     val = _L_at(desc, t) / ((1 - t) * (1 - q * t))
-    assert val > 1
+    if val <= 1:
+        raise ConsistencyError(f"zeta value {val} at s={s} is not > 1")
     return val
 
 
@@ -152,7 +154,8 @@ def schanuel_constant(desc: CurveDescriptor, n: int) -> Fraction:
         raise ValueError("dimension parameter n must be an integer >= 2")
     q = desc.q
     val = Fraction(desc.J) / ((q - 1) * zeta_value(desc, n) * Fraction(q) ** (n * (desc.g - 1)))
-    assert val > 0
+    if val <= 0:
+        raise ConsistencyError(f"Schanuel constant {val} is not positive")
     return val
 
 

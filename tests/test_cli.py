@@ -163,3 +163,6 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     path.write_text("q = 3\ng = 1\nL_coeffs = 1, 0, 2\n")
     code, _, err = run(capsys, "zeta", "--descriptor", str(path), "--s", "2")
     assert code == 1 and "error" in err
+    code, _, err = run(capsys, "zeta", "--g", "0", "--s", "2")
+    assert code == 1
+    assert err.strip() == "error: --q is required unless --descriptor is given"

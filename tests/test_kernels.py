@@ -1,7 +1,8 @@
 import pytest
 
-from ffcount import _kernels_py, kernels
+from ffcount import kernels
 from ffcount.counting import brute_count_rational
+from ffcount.gf import GF
 from ffcount.kernels import quad_tables, vector_tables
 
 
@@ -22,7 +23,6 @@ def test_memo_and_literal_recursions_agree():
     from itertools import product
 
     from ffcount import poly
-    from ffcount.gf import GF
 
     for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1)):
         K = GF(q)
@@ -41,67 +41,42 @@ def test_memo_and_literal_recursions_agree():
         assert brute_count_rational(q, n, m) == expect
 
 
-@pytest.mark.skipif(not kernels.USING_COMPILED, reason="compiled lane not built")
-def test_compiled_matches_pure():
-    from ffcount import _speedups
-
-    for q, n, m in ((2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2), (5, 2, 2)):
-        ncodes, deg, gcdtab, monic_codes = vector_tables(q, m)
-        memo_total = 0
-        lit_total = 0
-        for pos in range(n):
-            for code in monic_codes:
-                memo_total += _kernels_py.count_completions(
-                    n - pos - 1, m, q, ncodes, deg, gcdtab, code, deg[code] == m, {}
-                )
-                lit_total += _speedups.count_completions(
-                    n - pos - 1, m, q, ncodes, deg, gcdtab, code, deg[code] == m
-                )
-        assert memo_total == lit_total
-
-
-@pytest.mark.skipif(not kernels.USING_COMPILED, reason="compiled lane not built")
-def test_compiled_quadratic_matches_pure():
-    from array import array
-
-    from ffcount import _speedups
-
-    for q, m in ((3, 1), (3, 2), (5, 1)):
-        tables = quad_tables(q, m)
-        ncodes, deg, gcdtab, monic_codes, sq, prod4, classify = tables
-        for want in (1, 3):
-            pure = _kernels_py.count_quadratic_triples(q, m, tables, want)
-            comp = _speedups.count_quadratic_triples(
-                q, m, ncodes, deg, gcdtab, array("i", monic_codes), sq, prod4, classify, want
-            )
-            assert pure == comp
+@pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
+def test_polynomial_loop_matches_discriminant_tables(q, m):
+    # the loop that serves characteristic 2 and non-prime q is the naive
+    # definition of the table kernel on odd prime q
+    sep, insep = kernels.classify_triples_by_polys(GF(q), m)
+    assert insep == 0
+    assert sep == kernels.count_quadratic_triples(q, m, want_bits=3)
 
 
 def test_nogcdtab_path_matches_table_path():
     q, m = 3, 2
     ncodes, deg, gcdtab, monic_codes = vector_tables(q, m)
-    gcd_fn = kernels._gcd_code_fn(q)
-    for n in (2, 3):
-        a = sum(
-            _kernels_py.count_completions(
-                n - pos - 1, m, q, ncodes, deg, gcdtab, code, deg[code] == m, {}
+    gcd_code = kernels._gcd_code_fn(q)
+
+    def table_row(g):
+        return gcdtab[g * ncodes : (g + 1) * ncodes]
+
+    def on_demand_row(g):
+        return [gcd_code(g, y) for y in range(ncodes)]
+
+    for n in (2, 3, 4):
+        a, b = (
+            sum(
+                kernels.count_completions(
+                    n - pos - 1, m, q, ncodes, deg, gcd_row, code, deg[code] == m, {}
+                )
+                for pos in range(n)
+                for code in monic_codes
             )
-            for pos in range(n)
-            for code in monic_codes
+            for gcd_row in (table_row, on_demand_row)
         )
-        b = sum(
-            _kernels_py.count_completions_nogcdtab(
-                n - pos - 1, m, q, ncodes, deg, gcd_fn, code, deg[code] == m, {}
-            )
-            for pos in range(n)
-            for code in monic_codes
-        )
-        assert a == b
+        assert a == b == brute_count_rational(q, n, m)
 
 
 def test_quad_tables_classification_bits():
     from ffcount import poly
-    from ffcount.gf import GF
 
     q, m = 3, 2
     K = GF(q)

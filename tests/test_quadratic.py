@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ffcount import poly
-from ffcount.errors import RefusalError
+from ffcount import poly, quadratic
+from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
 from ffcount.quadratic import (
     build_descriptor,
@@ -17,6 +17,19 @@ from ffcount.zeta import divisor_counts, hasse_weil_check
 
 K3 = GF(3)
 T3T = (0, 2, 0, 1)  # T^3 - T
+
+
+def test_hasse_weil_failure_raises(monkeypatch):
+    def bad_counts(K, u, D, r_max):
+        return tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))
+
+    monkeypatch.setattr(quadratic, "curve_point_counts", bad_counts)
+    enumerate_quadratic_fields.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="Hasse-Weil"):
+            enumerate_quadratic_fields(3, 3)
+    finally:
+        enumerate_quadratic_fields.cache_clear()
 
 
 def test_enumeration_small():
