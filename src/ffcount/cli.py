@@ -217,8 +217,8 @@ def cmd_forms(args):
         frobenius = None if h is None else counting.count_fixed_degree_points(
             args.q, args.d // p, h, budget=args.budget
         )
-        table = forms.FormTable(p, args.n, args.d, m, table_counts, frobenius)
-        row = {"q": args.q, "n": args.n, "d": args.d, "m": m, "p": p,
+        table = forms.FormTable(p, 2, args.d, m, table_counts, frobenius)
+        row = {"q": args.q, "n": 2, "d": args.d, "m": m, "p": p,
                "N_counts": ";".join(f"{k}:{v}" for k, v in sorted(table_counts.items())),
                "NF": "", "brute_NF": "", "match": "",
                "identity_ok": forms.form_count_identity_check(table)}
@@ -227,13 +227,12 @@ def cmd_forms(args):
         except ConsistencyError as exc:
             row["NF"] = f"non-integral ({exc})"
         if args.brute:
-            row["brute_NF"] = forms.brute_force_forms(args.q, args.n, args.d, m,
-                                                      budget=args.budget)
+            row["brute_NF"] = forms.brute_force_forms(args.q, 2, args.d, m, budget=args.budget)
             row["match"] = row["NF"] == row["brute_NF"]
         rows.append(row)
     emit(rows, ["q", "n", "d", "m", "p", "N_counts", "NF", "brute_NF", "match",
                 "identity_ok"], args.format)
-    return 0
+    return 1 if any(r["match"] is False or isinstance(r["NF"], str) for r in rows) else 0
 
 
 def cmd_schanuel_sum(args):
@@ -329,9 +328,8 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_fields)
 
-    p = sub.add_parser("forms", help="decomposable-form counts and relations")
+    p = sub.add_parser("forms", help="decomposable-form counts and relations (n = 2)")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--m-to", type=int, default=None)

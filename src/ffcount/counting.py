@@ -243,8 +243,8 @@ def brute_count_p1_over_field(field: QuadraticFieldDesc, m, budget=DEFAULT_BUDGE
         return 0
     q = field.q
     check_budget(q ** (3 * (m + 1)), budget, f"field line count q={q} m={m}")
-    matched = kernels.count_quadratic_triples(q, m, want_bits=4, target=(field.D, field.u))
-    total = 2 * matched
+    # u*unit is a square exactly when both units are squares or neither is
+    total = 2 * kernels.discriminant_classes(q, m)[field.D, GF(q).is_square(field.u)]
     if m % 2 == 0:
         total += brute_count_rational(q, 2, m // 2, budget=budget)
     return total

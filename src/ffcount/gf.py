@@ -83,7 +83,7 @@ class FiniteField:
             except ValueError:
                 continue
             return cand
-        raise AssertionError("no irreducible modulus found")
+        raise ConsistencyError(f"no irreducible modulus of degree {e} over F_{p}")
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q

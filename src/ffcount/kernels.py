@@ -4,8 +4,8 @@ Two hot loops dominate everything in this package:
 
   * counting coprime polynomial vectors of given height (the projective
     point oracle), and
-  * classifying binary quadratic coefficient triples by the square class
-    of their discriminant (degree-2 points, forms, field matching).
+  * counting binary quadratic coefficient triples by the square class of
+    their discriminant (degree-2 points, forms, field matching).
 
 Both run over integer polynomial codes (base-q coefficient vectors) with
 all field work precomputed into flat tables here.
@@ -16,15 +16,19 @@ through a memo dictionary, and a branch whose gcd has reached 1 is
 completed in closed form.  Its gcd codes come from the flat gcd table up
 to GCD_TABLE_MAX_CODES codes and are computed on demand above it.
 
-The triple classification reads the discriminant tables for odd prime q.
-Characteristic 2 and non-prime q go through a loop over polynomial
-triples instead, which on odd prime q is the reference for the tables.
+For odd q, discriminant_classes walks the coprime triples once per
+(q, m) and counts them by discriminant class (squarefree monic part,
+whether the unit is a square); its callers pick the classes they need.
+Characteristic 2 goes through a loop over polynomial triples instead,
+which on odd q is the reference for the class counts.
 """
 
 import functools
 from array import array
+from collections import Counter
 
 from . import poly
+from .errors import RefusalError
 from .gf import GF
 
 # There is a single pure-Python lane; the benchmark harness still reads
@@ -122,93 +126,71 @@ def count_coprime_lead(q, n, m, lead_pos, lead_code):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def quad_tables(q: int, m: int, target=None):
-    """Tables for classifying triples (a, b, c) -> disc = b^2 - 4ac.
+def _code_sums(K, size):
+    """Flat table t[x * size + y] = code of f_x + f_y for the codes x, y
+    below size (a power of q), added coefficientwise in K."""
+    q, add = K.q, K._add
+    t = [0] * (size * size)
+    for x in range(size):
+        for y in range(size):
+            t[x * size + y] = t[(x // q) * size + y // q] * q + add[x % q][y % q]
+    return t
 
-    Returns (ncodes, deg, gcdtab, monic_codes, sq, prod4, classify) where
-    sq[b] is the code of b^2, prod4[a*ncodes+c] the code of 4ac, and
-    classify[disc_code] a bitmask: 1 = disc is a non-square (the quadratic
-    is irreducible over F_q(T)), 2 = squarefree part is non-constant (the
-    constant field survives), 4 = square class matches `target` = (D, u).
-    Prime odd q only; other fields go through classify_triples_by_polys.
+
+@functools.lru_cache(maxsize=None)
+def discriminant_classes(q: int, m: int) -> Counter:
+    """Counter {(s, unit_is_square): triples} over the normalized triples
+    (a monic nonzero, b, c) with max degree exactly m and gcd 1 whose
+    discriminant b^2 - 4ac is nonzero, keyed by its squarefree monic part
+    s (poly.squarefree_part) and whether its unit is a square.  Odd q only;
+    characteristic 2 goes through classify_triples_by_polys.  The cached
+    Counter is shared by every caller, who must not change it.
     """
-    if q % 2 == 0 or GF(q).e != 1:
-        raise ValueError("discriminant tables need odd prime q")
+    if q % 2 == 0:
+        raise ValueError("discriminant classes need odd q")
+    if q ** (m + 1) > GCD_TABLE_MAX_CODES:
+        raise RefusalError(f"degree {m} too large for the discriminant tables at q={q}")
     K = GF(q)
     ncodes, deg, gcdtab, monic_codes = vector_tables(q, m)
-    ncodes2 = q ** (2 * m + 1)
+    # a code below q^(2m+1) splits as high * ncodes + low with high < q^m,
+    # and codes add digitwise in K, so a sum is two lookups in these tables
+    nhigh = q**m
+    low_sums, high_sums = _code_sums(K, ncodes), _code_sums(K, nhigh)
     polys = [poly.from_code(q, code) for code in range(ncodes)]
-    sq = array("q", (poly.to_code(q, poly.mul(K, f, f)) for f in polys))
-    four = 4 % q
-    flat = [0] * (ncodes * ncodes)
-    for ai in monic_codes:
-        fa = polys[ai]
-        row = ai * ncodes
-        for ci in range(ncodes):
-            flat[row + ci] = poly.to_code(q, poly.mul_scalar(K, poly.mul(K, fa, polys[ci]), four))
-    prod4 = array("q", flat)
-    classify = bytearray(ncodes2)
-    for code in range(1, ncodes2):
-        f = poly.from_code(q, code)
-        unit, s, _ = poly.squarefree_part(K, f)
-        bits = 0
-        if not (s == poly.ONE and K.is_square(unit)):
-            bits |= 1
-        if len(s) - 1 >= 1:
-            bits |= 2
-        if target is not None:
-            tD, tu = target
-            if s == tD and K.is_square(K.mul(unit, tu)):
-                bits |= 4
-        classify[code] = bits
-    return ncodes, deg, gcdtab, monic_codes, sq, prod4, classify
-
-
-def count_quadratic_triples(q, m, want_bits, target=None):
-    """Count normalized triples (a monic nonzero, b, c) with max degree
-    exactly m, gcd 1, whose discriminant classification has all `want_bits`."""
-    ncodes, deg, gcdtab, monic_codes, sq, prod4, classify = quad_tables(q, m, target)
-    if gcdtab is None:
-        raise ValueError("degree too large for the discriminant tables")
-    ndigits = 2 * m + 1
-    qpow = [q**i for i in range(ndigits + 1)]
-    total = 0
+    sq = [divmod(poly.to_code(q, poly.mul(K, f, f)), ncodes) for f in polys]
+    minus4 = K.neg(4 % K.p)
+    hist = [0] * (nhigh * ncodes)
     for a in monic_codes:
         arow = a * ncodes
-        a_hits = deg[a] == m
+        fa = poly.mul_scalar(K, polys[a], minus4)
+        minus4ac = (poly.to_code(q, poly.mul(K, fa, f)) for f in polys)
+        high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
         for b in range(ncodes):
             g1 = gcdtab[arow + b]
-            g1row = g1 * ncodes
-            sqb = sq[b]
-            ab_hits = a_hits or deg[b] == m
-            for c in range(ncodes):
-                if not ab_hits and deg[c] != m:
-                    continue
-                if g1 == 1:
-                    pass
-                elif gcdtab[g1row + c] != 1:
-                    continue
-                # disc code: digitwise (b^2 - 4ac) mod q
-                x, y = sqb, prod4[arow + c]
-                disc = 0
-                for i in range(ndigits):
-                    d = (x % q) - (y % q)
-                    x //= q
-                    y //= q
-                    disc += (d % q) * qpow[i]
-                if classify[disc] & want_bits == want_bits:
-                    total += 1
-    return total
+            grow = gcdtab[g1 * ncodes : (g1 + 1) * ncodes]
+            hb, lb = sq[b][0] * nhigh, sq[b][1] * ncodes
+            # the max degree must reach m through a, b or c
+            cs = range(ncodes) if deg[a] == m or deg[b] == m else range(nhigh, ncodes)
+            for c in cs:
+                if grow[c] == 1:
+                    hist[high_sums[hb + high4ac[c]] * ncodes + low_sums[lb + low4ac[c]]] += 1
+    classes = Counter()
+    for code in range(1, len(hist)):
+        if hist[code]:
+            unit, s, _ = poly.squarefree_part(K, poly.from_code(q, code))
+            classes[s, K.is_square(unit)] += hist[code]
+    return classes
 
 
+@functools.lru_cache(maxsize=None)
 def irreducible_triple_counts(q, m):
     """(sep, insep): normalized triples (a monic, b, c) with gcd 1 and max
     degree exactly m whose quadratic a*Y^2 + b*Y + c is irreducible over
     F_q(T) and keeps the constant field, split into separable ones and the
-    inseparable ones (characteristic 2 with b = 0)."""
-    if q % 2 and GF(q).e == 1:
-        return count_quadratic_triples(q, m, want_bits=3), 0
+    inseparable ones (characteristic 2 with b = 0).  For odd q these are
+    the discriminant classes with deg s >= 1."""
+    if q % 2:
+        return sum(n for (s, _), n in discriminant_classes(q, m).items() if len(s) > 1), 0
     return classify_triples_by_polys(GF(q), m)
 
 

@@ -14,7 +14,7 @@ order with constants first.
 
 import functools
 
-from .errors import RefusalError
+from .errors import ConsistencyError, RefusalError
 from .gf import FiniteField, constant_extension
 
 ZERO = ()
@@ -264,7 +264,7 @@ def factor(K, f):
     d = 1
     while deg(rest) >= 1:
         if d > deg(rest):
-            raise AssertionError("factorization did not terminate")
+            raise ConsistencyError("factorization did not terminate")
         for p in monic_irreducibles(K, d):
             while deg(rest) >= d:
                 quo, r = divmod_(K, rest, p)

@@ -223,12 +223,12 @@ def _oracle_equivalence():
 
 
 def _pipeline_agreement():
-    for m in (1, 2):
-        a = counting.count_fixed_degree_points(3, 2, m)
-        b = counting.count_degree2_points_by_fields(3, 2, m).N
+    for q, m in ((3, 1), (3, 2), (9, 1)):
+        a = counting.count_fixed_degree_points(q, 2, m)
+        b = counting.count_degree2_points_by_fields(q, 2, m).N
         if a != b:
-            return f"degree-2 pipelines disagree at m={m}: {a} vs {b}", False
-    return "minimal-polynomial and per-field degree-2 counts agree (m <= 2)", True
+            return f"degree-2 pipelines disagree at q={q} m={m}: {a} vs {b}", False
+    return "minimal-polynomial and per-field degree-2 counts agree (q=3 m<=2; q=9 m=1)", True
 
 
 def _twist_pairing():

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from ffcount import forms
 from ffcount.cli import main
 
 
@@ -115,6 +118,22 @@ def test_forms_cli_char2_even_heights(capsys):
     assert [r[nf] for r in rows] == ["0", "24", "216"]
     assert [r[brute] for r in rows] == ["0", "24", "216"]
     assert all(r[match] == "true" for r in rows)
+
+
+def test_forms_cli_disagreement_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(forms, "brute_force_forms", lambda q, n, d, m, budget: 215)
+    code, out, _ = run(capsys, "forms", "--q", "3", "--m", "1", "--brute")
+    assert code == 1
+    assert ",216,215,false," in out.splitlines()[1]
+
+
+def test_forms_cli_has_no_n_option(capsys):
+    # the relation is counted for n = 2 only; --n would label n = 2 values
+    with pytest.raises(SystemExit) as exc:
+        main(["forms", "--q", "3", "--n", "3", "--m", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--n" in err
 
 
 def test_schanuel_sum_cli(capsys):

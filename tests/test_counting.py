@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcount.counting import (
     brute_count_p1_over_field,
@@ -136,6 +138,29 @@ def test_assembly_matches_minimal_polynomials():
     asm = count_degree2_points_by_fields(3, 2, 1)
     assert asm.fields_used == 18
     assert all(fc.contribution >= 0 for fc in asm.per_field)
+
+
+def test_degree2_routes_agree_at_q9():
+    # odd non-prime q runs the discriminant tables like odd prime q
+    assert count_fixed_degree_points(9, 2, 1) == count_degree2_points_by_fields(9, 2, 1).N
+    assert count_fixed_degree_points(9, 2, 1) == 116640
+    for f in enumerate_quadratic_fields(9, 2):
+        assert brute_count_p1_over_field(f, 1) == moebius_point_count(f.descriptor, 2, 1).N, (
+            f.label()
+        )
+
+
+@st.composite
+def small_fields(draw):
+    """A quadratic extension of F_q(T) with q in {3, 5, 7, 9} and deg D <= 2."""
+    q = draw(st.sampled_from((3, 5, 7, 9)))
+    return draw(st.sampled_from(enumerate_quadratic_fields(q, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(field=small_fields(), m=st.integers(0, 1))
+def test_field_brute_count_equals_moebius(field, m):
+    assert brute_count_p1_over_field(field, m) == moebius_point_count(field.descriptor, 2, m).N
 
 
 def test_assembly_refusals():

@@ -1,5 +1,6 @@
 import pytest
 
+from ffcount.errors import ConsistencyError
 from ffcount.gf import GF, FiniteField
 
 
@@ -28,6 +29,12 @@ def test_non_prime_power_rejected():
         GF(6)
     with pytest.raises(ValueError):
         FiniteField(4)
+
+
+def test_default_modulus_search_failure_raises(monkeypatch):
+    monkeypatch.setattr(FiniteField, "_modulus_irreducible", lambda self: False)
+    with pytest.raises(ConsistencyError):
+        FiniteField(3, 2)
 
 
 def test_inverse_of_zero():

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from ffcount import kernels
-from ffcount.counting import brute_count_rational
+from ffcount import kernels, poly
+from ffcount.counting import brute_count_rational, count_fixed_degree_points
+from ffcount.errors import RefusalError
 from ffcount.gf import GF
-from ffcount.kernels import quad_tables, vector_tables
+from ffcount.kernels import discriminant_classes, vector_tables
 
 
 def test_vector_tables_shape():
@@ -43,11 +46,11 @@ def test_memo_and_literal_recursions_agree():
 
 @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
 def test_polynomial_loop_matches_discriminant_tables(q, m):
-    # the loop that serves characteristic 2 and non-prime q is the naive
-    # definition of the table kernel on odd prime q
+    # the loop that serves characteristic 2 is the naive definition of the
+    # discriminant-class count on odd q
     sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     assert insep == 0
-    assert sep == kernels.count_quadratic_triples(q, m, want_bits=3)
+    assert (sep, insep) == kernels.irreducible_triple_counts(q, m)
 
 
 def test_nogcdtab_path_matches_table_path():
@@ -75,17 +78,42 @@ def test_nogcdtab_path_matches_table_path():
         assert a == b == brute_count_rational(q, n, m)
 
 
-def test_quad_tables_classification_bits():
-    from ffcount import poly
-
-    q, m = 3, 2
+@pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
+def test_discriminant_classes_match_naive_definition(q, m):
+    # b^2 - 4ac and its squarefree part by polynomial arithmetic, over every
+    # normalized coprime triple of max degree exactly m
     K = GF(q)
-    tables = quad_tables(q, m, target=((0, 1), 1))  # match square class of T
-    classify = tables[6]
-    for code in range(1, len(classify)):
-        f = poly.from_code(q, code)
-        unit, s, _ = poly.squarefree_part(K, f)
-        bits = classify[code]
-        assert bool(bits & 1) == (not (s == poly.ONE and K.is_square(unit)))
-        assert bool(bits & 2) == (poly.deg(s) >= 1)
-        assert bool(bits & 4) == (s == (0, 1) and K.is_square(unit))
+    polys = list(poly.enumerate_polys(K, m))
+    expect = Counter()
+    for a in polys:
+        if not a or a[-1] != 1:
+            continue
+        for b in polys:
+            for c in polys:
+                if max(poly.deg(a), poly.deg(b), poly.deg(c)) != m:
+                    continue
+                if poly.gcd_many(K, (a, b, c)) != poly.ONE:
+                    continue
+                four_ac = poly.mul_scalar(K, poly.mul(K, a, c), 4 % q)
+                disc = poly.sub(K, poly.mul(K, b, b), four_ac)
+                if disc:
+                    unit, s, _ = poly.squarefree_part(K, disc)
+                    expect[s, K.is_square(unit)] += 1
+    assert discriminant_classes(q, m) == expect
+
+
+def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
+    # 3^8 codes exceed the gcd table; the refusal must come before any table
+    # is built, both from the library and from the command line
+    from ffcount.cli import main
+
+    def no_tables(q, m):
+        raise AssertionError("tables built before the refusal")
+
+    monkeypatch.setattr(kernels, "vector_tables", no_tables)
+    with pytest.raises(RefusalError):
+        discriminant_classes(3, 7)
+    with pytest.raises(RefusalError):
+        count_fixed_degree_points(3, 2, 7, budget=10**12)
+    assert main(["countd", "--q", "3", "--d", "2", "--m", "7", "--budget", "1000000000000"]) == 2
+    assert "refused" in capsys.readouterr().err

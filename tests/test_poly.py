@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ffcount import poly
-from ffcount.errors import RefusalError
+from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
 
 K2, K3 = GF(2), GF(3)
@@ -152,6 +152,14 @@ def test_factor_reassembles():
             assert poly.is_irreducible(K3, p)
             back = poly.mul(K3, back, poly.pow_(K3, p, mult))
         assert back == f
+
+
+def test_factor_without_irreducibles_raises(monkeypatch):
+    # a broken irreducible table must surface as a ConsistencyError, which
+    # python -O does not strip
+    monkeypatch.setattr(poly, "monic_irreducibles", lambda K, d: ())
+    with pytest.raises(ConsistencyError):
+        poly.factor(K3, P(1, 0, 1))
 
 
 def test_stays_irreducible_over_constant_extension():
