@@ -32,6 +32,7 @@ from fractions import Fraction
 from . import kernels
 from .counting import DEFAULT_BUDGET, check_budget
 from .errors import ConsistencyError, RefusalError
+from .gf import GF
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,21 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     constant field (so each linear factor generates a degree-2,
     effective-degree-2 extension).  Only n = d = 2 is implemented; larger
     parameters have no decidable factor-field test here.
+
+    At odd q the forms are classified by polynomial arithmetic on each
+    triple (kernels.classify_triples_by_polys), independently of the
+    discriminant tables behind count_fixed_degree_points.  Characteristic 2
+    has no second route yet: there both sides read the one cached
+    kernels.irreducible_triple_counts, so only the inseparable term of the
+    relation is checked, and the slow polynomial loop runs once.
     """
     if (n, d) != (2, 2):
         raise RefusalError("form oracle implemented for n = d = 2 only")
     if m < 0:
         return 0
     check_budget(q ** (3 * (m + 1)), budget, f"form oracle q={q} m={m}")
-    sep, insep = kernels.irreducible_triple_counts(q, m)
+    if q % 2:
+        sep, insep = kernels.classify_triples_by_polys(GF(q), m)
+    else:
+        sep, insep = kernels.irreducible_triple_counts(q, m)
     return sep + insep

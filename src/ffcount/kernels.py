@@ -13,8 +13,9 @@ all field work precomputed into flat tables here.
 The vector count is a recursion over coordinates with a running monic gcd
 code; identical (remaining length, gcd, seen-max-degree) states are shared
 through a memo dictionary, and a branch whose gcd has reached 1 is
-completed in closed form.  Its gcd codes come from the flat gcd table up
-to GCD_TABLE_MAX_CODES codes and are computed on demand above it.
+completed in closed form.  Its gcd codes come from a flat gcd table,
+built by a divisor sieve, up to GCD_TABLE_MAX_CODES codes (the 64 MiB
+cap) and are computed on demand by Euclid above it.
 
 For odd q, discriminant_classes walks the coprime triples once per
 (q, m) and counts them by discriminant class (squarefree monic part,
@@ -35,16 +36,24 @@ from .gf import GF
 # this flag to label its records.
 USING_COMPILED = False
 
-GCD_TABLE_MAX_CODES = 2500  # above this the flat q^(2(m+1)) gcd table is skipped
+# Above this many codes the flat gcd table is skipped: at 4096 codes its
+# 4096^2 int32 entries take 64 MiB.
+GCD_TABLE_MAX_CODES = 4096
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def vector_tables(q: int, m: int):
     """(ncodes, deg, gcdtab, monic_codes) for polynomials of degree <= m.
 
     deg[code] is the degree (-1 for zero); gcdtab is the flat ncodes^2 table
     of monic gcd codes (None when over the size cap); monic_codes lists the
     codes of monic nonzero polynomials in increasing order.
+
+    The gcd table is a divisor sieve: each monic d of degree 1..m, in
+    increasing degree, is written into every ordered pair of its nonzero
+    multiples.  By unique factorisation the gcd is the highest-degree monic
+    common divisor, so the last writer is the gcd; pairs nothing writes
+    keep 1.
     """
     K = GF(q)
     ncodes = q ** (m + 1)
@@ -53,17 +62,19 @@ def vector_tables(q: int, m: int):
     monic_codes = tuple(c for c, f in enumerate(polys) if f and f[-1] == 1)
     gcdtab = None
     if ncodes <= GCD_TABLE_MAX_CODES:
-        flat = [0] * (ncodes * ncodes)
-        for i in range(ncodes):
-            fi = polys[i]
-            row = i * ncodes
-            for j in range(i, ncodes):
-                if not fi and not polys[j]:
-                    continue
-                g = poly.to_code(q, poly.gcd(K, fi, polys[j]))
-                flat[row + j] = g
-                flat[j * ncodes + i] = g
-        gcdtab = array("i", flat)
+        gcdtab = array("i", [1]) * (ncodes * ncodes)
+        gcdtab[0] = 0
+        for y in range(1, ncodes):
+            gcdtab[y] = gcdtab[y * ncodes] = poly.to_code(q, poly.monic(K, polys[y])[1])
+        for k in range(1, m + 1):
+            cofactors = polys[1 : q ** (m - k + 1)]
+            # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+            for d in range(q**k, 2 * q**k):
+                multiples = [poly.to_code(q, poly.mul(K, polys[d], h)) for h in cofactors]
+                for x in multiples:
+                    row = x * ncodes
+                    for y in multiples:
+                        gcdtab[row + y] = d
     return ncodes, deg, gcdtab, monic_codes
 
 

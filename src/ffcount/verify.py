@@ -9,7 +9,7 @@ satisfy; the full acceptance runs live in the test suite.
 import itertools
 import random
 
-from . import counting, forms, poly, quadratic, riemann_roch, zeta
+from . import counting, forms, kernels, poly, quadratic, riemann_roch, zeta
 from .gf import GF
 from .places import (
     RationalFunction,
@@ -54,6 +54,21 @@ def _gcd_properties():
             if g and poly.rem(K, g, d):
                 return f"gcd does not divide g over F_{q}", False
     return "gcd divides both arguments, deg <= 3, q in {2,3}", True
+
+
+def _gcd_table_sieve():
+    cells = ((2, 5), (3, 3), (4, 2), (9, 1))
+    for q, m_max in cells:
+        K = GF(q)
+        for m in range(m_max + 1):
+            ncodes, _, gcdtab, _ = kernels.vector_tables(q, m)
+            polys = [poly.from_code(q, code) for code in range(ncodes)]
+            for x, y in itertools.combinations_with_replacement(range(ncodes), 2):
+                g = poly.to_code(q, poly.gcd(K, polys[x], polys[y])) if x or y else 0
+                if gcdtab[x * ncodes + y] != g or gcdtab[y * ncodes + x] != g:
+                    return f"sieve gcd table wrong at q={q} m={m} codes {x}, {y}", False
+    names = "; ".join(f"q={q} m<={m}" for q, m in cells)
+    return f"sieve gcd table equals Euclid gcd ({names})", True
 
 
 def _enumeration_cardinality():
@@ -298,7 +313,7 @@ def _divisor_sum_report():
 
 
 SUITES = {
-    "algebra": [_field_axioms, _gcd_properties, _enumeration_cardinality,
+    "algebra": [_field_axioms, _gcd_properties, _gcd_table_sieve, _enumeration_cardinality,
                 _squarefree_reexpansion],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ffcount import forms
+from ffcount import forms, kernels
 from ffcount.cli import main
 
 
@@ -48,6 +48,17 @@ def test_count_matches_over_range(capsys):
     assert code == 0
     for line in out.splitlines()[1:]:
         assert ",true," in line
+
+
+def test_count_at_the_gcd_table_cap(capsys):
+    # q=5, m=4 (3125 codes) is under the gcd-table cap, so both engines and
+    # the worker pool run on the sieve-built table
+    code, out, _ = run(capsys, "count", "--q", "5", "--n", "2", "--m", "4",
+                       "--engine", "both", "--workers", "2")
+    assert code == 0
+    rows = out.splitlines()
+    match = rows[0].split(",").index("match")
+    assert [row.split(",")[match] for row in rows[1:]] == ["true"]
 
 
 def test_count_budget_refusal(capsys):
@@ -125,6 +136,26 @@ def test_forms_cli_disagreement_exits_1(monkeypatch, capsys):
     code, out, _ = run(capsys, "forms", "--q", "3", "--m", "1", "--brute")
     assert code == 1
     assert ",216,215,false," in out.splitlines()[1]
+
+
+def test_forms_oracle_catches_wrong_discriminant_classes(monkeypatch, capsys):
+    # at odd q the oracle classifies the triples by polynomial arithmetic,
+    # so one wrong class count on the table side is a disagreement
+    real = kernels.discriminant_classes
+
+    def perturbed(q, m):
+        classes = real(q, m).copy()
+        classes[(0, 1), True] += 1  # one more triple with discriminant class T
+        return classes
+
+    monkeypatch.setattr(kernels, "discriminant_classes", perturbed)
+    kernels.irreducible_triple_counts.cache_clear()
+    try:
+        code, out, _ = run(capsys, "forms", "--q", "3", "--m", "1", "--brute")
+    finally:
+        kernels.irreducible_triple_counts.cache_clear()
+    assert code == 1
+    assert ",false," in out.splitlines()[1]
 
 
 def test_forms_cli_has_no_n_option(capsys):

@@ -1,6 +1,9 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcount import kernels, poly
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
@@ -19,6 +22,41 @@ def test_vector_tables_shape():
         for j in (0, 2, 8, 26):
             assert gcdtab[i * ncodes + j] == gcdtab[j * ncodes + i]
     assert all(deg[c] >= 0 for c in monic_codes)
+
+
+def euclid_gcd_code(K, f, g):
+    """The naive definition of a gcd table entry: Euclid's monic gcd of two
+    polynomials as a code, and 0 for the pair (0, 0)."""
+    return poly.to_code(K.q, poly.gcd(K, f, g)) if f or g else 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_sieve_gcd_table_matches_euclid(q):
+    # every cell with at most 729 codes, every ordered pair, including the
+    # zero row and column
+    K, m = GF(q), 0
+    while q ** (m + 1) <= 729:
+        ncodes, _, gcdtab, _ = vector_tables(q, m)
+        assert len(gcdtab) == ncodes * ncodes
+        polys = [poly.from_code(q, code) for code in range(ncodes)]
+        for x, y in combinations_with_replacement(range(ncodes), 2):
+            g = euclid_gcd_code(K, polys[x], polys[y])
+            assert gcdtab[x * ncodes + y] == gcdtab[y * ncodes + x] == g, (q, m, x, y)
+        m += 1
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(x=st.integers(0, 5**5 - 1), y=st.integers(0, 5**5 - 1))
+def test_sieve_gcd_table_at_the_cap(x, y):
+    # q=5, m=4: 3125 codes, the largest q=5 cell under the 4096-code cap
+    ncodes, _, gcdtab, _ = vector_tables(5, 4)
+    f, g = poly.from_code(5, x), poly.from_code(5, y)
+    assert gcdtab[x * ncodes + y] == euclid_gcd_code(GF(5), f, g)
+
+
+def test_gcd_table_cap():
+    assert vector_tables(5, 4)[2] is not None  # 3125 codes
+    assert vector_tables(3, 7)[2] is None  # 6561 codes: gcds on demand
 
 
 def test_memo_and_literal_recursions_agree():
