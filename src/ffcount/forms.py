@@ -135,20 +135,17 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     effective-degree-2 extension).  Only n = d = 2 is implemented; larger
     parameters have no decidable factor-field test here.
 
-    At odd q the forms are classified by polynomial arithmetic on each
-    triple (kernels.classify_triples_by_polys), independently of the
-    discriminant tables behind count_fixed_degree_points.  Characteristic 2
-    has no second route yet: there both sides read the one cached
-    kernels.irreducible_triple_counts, so only the inseparable term of the
-    relation is checked, and the slow polynomial loop runs once.
+    The forms are classified by polynomial arithmetic on each triple
+    (kernels.classify_triples_by_polys, 70-100 us per triple), which at
+    odd q is independent of the discriminant tables behind
+    count_fixed_degree_points.  Characteristic 2 has no second route yet:
+    there both sides read the same cached loop, so only the inseparable
+    term of the relation is checked.
     """
     if (n, d) != (2, 2):
         raise RefusalError("form oracle implemented for n = d = 2 only")
     if m < 0:
         return 0
     check_budget(q ** (3 * (m + 1)), budget, f"form oracle q={q} m={m}")
-    if q % 2:
-        sep, insep = kernels.classify_triples_by_polys(GF(q), m)
-    else:
-        sep, insep = kernels.irreducible_triple_counts(q, m)
+    sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     return sep + insep

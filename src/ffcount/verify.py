@@ -56,12 +56,13 @@ def _gcd_properties():
     return "gcd divides both arguments, deg <= 3, q in {2,3}", True
 
 
-def _gcd_table_sieve():
-    cells = ((2, 5), (3, 3), (4, 2), (9, 1))
+def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
     for q, m_max in cells:
         K = GF(q)
         for m in range(m_max + 1):
             ncodes, _, gcdtab, _ = kernels.vector_tables(q, m)
+            if len(gcdtab) != ncodes * ncodes:
+                return f"sieve gcd table has {len(gcdtab)} entries at q={q} m={m}", False
             polys = [poly.from_code(q, code) for code in range(ncodes)]
             for x, y in itertools.combinations_with_replacement(range(ncodes), 2):
                 g = poly.to_code(q, poly.gcd(K, polys[x], polys[y])) if x or y else 0

@@ -149,11 +149,7 @@ def test_forms_oracle_catches_wrong_discriminant_classes(monkeypatch, capsys):
         return classes
 
     monkeypatch.setattr(kernels, "discriminant_classes", perturbed)
-    kernels.irreducible_triple_counts.cache_clear()
-    try:
-        code, out, _ = run(capsys, "forms", "--q", "3", "--m", "1", "--brute")
-    finally:
-        kernels.irreducible_triple_counts.cache_clear()
+    code, out, _ = run(capsys, "forms", "--q", "3", "--m", "1", "--brute")
     assert code == 1
     assert ",false," in out.splitlines()[1]
 

@@ -1,11 +1,10 @@
 from collections import Counter
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcount import kernels, poly
+from ffcount import kernels, poly, verify
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
 from ffcount.errors import RefusalError
 from ffcount.gf import GF
@@ -24,25 +23,13 @@ def test_vector_tables_shape():
     assert all(deg[c] >= 0 for c in monic_codes)
 
 
-def euclid_gcd_code(K, f, g):
-    """The naive definition of a gcd table entry: Euclid's monic gcd of two
-    polynomials as a code, and 0 for the pair (0, 0)."""
-    return poly.to_code(K.q, poly.gcd(K, f, g)) if f or g else 0
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_sieve_gcd_table_matches_euclid(q):
-    # every cell with at most 729 codes, every ordered pair, including the
-    # zero row and column
-    K, m = GF(q), 0
-    while q ** (m + 1) <= 729:
-        ncodes, _, gcdtab, _ = vector_tables(q, m)
-        assert len(gcdtab) == ncodes * ncodes
-        polys = [poly.from_code(q, code) for code in range(ncodes)]
-        for x, y in combinations_with_replacement(range(ncodes), 2):
-            g = euclid_gcd_code(K, polys[x], polys[y])
-            assert gcdtab[x * ncodes + y] == gcdtab[y * ncodes + x] == g, (q, m, x, y)
-        m += 1
+    # verify's sieve check on every cell with at most 512 codes: every
+    # ordered pair, including the zero row and column, against Euclid
+    m_max = max(m for m in range(9) if q ** (m + 1) <= 512)
+    message, ok = verify._gcd_table_sieve(((q, m_max),))
+    assert ok, message
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -51,7 +38,7 @@ def test_sieve_gcd_table_at_the_cap(x, y):
     # q=5, m=4: 3125 codes, the largest q=5 cell under the 4096-code cap
     ncodes, _, gcdtab, _ = vector_tables(5, 4)
     f, g = poly.from_code(5, x), poly.from_code(5, y)
-    assert gcdtab[x * ncodes + y] == euclid_gcd_code(GF(5), f, g)
+    assert gcdtab[x * ncodes + y] == (poly.to_code(5, poly.gcd(GF(5), f, g)) if x or y else 0)
 
 
 def test_gcd_table_cap():
@@ -141,7 +128,8 @@ def test_discriminant_classes_match_naive_definition(q, m):
 
 
 def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
-    # 3^8 codes exceed the gcd table; the refusal must come before any table
+    # 3^8 codes exceed the gcd table, and 5^5 codes fit the gcd table but
+    # exceed the discriminant tables; the refusal must come before any table
     # is built, both from the library and from the command line
     from ffcount.cli import main
 
@@ -149,9 +137,11 @@ def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
         raise AssertionError("tables built before the refusal")
 
     monkeypatch.setattr(kernels, "vector_tables", no_tables)
-    with pytest.raises(RefusalError):
-        discriminant_classes(3, 7)
-    with pytest.raises(RefusalError):
-        count_fixed_degree_points(3, 2, 7, budget=10**12)
-    assert main(["countd", "--q", "3", "--d", "2", "--m", "7", "--budget", "1000000000000"]) == 2
-    assert "refused" in capsys.readouterr().err
+    for q, m in ((3, 7), (5, 4)):
+        with pytest.raises(RefusalError):
+            discriminant_classes(q, m)
+        with pytest.raises(RefusalError):
+            count_fixed_degree_points(q, 2, m, budget=10**12)
+        argv = ["countd", "--q", str(q), "--d", "2", "--m", str(m), "--budget", "1000000000000"]
+        assert main(argv) == 2
+        assert "refused" in capsys.readouterr().err
