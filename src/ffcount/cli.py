@@ -203,6 +203,8 @@ def cmd_forms(args):
     rows = []
     m_hi = args.m_to if args.m_to is not None else args.m
     p = counting.GF(args.q).p
+    if args.brute:  # refuse before either route enumerates anything
+        forms.check_oracle_budget(args.q, m_hi, args.budget)
     for m in range(args.m, m_hi + 1):
         table_counts = {}
         d_prime = args.d

@@ -139,7 +139,7 @@ def moebius_point_count(model: ClassModel | CurveDescriptor, n: int, m: int) -> 
     N = pre // (q - 1)
 
     zeta_n = zeta_value(desc, n)
-    piece_a = Fraction(J * q ** (n * (m + 1 - g))) / zeta_n
+    piece_a = J * Fraction(q) ** (n * (m + 1 - g)) / zeta_n
     qn = Fraction(q) ** n
     piece_b = Fraction(-J * sum(b[: m + 1]))
     partial = sum(b[l] * qn ** (m - l + 1 - g) for l in range(m + 1))

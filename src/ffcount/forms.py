@@ -34,6 +34,11 @@ from .counting import DEFAULT_BUDGET, check_budget
 from .errors import ConsistencyError, RefusalError
 from .gf import GF
 
+# The oracle spends 70-100 us on each candidate triple, about a hundred
+# times what a candidate costs the table routes the budget is sized for,
+# so each triple counts this many times against the budget.
+ORACLE_TRIPLE_COST = 100
+
 
 @dataclass(frozen=True)
 class FormTable:
@@ -136,7 +141,8 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     parameters have no decidable factor-field test here.
 
     The forms are classified by polynomial arithmetic on each triple
-    (kernels.classify_triples_by_polys, 70-100 us per triple), which at
+    (kernels.classify_triples_by_polys, 70-100 us per triple, so each
+    triple weighs ORACLE_TRIPLE_COST candidates against the budget), which at
     odd q is independent of the discriminant tables behind
     count_fixed_degree_points.  Characteristic 2 has no second route yet:
     there both sides read the same cached loop, so only the inseparable
@@ -146,6 +152,13 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
         raise RefusalError("form oracle implemented for n = d = 2 only")
     if m < 0:
         return 0
-    check_budget(q ** (3 * (m + 1)), budget, f"form oracle q={q} m={m}")
+    check_oracle_budget(q, m, budget)
     sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     return sep + insep
+
+
+def check_oracle_budget(q, m, budget):
+    """Refuse an oracle run at height m whose q^(3(m+1)) candidate triples,
+    weighted by ORACLE_TRIPLE_COST, exceed the budget."""
+    check_budget(ORACLE_TRIPLE_COST * q ** (3 * (m + 1)), budget,
+                 f"form oracle q={q} m={m} at cost {ORACLE_TRIPLE_COST} per triple")

@@ -8,14 +8,13 @@ Two hot loops dominate everything in this package:
     their discriminant (degree-2 points, forms, field matching).
 
 Both run over integer polynomial codes (base-q coefficient vectors) with
-all field work precomputed into flat tables here.
+all field work precomputed into tables here.
 
 The vector count is a recursion over coordinates with a running monic gcd
 code; identical (remaining length, gcd, seen-max-degree) states are shared
 through a memo dictionary, and a branch whose gcd has reached 1 is
-completed in closed form.  Its gcd codes come from a flat gcd table,
-built by a divisor sieve, up to GCD_TABLE_MAX_CODES codes (the 64 MiB
-cap) and are computed on demand by Euclid above it.
+completed in closed form.  Its gcd codes come one row gcd(g, .) at a
+time from a divisor sieve over the monic divisors of g.
 
 For odd q, discriminant_classes walks the coprime triples once per
 (q, m) and counts them by discriminant class (squarefree monic part,
@@ -36,9 +35,6 @@ from .gf import GF
 # this flag to label its records.
 USING_COMPILED = False
 
-# Above this many codes the flat gcd table is skipped: at 4096 codes its
-# 4096^2 int32 entries take 64 MiB.
-GCD_TABLE_MAX_CODES = 4096
 # discriminant_classes refuses above this many codes: its code-sum table is
 # a Python list of ncodes^2 ints (about 100 MB at 2500 codes) and its walk
 # over the triples grows like ncodes^3 / q.
@@ -47,50 +43,45 @@ DISCRIMINANT_TABLE_MAX_CODES = 2500
 
 @functools.lru_cache(maxsize=8)
 def vector_tables(q: int, m: int):
-    """(ncodes, deg, gcdtab, monic_codes) for polynomials of degree <= m.
+    """(ncodes, deg, gcd_row, monic_codes) for polynomials of degree <= m.
 
-    deg[code] is the degree (-1 for zero); gcdtab is the flat ncodes^2 table
-    of monic gcd codes (None when over the size cap); monic_codes lists the
-    codes of monic nonzero polynomials in increasing order.
+    deg[code] is the degree (-1 for zero); gcd_row(g) is the list of the
+    monic gcd codes of the monic code g with every code in range(ncodes);
+    monic_codes lists the codes of monic nonzero polynomials in increasing
+    order.
 
-    The gcd table is a divisor sieve: each monic d of degree 1..m, in
-    increasing degree, is written into every ordered pair of its nonzero
-    multiples.  By unique factorisation the gcd is the highest-degree monic
-    common divisor, so the last writer is the gcd; pairs nothing writes
-    keep 1.
+    gcd_row is a divisor sieve.  The tables keep the nonzero multiples of
+    each monic d of degree >= 1 and the monic divisors of each code,
+    O(m * ncodes) entries in all.  A row starts as all 1s with row[0] = g,
+    and each monic divisor d of g, in increasing degree, is written into
+    d's multiples.  By unique factorisation the gcd is the highest-degree
+    monic common divisor, so the last writer is the gcd.  Rows are built
+    on each call, not kept.
     """
     K = GF(q)
     ncodes = q ** (m + 1)
     polys = [poly.from_code(q, code) for code in range(ncodes)]
     deg = array("i", (len(f) - 1 for f in polys))
     monic_codes = tuple(c for c, f in enumerate(polys) if f and f[-1] == 1)
-    gcdtab = None
-    if ncodes <= GCD_TABLE_MAX_CODES:
-        gcdtab = array("i", [1]) * (ncodes * ncodes)
-        gcdtab[0] = 0
-        for y in range(1, ncodes):
-            gcdtab[y] = gcdtab[y * ncodes] = poly.to_code(q, poly.monic(K, polys[y])[1])
-        for k in range(1, m + 1):
-            cofactors = polys[1 : q ** (m - k + 1)]
-            # monic polynomials of degree k have the codes q^k .. 2q^k - 1
-            for d in range(q**k, 2 * q**k):
-                multiples = [poly.to_code(q, poly.mul(K, polys[d], h)) for h in cofactors]
-                for x in multiples:
-                    row = x * ncodes
-                    for y in multiples:
-                        gcdtab[row + y] = d
-    return ncodes, deg, gcdtab, monic_codes
+    multiples = {}
+    divisors = [[] for _ in range(ncodes)]
+    for k in range(1, m + 1):
+        cofactors = polys[1 : q ** (m - k + 1)]
+        # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+        for d in range(q**k, 2 * q**k):
+            multiples[d] = [poly.to_code(q, poly.mul(K, polys[d], h)) for h in cofactors]
+            for x in multiples[d]:
+                divisors[x].append(d)
 
+    def gcd_row(g):
+        row = [1] * ncodes
+        row[0] = g
+        for d in divisors[g]:
+            for x in multiples[d]:
+                row[x] = d
+        return row
 
-@functools.lru_cache(maxsize=None)
-def _gcd_code_fn(q: int):
-    K = GF(q)
-
-    @functools.lru_cache(maxsize=1 << 20)
-    def gcd_code(i: int, j: int) -> int:
-        return poly.to_code(q, poly.gcd(K, poly.from_code(q, i), poly.from_code(q, j)))
-
-    return gcd_code
+    return ncodes, deg, gcd_row, monic_codes
 
 
 def count_completions(n_rest, m, q, ncodes, deg, gcd_row, g, flag, memo):
@@ -124,18 +115,7 @@ def count_coprime_lead(q, n, m, lead_pos, lead_code):
     """Normalized coprime vectors of height exactly m whose first nonzero
     coordinate sits at `lead_pos` (0-based) and equals the monic polynomial
     with code `lead_code`."""
-    ncodes, deg, gcdtab, _ = vector_tables(q, m)
-    if gcdtab is not None:
-
-        def gcd_row(g):
-            return gcdtab[g * ncodes : (g + 1) * ncodes]
-
-    else:
-        gcd_code = _gcd_code_fn(q)
-
-        def gcd_row(g):
-            return [gcd_code(g, y) for y in range(ncodes)]
-
+    ncodes, deg, gcd_row, _ = vector_tables(q, m)
     return count_completions(
         n - lead_pos - 1, m, q, ncodes, deg, gcd_row, lead_code, deg[lead_code] == m, {}
     )
@@ -152,7 +132,7 @@ def _code_sums(K, size):
     return t
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def discriminant_classes(q: int, m: int) -> Counter:
     """Counter {(s, unit_is_square): triples} over the normalized triples
     (a monic nonzero, b, c) with max degree exactly m and gcd 1 whose
@@ -166,7 +146,7 @@ def discriminant_classes(q: int, m: int) -> Counter:
     if q ** (m + 1) > DISCRIMINANT_TABLE_MAX_CODES:
         raise RefusalError(f"degree {m} too large for the discriminant tables at q={q}")
     K = GF(q)
-    ncodes, deg, gcdtab, monic_codes = vector_tables(q, m)
+    ncodes, deg, gcd_row, monic_codes = vector_tables(q, m)
     # a code below q^(2m+1) splits as high * ncodes + low with high < q^m,
     # and codes add digitwise in K, so a sum is two lookups in these tables
     nhigh = q**m
@@ -175,14 +155,15 @@ def discriminant_classes(q: int, m: int) -> Counter:
     sq = [divmod(poly.to_code(q, poly.mul(K, f, f)), ncodes) for f in polys]
     minus4 = K.neg(4 % K.p)
     hist = [0] * (nhigh * ncodes)
+    # every a needs its row, and every gcd(a, b) is a monic code too
+    rows = {g: gcd_row(g) for g in monic_codes}
     for a in monic_codes:
-        arow = a * ncodes
+        arow = rows[a]
         fa = poly.mul_scalar(K, polys[a], minus4)
         minus4ac = (poly.to_code(q, poly.mul(K, fa, f)) for f in polys)
         high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
         for b in range(ncodes):
-            g1 = gcdtab[arow + b]
-            grow = gcdtab[g1 * ncodes : (g1 + 1) * ncodes]
+            grow = rows[arow[b]]
             hb, lb = sq[b][0] * nhigh, sq[b][1] * ncodes
             # the max degree must reach m through a, b or c
             cs = range(ncodes) if deg[a] == m or deg[b] == m else range(nhigh, ncodes)
@@ -208,7 +189,7 @@ def irreducible_triple_counts(q, m):
     return classify_triples_by_polys(GF(q), m)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def classify_triples_by_polys(K, m):
     """irreducible_triple_counts by polynomial arithmetic on each triple,
     for any constant field K.  It costs 70-100 us per candidate triple,

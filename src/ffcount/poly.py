@@ -205,7 +205,7 @@ def to_code(q: int, f) -> int:
 # -- irreducibility and factorization --------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def monic_irreducibles(K: FiniteField, d: int):
     """Tuple of all monic irreducible polynomials of degree d, in code order."""
     if d < 1:

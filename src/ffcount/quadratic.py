@@ -117,7 +117,7 @@ def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
     return CurveDescriptor(q, g, tuple(c))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def enumerate_quadratic_fields(q: int, degD_max: int, check: bool = True):
     """All quadratic extensions with 1 <= deg D <= degD_max, deterministic order.
 

@@ -60,16 +60,21 @@ def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
     for q, m_max in cells:
         K = GF(q)
         for m in range(m_max + 1):
-            ncodes, _, gcdtab, _ = kernels.vector_tables(q, m)
-            if len(gcdtab) != ncodes * ncodes:
-                return f"sieve gcd table has {len(gcdtab)} entries at q={q} m={m}", False
+            ncodes, _, gcd_row, monic_codes = kernels.vector_tables(q, m)
+            rows = {g: gcd_row(g) for g in monic_codes}
             polys = [poly.from_code(q, code) for code in range(ncodes)]
-            for x, y in itertools.combinations_with_replacement(range(ncodes), 2):
-                g = poly.to_code(q, poly.gcd(K, polys[x], polys[y])) if x or y else 0
-                if gcdtab[x * ncodes + y] != g or gcdtab[y * ncodes + x] != g:
-                    return f"sieve gcd table wrong at q={q} m={m} codes {x}, {y}", False
+            for x in monic_codes:
+                if len(rows[x]) != ncodes:
+                    return f"sieve gcd row {x} has {len(rows[x])} entries at q={q} m={m}", False
+                # one Euclid gcd per pair: a monic y > x checks row y too
+                for y in range(ncodes):
+                    if y in rows and y < x:
+                        continue
+                    g = poly.to_code(q, poly.gcd(K, polys[x], polys[y]))
+                    if rows[x][y] != g or (y in rows and rows[y][x] != g):
+                        return f"sieve gcd row wrong at q={q} m={m} codes {x}, {y}", False
     names = "; ".join(f"q={q} m<={m}" for q, m in cells)
-    return f"sieve gcd table equals Euclid gcd ({names})", True
+    return f"sieve gcd rows equal Euclid gcd ({names})", True
 
 
 def _enumeration_cardinality():

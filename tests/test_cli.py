@@ -51,8 +51,7 @@ def test_count_matches_over_range(capsys):
 
 
 def test_count_at_the_gcd_table_cap(capsys):
-    # q=5, m=4 (3125 codes) is under the gcd-table cap, so both engines and
-    # the worker pool run on the sieve-built table
+    # q=5, m=4 (3125 codes): both engines, and the worker pool on sieve rows
     code, out, _ = run(capsys, "count", "--q", "5", "--n", "2", "--m", "4",
                        "--engine", "both", "--workers", "2")
     assert code == 0
@@ -152,6 +151,20 @@ def test_forms_oracle_catches_wrong_discriminant_classes(monkeypatch, capsys):
     code, out, _ = run(capsys, "forms", "--q", "3", "--m", "1", "--brute")
     assert code == 1
     assert ",false," in out.splitlines()[1]
+
+
+def test_forms_oracle_budget_refuses_before_enumerating(monkeypatch, capsys):
+    # 7^9 triples at 70-100 us each would run about an hour; the weighted
+    # budget refuses before either route starts
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated before the refusal")
+
+    monkeypatch.setattr(kernels, "discriminant_classes", enumerate_nothing)
+    monkeypatch.setattr(kernels, "classify_triples_by_polys", enumerate_nothing)
+    for q in (5, 7):
+        code, _, err = run(capsys, "forms", "--q", str(q), "--m", "2", "--brute")
+        assert code == 2
+        assert "refused" in err
 
 
 def test_forms_cli_has_no_n_option(capsys):

@@ -214,7 +214,7 @@ def test_genus2_field_with_synthetic_class_table():
     table = tuple((col0[j], col1[j], col2[j]) for j in range(J))
     desc = CurveDescriptor(f.q, 2, f.descriptor.L, class_dims=table)
     model = build_class_model(desc)
-    for m in (1, 2, 3):
+    for m in (0, 1, 2, 3):
         assert moebius_point_count(model, 2, m).N == brute_count_p1_over_field(f, m)
     # decomposition kicks in at m >= 2g-1 = 3, with negative-exponent
     # reflection terms exercised by the genus window

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcount import kernels, poly, verify
+from ffcount import kernels, poly, quadratic, verify
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
 from ffcount.errors import RefusalError
 from ffcount.gf import GF
@@ -12,38 +12,43 @@ from ffcount.kernels import discriminant_classes, vector_tables
 
 
 def test_vector_tables_shape():
-    ncodes, deg, gcdtab, monic_codes = vector_tables(3, 2)
+    ncodes, deg, gcd_row, monic_codes = vector_tables(3, 2)
     assert ncodes == 27
     assert deg[0] == -1 and deg[1] == 0 and deg[3] == 1
-    assert len(gcdtab) == ncodes * ncodes
-    # gcd symmetry and idempotence spot checks
-    for i in (1, 5, 9, 13):
-        for j in (0, 2, 8, 26):
-            assert gcdtab[i * ncodes + j] == gcdtab[j * ncodes + i]
     assert all(deg[c] >= 0 for c in monic_codes)
+    # one row per monic code: gcd(g, 0) = g, gcd(g, g) = g, and the monic
+    # rows agree with each other
+    for g in monic_codes:
+        row = gcd_row(g)
+        assert len(row) == ncodes and row[0] == row[g] == g and row[1] == 1
+        assert all(row[h] == gcd_row(h)[g] for h in monic_codes)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_sieve_gcd_table_matches_euclid(q):
     # verify's sieve check on every cell with at most 512 codes: every
-    # ordered pair, including the zero row and column, against Euclid
+    # monic row, at every code including zero, against Euclid
     m_max = max(m for m in range(9) if q ** (m + 1) <= 512)
     message, ok = verify._gcd_table_sieve(((q, m_max),))
     assert ok, message
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(x=st.integers(0, 5**5 - 1), y=st.integers(0, 5**5 - 1))
-def test_sieve_gcd_table_at_the_cap(x, y):
-    # q=5, m=4: 3125 codes, the largest q=5 cell under the 4096-code cap
-    ncodes, _, gcdtab, _ = vector_tables(5, 4)
-    f, g = poly.from_code(5, x), poly.from_code(5, y)
-    assert gcdtab[x * ncodes + y] == (poly.to_code(5, poly.gcd(GF(5), f, g)) if x or y else 0)
+@given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1), y=st.integers(0, 3**8 - 1))
+def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
+    # q=3, m=7 (6561 codes) is far beyond the exhaustive grid; the monic
+    # codes of degree k are 3^k .. 2*3^k - 1
+    g = 3**k + low % 3**k
+    _, _, gcd_row, _ = vector_tables(3, 7)
+    f, h = poly.from_code(3, g), poly.from_code(3, y)
+    assert gcd_row(g)[y] == poly.to_code(3, poly.gcd(GF(3), f, h))
 
 
-def test_gcd_table_cap():
-    assert vector_tables(5, 4)[2] is not None  # 3125 codes
-    assert vector_tables(3, 7)[2] is None  # 6561 codes: gcds on demand
+def test_long_lived_caches_are_bounded():
+    for cached in (kernels.vector_tables, kernels.discriminant_classes,
+                   kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
+                   poly.monic_irreducibles):
+        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 def test_memo_and_literal_recursions_agree():
@@ -78,31 +83,6 @@ def test_polynomial_loop_matches_discriminant_tables(q, m):
     assert (sep, insep) == kernels.irreducible_triple_counts(q, m)
 
 
-def test_nogcdtab_path_matches_table_path():
-    q, m = 3, 2
-    ncodes, deg, gcdtab, monic_codes = vector_tables(q, m)
-    gcd_code = kernels._gcd_code_fn(q)
-
-    def table_row(g):
-        return gcdtab[g * ncodes : (g + 1) * ncodes]
-
-    def on_demand_row(g):
-        return [gcd_code(g, y) for y in range(ncodes)]
-
-    for n in (2, 3, 4):
-        a, b = (
-            sum(
-                kernels.count_completions(
-                    n - pos - 1, m, q, ncodes, deg, gcd_row, code, deg[code] == m, {}
-                )
-                for pos in range(n)
-                for code in monic_codes
-            )
-            for gcd_row in (table_row, on_demand_row)
-        )
-        assert a == b == brute_count_rational(q, n, m)
-
-
 @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
 def test_discriminant_classes_match_naive_definition(q, m):
     # b^2 - 4ac and its squarefree part by polynomial arithmetic, over every
@@ -128,9 +108,9 @@ def test_discriminant_classes_match_naive_definition(q, m):
 
 
 def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
-    # 3^8 codes exceed the gcd table, and 5^5 codes fit the gcd table but
-    # exceed the discriminant tables; the refusal must come before any table
-    # is built, both from the library and from the command line
+    # 3^8 and 5^5 codes exceed the discriminant tables; the refusal must
+    # come before any table is built, both from the library and from the
+    # command line
     from ffcount.cli import main
 
     def no_tables(q, m):
