@@ -16,6 +16,7 @@ through minimal polynomials (discriminant classification) and once by
 summing per-field counts over the enumerated quadratic extensions.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -325,10 +326,11 @@ def schanuel_sum_quadratic(q, n, degD_max):
     """
     if n <= 4:
         raise RefusalError(f"sum over quadratic fields converges only for n > 4, got n={n}")
+    # fields sharing a descriptor share their Schanuel constant
+    groups = Counter((f.deg_D, f.descriptor) for f in enumerate_quadratic_fields(q, degD_max))
     increments = {}
-    for field in enumerate_quadratic_fields(q, degD_max):
-        inc = schanuel_constant(field.descriptor, n)
-        increments[field.deg_D] = increments.get(field.deg_D, Fraction(0)) + inc
+    for (d, desc), k in groups.items():
+        increments[d] = increments.get(d, Fraction(0)) + k * schanuel_constant(desc, n)
     total = sum(increments.values(), Fraction(0))
     degs = sorted(increments)
     ratios = {

@@ -21,6 +21,12 @@ For odd q, discriminant_classes walks the coprime triples once per
 whether the unit is a square); its callers pick the classes they need.
 Characteristic 2 goes through a loop over polynomial triples instead,
 which on odd q is the reference for the class counts.
+
+The quadratic-field enumeration reads two tables over the low-part codes
+of the monic polynomials D of one degree: a squarefree sieve, and the
+point counts of y^2 = u*D(x) over F_{q^r} from the values D(x), built
+digit by digit as the code-sum tables are.  Both are built per call and
+not kept.
 """
 
 import functools
@@ -29,7 +35,7 @@ from collections import Counter
 
 from . import poly
 from .errors import RefusalError
-from .gf import GF
+from .gf import GF, constant_extension
 
 # There is a single pure-Python lane; the benchmark harness still reads
 # this flag to label its records.
@@ -82,6 +88,59 @@ def vector_tables(q: int, m: int):
         return row
 
     return ncodes, deg, gcd_row, monic_codes
+
+
+def square_factor_sieve(K, d):
+    """bytearray over the low-part codes of the monic polynomials of degree
+    d (D = T^d + the polynomial of the code): 1 where D has a repeated
+    irreducible factor, 0 where D is squarefree.
+
+    It marks p^2 * c for every monic irreducible p of degree e <= d//2 and
+    every monic c of degree d - 2e; the unmarked codes are exactly the
+    squarefree D.
+    """
+    q = K.q
+    top = q**d
+    marks = bytearray(top)
+    for e in range(1, d // 2 + 1):
+        cofactors = tuple(poly.enumerate_monic(K, d - 2 * e))
+        for p in poly.monic_irreducibles(K, e):
+            p2 = poly.mul(K, p, p)
+            for c in cofactors:
+                marks[poly.to_code(q, poly.mul(K, p2, c)) - top] = 1
+    return marks
+
+
+def point_count_table(K, d, r):
+    """List over the low-part codes of the monic D of degree d of the pairs
+    (N_r(1), N_r(eps)), eps = K.non_square_unit(): the points of
+    y^2 = u*D(x) over F_{q^r}, those at infinity included, as
+    quadratic.curve_point_counts counts them.
+
+    The low parts are evaluated at every x of F_{q^r} digit by digit, by
+    Horner's rule low[code][x] = c0 + x * low[code // q][x] over the field
+    tables, and D(x) = x^d + low[code][x].  A value v of u*D(x) gives 1
+    point at 0, 2 at a nonzero square and none otherwise.
+    """
+    q = K.q
+    Kr, emb = (K, range(q)) if r == 1 else constant_extension(K, r)
+    add, mul = Kr._add, Kr._mul
+    low = [[0] * Kr.q]
+    for code in range(1, q**d):
+        row_c0 = add[emb[code % q]]
+        low.append([row_c0[mx[v]] for mx, v in zip(mul, low[code // q])])
+    values = Kr.elements()
+    weight = [2 if Kr.is_square(v) else 0 for v in values]
+    weight[0] = 1
+    tables = []
+    for u in (1, K.non_square_unit()):
+        ur = emb[u]
+        weight_u = [weight[v] for v in mul[ur]]
+        # per x, the weight of u*(x^d + v) for every value v of the low part
+        by_value = [[weight_u[v] for v in add[Kr.pow(x, d)]] for x in values]
+        at_infinity = 1 if d % 2 else (2 if Kr.is_square(ur) else 0)
+        tables.append([sum(map(list.__getitem__, by_value, row)) + at_infinity for row in low])
+    return list(zip(*tables))
 
 
 def count_completions(n_rest, m, q, ncodes, deg, gcd_row, g, flag, memo):

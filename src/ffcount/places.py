@@ -3,15 +3,13 @@
 The places of F_q(T) are the monic irreducible polynomials together with
 one distinguished place at infinity of degree 1.  Divisors are finite
 integer combinations of places; the relative height of a nonzero
-coordinate vector is minus the degree of its divisor, and the absolute
-height divides that by the effective degree of the field the vector lives
-in.  Everything is exact: valuations are ints (math.inf for the zero
-function), heights are ints or Fractions.
+coordinate vector is minus the degree of its divisor.  Everything is
+exact: valuations are ints (math.inf for the zero function), heights are
+ints.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import poly
 from .poly import ZERO, ONE
@@ -186,11 +184,6 @@ def divisor_of_vector(K, xs) -> Divisor:
 def height_relative(K, xs) -> int:
     """Relative height -deg div(x) of a nonzero coordinate vector."""
     return -divisor_of_vector(K, xs).degree()
-
-
-def height_absolute(K, xs, effective_degree: int = 1) -> Fraction:
-    """Absolute height: relative height divided by the effective degree."""
-    return Fraction(height_relative(K, xs), effective_degree)
 
 
 def vector_to_coprime_polys(K, xs):

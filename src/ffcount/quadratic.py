@@ -7,6 +7,17 @@ give distinct fields.  The curve y^2 = u*D(x) has genus (deg D - 1)//2,
 and counting its points over F_{q^r} for r = 1..g determines the zeta
 numerator, hence the class number and everything the counting layer needs.
 
+The enumeration works one degree d at a time on the low-part codes of the
+monic D (D = T^d + the polynomial of the code), through two tables from
+`kernels`: a sieve that marks p^2 * c for each monic irreducible p of
+degree <= d/2, leaving exactly the squarefree D, and the point counts N_r
+of both twists for every code, from one Horner table of the values D(x)
+over F_{q^r}.  No D is factored and no curve is counted point by point;
+`poly.squarefree_part` and `curve_point_counts` are the naive definitions
+the tables are checked against (`ffcount verify --suite algebra`).  Fields
+with equal point counts share one descriptor, built and Hasse-Weil checked
+once.
+
 Characteristic 2 is refused here: quadratic extensions are then of
 Artin-Schreier or inseparable type and have no squarefree-D normal form.
 The minimal-polynomial counters elsewhere still cover char-2 counting.
@@ -16,7 +27,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import poly
+from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
 from .gf import GF, FiniteField, constant_extension
 from .zeta import CurveDescriptor, hasse_weil_check
@@ -65,7 +76,7 @@ def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
 
     Infinity contributes 1 point for odd deg D (ramified) and 2 or 0 for
     even deg D according to whether the leading unit u is a square in
-    F_{q^r}.
+    F_{q^r}.  This is the reference for kernels.point_count_table.
     """
     out = []
     for r in range(1, r_max + 1):
@@ -133,17 +144,22 @@ def enumerate_quadratic_fields(q: int, degD_max: int, check: bool = True):
     eps = K.non_square_unit()
     out = []
     for d in range(1, degD_max + 1):
-        for D in poly.enumerate_monic(K, d):
-            if d >= 2:
-                _, s, _ = poly.squarefree_part(K, D)
-                if s != D:
-                    continue
-            g = (d - 1) // 2
-            for u in (1, eps):
-                counts = curve_point_counts(K, u, D, g)
-                desc = build_descriptor(q, g, counts)
+        g = (d - 1) // 2
+        repeated = kernels.square_factor_sieve(K, d)
+        tables = [kernels.point_count_table(K, d, r) for r in range(1, g + 1)]
+        descriptors = {}  # counts -> descriptor, built and checked once
+        for code, rep in enumerate(repeated):
+            if rep:
+                continue
+            D = poly.from_code(q, code, pad=d) + (1,)
+            for i, u in enumerate((1, eps)):
+                counts = tuple(t[code][i] for t in tables)
+                desc = descriptors.get(counts)
+                first = desc is None
+                if first:
+                    desc = descriptors[counts] = build_descriptor(q, g, counts)
                 fdesc = QuadraticFieldDesc(q, D, u, g, counts, desc)
-                if check:
+                if first and check:
                     report = hasse_weil_check(desc)
                     if not report["ok"]:
                         raise ConsistencyError(

@@ -198,19 +198,6 @@ def genus0_section_basis(K, divisor: Divisor):
     return basis
 
 
-def genus0_basis(K, divisor: Divisor, n: int):
-    """Spanning set of L(a, n) subset of k^n: the L(a,1) basis per coordinate."""
-    base = genus0_section_basis(K, divisor)
-    zero = RationalFunction(K, poly.ZERO)
-    out = []
-    for coord in range(n):
-        for f in base:
-            vec = [zero] * n
-            vec[coord] = f
-            out.append(tuple(vec))
-    return out
-
-
 def section_space_contains(K, divisor: Divisor, f: RationalFunction) -> bool:
     """Membership test for L(a, 1) by checking every relevant valuation."""
     if f.is_zero():

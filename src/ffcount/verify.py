@@ -10,8 +10,12 @@ import itertools
 import random
 
 from . import counting, forms, kernels, poly, quadratic, riemann_roch, zeta
+from .errors import ConsistencyError
 from .gf import GF
 from .places import (
+    INFINITY,
+    Divisor,
+    Place,
     RationalFunction,
     divisor_of_vector,
     enumerate_places,
@@ -56,6 +60,10 @@ def _gcd_properties():
     return "gcd divides both arguments, deg <= 3, q in {2,3}", True
 
 
+def _cell_names(cells, var):
+    return "; ".join(f"q={q} {var}<={top}" for q, top in cells)
+
+
 def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
     for q, m_max in cells:
         K = GF(q)
@@ -73,8 +81,50 @@ def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
                     g = poly.to_code(q, poly.gcd(K, polys[x], polys[y]))
                     if rows[x][y] != g or (y in rows and rows[y][x] != g):
                         return f"sieve gcd row wrong at q={q} m={m} codes {x}, {y}", False
-    names = "; ".join(f"q={q} m<={m}" for q, m in cells)
-    return f"sieve gcd rows equal Euclid gcd ({names})", True
+    return f"sieve gcd rows equal Euclid gcd ({_cell_names(cells, 'm')})", True
+
+
+# (q, largest deg D) of the exhaustive field-table checks
+FIELD_TABLE_CELLS = ((3, 6), (5, 4), (7, 3), (9, 3))
+
+
+def _squarefree_sieve(cells=FIELD_TABLE_CELLS):
+    for q, d_max in cells:
+        K = GF(q)
+        for d in range(1, d_max + 1):
+            marks = kernels.square_factor_sieve(K, d)
+            for code, D in enumerate(poly.enumerate_monic(K, d)):
+                if (poly.squarefree_part(K, D)[1] == D) == bool(marks[code]):
+                    return f"squarefree sieve wrong at q={q} D={poly.format_poly(D)}", False
+    return f"squarefree sieve equals the factoring filter ({_cell_names(cells, 'deg D')})", True
+
+
+def _point_count_table(cells=FIELD_TABLE_CELLS):
+    for q, d_max in cells:
+        K = GF(q)
+        eps = K.non_square_unit()
+        for d in range(1, d_max + 1):
+            # r up to the genus, and r = 1 at genus 0 too
+            r_max = max((d - 1) // 2, 1)
+            tables = [kernels.point_count_table(K, d, r) for r in range(1, r_max + 1)]
+            for code, D in enumerate(poly.enumerate_monic(K, d)):
+                for i, u in enumerate((1, eps)):
+                    counts = tuple(t[code][i] for t in tables)
+                    if counts != quadratic.curve_point_counts(K, u, D, r_max):
+                        return (f"point-count table wrong at q={q} D={poly.format_poly(D)} "
+                                f"u={u}: {counts}"), False
+    return (f"point-count tables equal curve_point_counts on every monic D "
+            f"({_cell_names(cells, 'deg D')})"), True
+
+
+def _irreducible_counts():
+    for q, d_max in ((2, 8), (3, 5), (4, 3), (5, 3), (9, 2)):
+        K = GF(q)
+        for d in range(1, d_max + 1):
+            found = sum(poly.is_irreducible(K, f) for f in poly.enumerate_monic(K, d))
+            if found != poly.count_monic_irreducibles(q, d):
+                return f"{found} monic irreducibles of degree {d} over F_{q}", False
+    return "trial division finds the necklace count of monic irreducibles", True
 
 
 def _enumeration_cardinality():
@@ -232,6 +282,30 @@ def _class_model_identities():
     return "class-sum, reflection and Clifford checks on all models", True
 
 
+def _genus0_sections():
+    T = (0, 1)
+    for q in (2, 3):
+        K = GF(q)
+        model = riemann_roch.build_class_model(zeta.CurveDescriptor.rational(q))
+        for coeffs in ({}, {INFINITY: 2}, {Place(T): 1, INFINITY: 1},
+                       {Place(T): 2, Place((1, 1)): -1}, {INFINITY: -1}):
+            div = Divisor(coeffs)
+            basis = riemann_roch.genus0_section_basis(K, div)
+            if len(basis) != riemann_roch.class_dimension(model, 1, div.degree()):
+                return f"{len(basis)} basis sections for {coeffs} over F_{q}", False
+            if not all(riemann_roch.section_space_contains(K, div, f) for f in basis):
+                return f"a basis section of {coeffs} fails membership over F_{q}", False
+            # over the basis denominator, the members are the q^l(a) elements of the span
+            den = basis[0].den if basis else poly.ONE
+            members = sum(
+                riemann_roch.section_space_contains(K, div, RationalFunction(K, num, den))
+                for num in poly.enumerate_polys(K, poly.deg(den) + 3)
+            )
+            if members != q ** len(basis):
+                return f"{members} members of L({coeffs}) over F_{q}", False
+    return "genus-0 section bases have l(a) = deg a + 1 members by valuations", True
+
+
 def _oracle_equivalence():
     cells = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1), (2, 4, 1)]
     for q, n, m in cells:
@@ -240,7 +314,25 @@ def _oracle_equivalence():
         b = counting.moebius_point_count(desc, n, m).N
         if a != b:
             return f"oracle mismatch at q={q} n={n} m={m}: {a} vs {b}", False
-    return "brute force equals Moebius inversion (sample grid)", True
+        # every coprime vector, not one per scalar class, by polynomial gcds
+        if counting.brute_count_unnormalized(q, n, m) != (q - 1) * a:
+            return f"unnormalized count is not (q-1)*N at q={q} n={n} m={m}", False
+    return "brute force equals Moebius inversion and the unnormalized count (sample grid)", True
+
+
+def _error_decomposition():
+    models = [riemann_roch.build_class_model(zeta.CurveDescriptor.rational(q)) for q in (2, 3)]
+    for f in quadratic.enumerate_quadratic_fields(3, 3):
+        if f.genus == 1:
+            models.append(riemann_roch.build_class_model(f.descriptor))
+    for model in models:
+        for n in (2, 3):
+            for m in range(max(2 * model.g - 1, 0), 4):
+                try:
+                    counting.error_decomposition(counting.moebius_point_count(model, n, m), model)
+                except ConsistencyError as exc:
+                    return f"{exc} for {model.desc} n={n} m={m}", False
+    return "error pieces reassemble, window bound direct = reflected (g <= 1, m <= 3)", True
 
 
 def _pipeline_agreement():
@@ -320,12 +412,14 @@ def _divisor_sum_report():
 
 SUITES = {
     "algebra": [_field_axioms, _gcd_properties, _gcd_table_sieve, _enumeration_cardinality,
-                _squarefree_reexpansion],
+                _squarefree_reexpansion, _irreducible_counts, _squarefree_sieve,
+                _point_count_table],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small,
              _divisor_sum_report],
-    "riemann_roch": [_class_model_identities],
-    "counting": [_oracle_equivalence, _pipeline_agreement, _growth_report],
+    "riemann_roch": [_class_model_identities, _genus0_sections],
+    "counting": [_oracle_equivalence, _error_decomposition, _pipeline_agreement,
+                 _growth_report],
     "quadratic": [_twist_pairing, _field_distinctness, _hasse_weil_all],
     "forms": [_forms_relations],
 }

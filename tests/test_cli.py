@@ -231,6 +231,9 @@ def test_verify_fast_suites(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "forms")
     assert code == 0
     assert "q=2 m<=2" in out and "0 failed" in out
+    for suite in ("riemann_roch", "counting"):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0 and "0 failed" in out
 
 
 def test_bad_descriptor_exits_1(tmp_path, capsys):

@@ -235,6 +235,16 @@ def test_schanuel_sum_quadratic():
     assert sorted(report["increments"]) == [1, 2]
 
 
+@pytest.mark.parametrize("q, degD_max", [(3, 6), (5, 4)])
+def test_grouped_schanuel_sum_equals_per_field_sum(q, degD_max):
+    per_degree = {}
+    for f in enumerate_quadratic_fields(q, degD_max):
+        per_degree[f.deg_D] = per_degree.get(f.deg_D, 0) + schanuel_constant(f.descriptor, 6)
+    total, report = schanuel_sum_quadratic(q, 6, degD_max)
+    assert report["increments"] == per_degree
+    assert total == sum(per_degree.values())
+
+
 def test_growth_report_shapes():
     rows = growth_report(3, m_max=2)
     kinds = {r["kind"] for r in rows}

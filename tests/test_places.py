@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +12,6 @@ from ffcount.places import (
     Place,
     divisor_of_vector,
     enumerate_places,
-    height_absolute,
     height_relative,
     ord_at,
     ord_vec,
@@ -69,8 +67,6 @@ def test_principal_divisors_have_degree_zero():
 def test_height_examples():
     assert height_relative(K2, [rf(K2, (1,)), rf(K2, T)]) == 1
     assert height_relative(K2, [rf(K2, (1,)), rf(K2, T), rf(K2, (1, 0, 1))]) == 2
-    assert height_absolute(K2, [rf(K2, (1,)), rf(K2, T)], 1) == Fraction(1)
-    assert height_absolute(K2, [rf(K2, (1,)), rf(K2, T)], 2) == Fraction(1, 2)
 
 
 def test_height_projective_invariance():

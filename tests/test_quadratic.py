@@ -1,9 +1,12 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffcount import poly, quadratic
+from ffcount import kernels, poly, verify
 from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
 from ffcount.quadratic import (
@@ -20,10 +23,10 @@ T3T = (0, 2, 0, 1)  # T^3 - T
 
 
 def test_hasse_weil_failure_raises(monkeypatch):
-    def bad_counts(K, u, D, r_max):
-        return tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))
+    def bad_table(K, d, r):
+        return [(4 * K.q**r + 1,) * 2] * K.q**d
 
-    monkeypatch.setattr(quadratic, "curve_point_counts", bad_counts)
+    monkeypatch.setattr(kernels, "point_count_table", bad_table)
     enumerate_quadratic_fields.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="Hasse-Weil"):
@@ -153,3 +156,51 @@ def test_deterministic_order():
     assert [f.label() for f in a] == [f.label() for f in b]
     degs = [f.deg_D for f in a]
     assert degs == sorted(degs)
+
+
+@pytest.mark.parametrize("cell", verify.FIELD_TABLE_CELLS)
+def test_field_tables_match_naive_definitions(cell):
+    # verify's checks, one cell each: the squarefree sieve against the
+    # factoring filter, the point-count tables against curve_point_counts
+    for check in (verify._squarefree_sieve, verify._point_count_table):
+        message, ok = check((cell,))
+        assert ok, message
+
+
+@functools.cache
+def _field_tables(q, d):
+    K = GF(q)
+    r_max = max((d - 1) // 2, 1)
+    tables = [kernels.point_count_table(K, d, r) for r in range(1, r_max + 1)]
+    return kernels.square_factor_sieve(K, d), tables
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cell=st.sampled_from([(5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (7, 4)]),
+       low=st.integers(0, 7**4 - 1), twist=st.booleans())
+def test_field_tables_sample_at_the_largest_cells(cell, low, twist):
+    q, d = cell
+    K = GF(q)
+    code = low % q**d
+    D = poly.from_code(q, code, pad=d) + (1,)
+    u = K.non_square_unit() if twist else 1
+    marks, tables = _field_tables(q, d)
+    assert bool(marks[code]) == (poly.squarefree_part(K, D)[1] != D)
+    counts = tuple(t[code][twist] for t in tables)
+    assert counts == curve_point_counts(K, u, D, len(tables))
+
+
+@pytest.mark.parametrize("q, degD_max", [(3, 6), (5, 5)])
+def test_twisted_point_counts(q, degD_max):
+    # eps is a non-square in F_{q^r} for odd r and a square for even r, so
+    # over odd r each x, and infinity, gives the pair 2 points, and over
+    # even r the two curves are isomorphic
+    by_D = {}
+    for f in enumerate_quadratic_fields(q, degD_max):
+        by_D.setdefault(f.D, []).append(f.point_counts)
+    for D, (plain, twisted) in by_D.items():
+        for r, (n1, n_eps) in enumerate(zip(plain, twisted), start=1):
+            if r % 2:
+                assert n1 + n_eps == 2 * q**r + 2, (D, r)
+            else:
+                assert n1 == n_eps, (D, r)

@@ -12,7 +12,6 @@ from ffcount.riemann_roch import (
     class_dimension,
     class_sum_identity_check,
     clifford_sum_check,
-    genus0_basis,
     genus0_section_basis,
     l_dim,
     lambda_sum,
@@ -91,14 +90,6 @@ def test_genus0_basis_membership_and_span_size():
             if section_space_contains(K2, div, x):
                 members.add((x.num, x.den))
     assert members == span
-
-
-def test_vector_space_basis():
-    div = Divisor({INFINITY: 1})
-    vecs = genus0_basis(K2, div, 2)
-    assert len(vecs) == 4  # n * (deg + 1)
-    for vec in vecs:
-        assert len(vec) == 2
 
 
 def test_class_sum_identity():
