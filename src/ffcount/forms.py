@@ -34,9 +34,10 @@ from .counting import DEFAULT_BUDGET, check_budget
 from .errors import ConsistencyError, RefusalError
 from .gf import GF
 
-# The oracle spends 70-100 us on each candidate triple, about a hundred
-# times what a candidate costs the table routes the budget is sized for,
-# so each triple counts this many times against the budget.
+# The oracle spends 5-100 us on each candidate triple (the most at odd q,
+# where it factors each discriminant), a hundred times or more what a
+# candidate costs the table routes the budget is sized for, so each
+# triple counts this many times against the budget.
 ORACLE_TRIPLE_COST = 100
 
 
@@ -141,7 +142,7 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     parameters have no decidable factor-field test here.
 
     The forms are classified by polynomial arithmetic on each triple
-    (kernels.classify_triples_by_polys, 70-100 us per triple, so each
+    (kernels.classify_triples_by_polys, 5-100 us per triple, so each
     triple weighs ORACLE_TRIPLE_COST candidates against the budget), which at
     odd q is independent of the discriminant tables behind
     count_fixed_degree_points.  Characteristic 2 has no second route yet:

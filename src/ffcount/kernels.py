@@ -20,13 +20,15 @@ For odd q, discriminant_classes walks the coprime triples once per
 (q, m) and counts them by discriminant class (squarefree monic part,
 whether the unit is a square); its callers pick the classes they need.
 Characteristic 2 goes through a loop over polynomial triples instead,
-which on odd q is the reference for the class counts.
+which on odd q is the reference for the class counts; its Artin-Schreier
+test is F_2-linear algebra (poly._artin_schreier_solvable).
 
-The quadratic-field enumeration reads two tables over the low-part codes
-of the monic polynomials D of one degree: a squarefree sieve, and the
-point counts of y^2 = u*D(x) over F_{q^r} from the values D(x), built
-digit by digit as the code-sum tables are.  Both are built per call and
-not kept.
+One sieve gives squarefree parts: squarefree_kernel maps every monic code
+up to a degree to the code of its squarefree monic part.  The
+discriminant classes read it at degree 2m, and the quadratic-field
+enumeration reads it for the squarefree D, together with the point counts
+of y^2 = u*D(x) over F_{q^r} from the values D(x), built digit by digit as
+the code-sum tables are.  These tables are built per call and not kept.
 """
 
 import functools
@@ -90,25 +92,31 @@ def vector_tables(q: int, m: int):
     return ncodes, deg, gcd_row, monic_codes
 
 
-def square_factor_sieve(K, d):
-    """bytearray over the low-part codes of the monic polynomials of degree
-    d (D = T^d + the polynomial of the code): 1 where D has a repeated
-    irreducible factor, 0 where D is squarefree.
+def squarefree_kernel(K, top):
+    """array over the codes below q^(top+1): at each monic code f, the code
+    of the squarefree monic part of f (poly.squarefree_part's s); 0 at
+    the codes that are not monic.  f is squarefree iff kernel[f] == f.
 
-    It marks p^2 * c for every monic irreducible p of degree e <= d//2 and
-    every monic c of degree d - 2e; the unmarked codes are exactly the
-    squarefree D.
+    Every monic p^2 * c, for p monic irreducible of degree e <= top//2
+    and c monic of degree <= top - 2e, first gets c as its witness.  Then,
+    in increasing code order, kernel[f] = kernel[witness of f], or f itself
+    where there is none: a witness is a lower code, already resolved, and
+    p^2 * c has the squarefree part of c.
     """
     q = K.q
-    top = q**d
-    marks = bytearray(top)
-    for e in range(1, d // 2 + 1):
-        cofactors = tuple(poly.enumerate_monic(K, d - 2 * e))
+    kernel = array("i", [0]) * q ** (top + 1)
+    for e in range(1, top // 2 + 1):
+        cofactors = [c for k in range(top - 2 * e + 1) for c in poly.enumerate_monic(K, k)]
         for p in poly.monic_irreducibles(K, e):
             p2 = poly.mul(K, p, p)
             for c in cofactors:
-                marks[poly.to_code(q, poly.mul(K, p2, c)) - top] = 1
-    return marks
+                kernel[poly.to_code(q, poly.mul(K, p2, c))] = poly.to_code(q, c)
+    # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+    for k in range(top + 1):
+        for f in range(q**k, 2 * q**k):
+            witness = kernel[f]
+            kernel[f] = kernel[witness] if witness else f
+    return kernel
 
 
 def point_count_table(K, d, r):
@@ -199,6 +207,11 @@ def discriminant_classes(q: int, m: int) -> Counter:
     s (poly.squarefree_part) and whether its unit is a square.  Odd q only;
     characteristic 2 goes through classify_triples_by_polys.  The cached
     Counter is shared by every caller, who must not change it.
+
+    The discriminants are histogrammed by code; each code that occurs is
+    split into its unit (the leading digit) and monic part, whose
+    squarefree part is read from squarefree_kernel at degree 2m.  Nothing
+    is factored.
     """
     if q % 2 == 0:
         raise ValueError("discriminant classes need odd q")
@@ -229,10 +242,12 @@ def discriminant_classes(q: int, m: int) -> Counter:
             for c in cs:
                 if grow[c] == 1:
                     hist[high_sums[hb + high4ac[c]] * ncodes + low_sums[lb + low4ac[c]]] += 1
+    kernel = squarefree_kernel(K, 2 * m)
     classes = Counter()
     for code in range(1, len(hist)):
         if hist[code]:
-            unit, s, _ = poly.squarefree_part(K, poly.from_code(q, code))
+            unit, f = poly.monic(K, poly.from_code(q, code))
+            s = poly.from_code(q, kernel[poly.to_code(q, f)])
             classes[s, K.is_square(unit)] += hist[code]
     return classes
 
@@ -251,9 +266,13 @@ def irreducible_triple_counts(q, m):
 @functools.lru_cache(maxsize=8)
 def classify_triples_by_polys(K, m):
     """irreducible_triple_counts by polynomial arithmetic on each triple,
-    for any constant field K.  It costs 70-100 us per candidate triple,
-    of which there are q^(3(m+1)) (1.4 s at q=3, m=2; about 200 s at q=5,
-    m=2), so it is cached per (K, m)."""
+    for any constant field K, over q^(3(m+1)) candidate triples, cached
+    per (K, m).  At odd q it costs 30-100 us per triple, mostly factoring
+    in poly.squarefree_part (0.6 s at q=3, m=2; about 200 s at q=5, m=2).
+    In characteristic 2 the Artin-Schreier test is linear algebra over
+    F_2 and a triple costs 5-25 us (1.1 s at q=8, m=1; 3 s at q=4, m=2).
+    It reads no squarefree_kernel, so at odd q it is a reference
+    independent of discriminant_classes."""
     sep = insep = 0
     all_polys = list(poly.enumerate_polys(K, m))
     monics = [f for f in all_polys if f and f[-1] == 1]

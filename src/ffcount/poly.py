@@ -354,10 +354,12 @@ def stays_irreducible_over_constant_extension(K, coeffs, j: int) -> bool:
 def _artin_schreier_solvable(K, w_num, w_den) -> bool:
     """Whether z^2 + z = w_num/w_den has a solution z in F_Q(T), char 2.
 
-    Any solution has pole divisor exactly half of w's (so all pole
-    multiplicities of w must be even, including at infinity), which pins
-    the denominator of z and bounds its numerator degree; the remaining
-    finite search space is scanned exhaustively.
+    Any solution has pole divisor exactly half of w's: every pole
+    multiplicity of w must be even, including at infinity.  So the reduced
+    monic denominator is a square dz^2, z = nz/dz, and the order at
+    infinity bounds deg nz.  Then z^2 + z = w reads nz^2 + nz*dz = w_num,
+    and nz -> nz^2 + nz*dz is F_2-linear: w_num, as a bit vector, is
+    reduced against an echelon basis of the image.
     """
     if not w_num:
         return True  # z = 0
@@ -365,31 +367,54 @@ def _artin_schreier_solvable(K, w_num, w_den) -> bool:
     if g != ONE:
         w_num = exact_div(K, w_num, g)
         w_den = exact_div(K, w_den, g)
-    u, den_monic = monic(K, w_den)
+    u, w_den = monic(K, w_den)
     w_num = mul_scalar(K, w_num, K.inv(u))
-    w_den = den_monic
-    _, fac = factor(K, w_den) if deg(w_den) >= 1 else (1, {})
-    den_z = ONE
-    for p, m in fac.items():
-        if m % 2:
-            return False
-        den_z = mul(K, den_z, pow_(K, p, m // 2))
+    # a square in K[T] (K perfect) has no odd-degree terms, and its root
+    # takes the square root of each coefficient
+    if any(w_den[1::2]):
+        return False
+    dz = tuple(_sqrt_char2(K, c) for c in w_den[::2])
     ord_inf = deg(w_den) - deg(w_num)  # infinity = order in 1/T
     if ord_inf < 0:
         if ord_inf % 2:
             return False
-        num_bound = deg(den_z) - ord_inf // 2
+        num_bound = deg(dz) - ord_inf // 2
     else:
-        num_bound = deg(den_z)
-    # check (nz^2 + nz*dz) * w_den == w_num * dz^2 over all candidates
-    dz = den_z
-    dz2 = mul(K, dz, dz)
-    rhs = mul(K, w_num, dz2)
-    for nz in enumerate_polys(K, num_bound):
-        lhs = mul(K, add(K, mul(K, nz, nz), mul(K, nz, dz)), w_den)
-        if lhs == rhs:
-            return True
-    return False
+        num_bound = deg(dz)
+    x = _bits(K, w_num)
+    for v in _artin_schreier_image(K, dz, num_bound):
+        x = min(x, x ^ v)  # clears v's leading bit if x has it
+    return x == 0
+
+
+def _sqrt_char2(K, c):
+    """The square root c^(Q/2) of c in F_Q, Q = 2^e."""
+    for _ in range(K.e - 1):
+        c = K._mul[c][c]
+    return c
+
+
+def _bits(K, f):
+    """f over F_Q, Q = 2^e, as an integer bit vector: an element code lists
+    its coordinates over F_2, so polynomial addition is XOR."""
+    return sum(c << (K.e * i) for i, c in enumerate(f))
+
+
+@functools.lru_cache(maxsize=256)
+def _artin_schreier_image(K, dz, bound):
+    """Echelon F_2-basis, by decreasing leading bit, of the image of
+    nz -> nz^2 + nz*dz over the nz of degree <= bound (as _bits vectors)."""
+    basis = []
+    for i in range(bound + 1):
+        for j in range(K.e):
+            nz = (0,) * i + (1 << j,)
+            v = _bits(K, add(K, mul(K, nz, nz), mul(K, nz, dz)))
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:
+                basis.append(v)
+                basis.sort(reverse=True)
+    return tuple(basis)
 
 
 def quadratic_irreducible_over_base(K, a, b, c) -> bool:

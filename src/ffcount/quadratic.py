@@ -9,10 +9,11 @@ numerator, hence the class number and everything the counting layer needs.
 
 The enumeration works one degree d at a time on the low-part codes of the
 monic D (D = T^d + the polynomial of the code), through two tables from
-`kernels`: a sieve that marks p^2 * c for each monic irreducible p of
-degree <= d/2, leaving exactly the squarefree D, and the point counts N_r
-of both twists for every code, from one Horner table of the values D(x)
-over F_{q^r}.  No D is factored and no curve is counted point by point;
+`kernels`: the squarefree kernel, a sieve over p^2 * c for each monic
+irreducible p that maps every monic code up to the largest degree to its
+squarefree part, so that the squarefree D are its fixed points; and the
+point counts N_r of both twists for every code, from one Horner table of
+the values D(x) over F_{q^r}.  No D is factored and no curve is counted point by point;
 `poly.squarefree_part` and `curve_point_counts` are the naive definitions
 the tables are checked against (`ffcount verify --suite algebra`).  Fields
 with equal point counts share one descriptor, built and Hasse-Weil checked
@@ -142,14 +143,15 @@ def enumerate_quadratic_fields(q: int, degD_max: int, check: bool = True):
         raise ValueError("degD_max must be >= 1")
     K = GF(q)
     eps = K.non_square_unit()
+    kernel = kernels.squarefree_kernel(K, degD_max)
     out = []
     for d in range(1, degD_max + 1):
         g = (d - 1) // 2
-        repeated = kernels.square_factor_sieve(K, d)
         tables = [kernels.point_count_table(K, d, r) for r in range(1, g + 1)]
         descriptors = {}  # counts -> descriptor, built and checked once
-        for code, rep in enumerate(repeated):
-            if rep:
+        lead = q**d  # the code of T^d
+        for code in range(lead):
+            if kernel[lead + code] != lead + code:  # D is not squarefree
                 continue
             D = poly.from_code(q, code, pad=d) + (1,)
             for i, u in enumerate((1, eps)):

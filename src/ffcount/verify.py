@@ -88,15 +88,88 @@ def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
 FIELD_TABLE_CELLS = ((3, 6), (5, 4), (7, 3), (9, 3))
 
 
-def _squarefree_sieve(cells=FIELD_TABLE_CELLS):
-    for q, d_max in cells:
+# (q, top = 2m) of the discriminant_classes cells the tests and the
+# benchmark run, q=3 and q=5 up to m=2, q=7 and q=9 at m=1; (5, 4) is a
+# field-table cell already
+DISCRIMINANT_KERNEL_CELLS = ((3, 4), (7, 2), (9, 2))
+
+
+def _squarefree_sieve(cells=FIELD_TABLE_CELLS + DISCRIMINANT_KERNEL_CELLS):
+    for q, top in cells:
         K = GF(q)
-        for d in range(1, d_max + 1):
-            marks = kernels.square_factor_sieve(K, d)
-            for code, D in enumerate(poly.enumerate_monic(K, d)):
-                if (poly.squarefree_part(K, D)[1] == D) == bool(marks[code]):
-                    return f"squarefree sieve wrong at q={q} D={poly.format_poly(D)}", False
-    return f"squarefree sieve equals the factoring filter ({_cell_names(cells, 'deg D')})", True
+        kernel = kernels.squarefree_kernel(K, top)
+        for d in range(top + 1):
+            for f in poly.enumerate_monic(K, d):
+                s = poly.to_code(q, poly.squarefree_part(K, f)[1])
+                if kernel[poly.to_code(q, f)] != s:
+                    return f"squarefree kernel wrong at q={q} f={poly.format_poly(f)}", False
+    return (f"squarefree kernel equals the factoring squarefree part on every monic code "
+            f"({_cell_names(cells, 'deg')})"), True
+
+
+def artin_schreier_by_scan(K, w_num, w_den) -> bool:
+    """Whether z^2 + z = w_num/w_den has a solution z in F_Q(T), char 2,
+    by scanning every candidate numerator: the reference for
+    poly._artin_schreier_solvable.
+
+    Any solution has pole divisor exactly half of w's (so all pole
+    multiplicities of w, from a full factorization, must be even,
+    including at infinity), which pins the denominator of z and bounds its
+    numerator degree.
+    """
+    if not w_num:
+        return True  # z = 0
+    g = poly.gcd(K, w_num, w_den)
+    if g != poly.ONE:
+        w_num = poly.exact_div(K, w_num, g)
+        w_den = poly.exact_div(K, w_den, g)
+    u, w_den = poly.monic(K, w_den)
+    w_num = poly.mul_scalar(K, w_num, K.inv(u))
+    _, fac = poly.factor(K, w_den) if poly.deg(w_den) >= 1 else (1, {})
+    dz = poly.ONE
+    for p, m in fac.items():
+        if m % 2:
+            return False
+        dz = poly.mul(K, dz, poly.pow_(K, p, m // 2))
+    ord_inf = poly.deg(w_den) - poly.deg(w_num)  # infinity = order in 1/T
+    if ord_inf < 0:
+        if ord_inf % 2:
+            return False
+        num_bound = poly.deg(dz) - ord_inf // 2
+    else:
+        num_bound = poly.deg(dz)
+    # (nz^2 + nz*dz) * w_den == w_num * dz^2 over all candidates
+    rhs = poly.mul(K, w_num, poly.mul(K, dz, dz))
+    for nz in poly.enumerate_polys(K, num_bound):
+        lhs = poly.mul(K, poly.add(K, poly.mul(K, nz, nz), poly.mul(K, nz, dz)), w_den)
+        if lhs == rhs:
+            return True
+    return False
+
+
+# (Q, largest degree of w_num and w_den) of the exhaustive Artin-Schreier check
+ARTIN_SCHREIER_CELLS = ((2, 4), (4, 2), (16, 1))
+
+
+def _artin_schreier(cells=ARTIN_SCHREIER_CELLS):
+    pairs = solvable = 0
+    for Q, top in cells:
+        K = GF(Q)
+        polys = list(poly.enumerate_polys(K, top))
+        for w_den in polys:
+            if not w_den or w_den[-1] != 1:
+                continue
+            for w_num in polys:
+                if w_num and poly.gcd(K, w_num, w_den) != poly.ONE:
+                    continue
+                fast = poly._artin_schreier_solvable(K, w_num, w_den)
+                if fast != artin_schreier_by_scan(K, w_num, w_den):
+                    return (f"Artin-Schreier test wrong over F_{Q} at "
+                            f"({poly.format_poly(w_num)})/({poly.format_poly(w_den)})"), False
+                pairs += 1
+                solvable += fast
+    return (f"echelon Artin-Schreier test equals the exhaustive scan on {pairs} reduced "
+            f"w = w_num/w_den, {solvable} solvable ({_cell_names(cells, 'deg')})"), True
 
 
 def _point_count_table(cells=FIELD_TABLE_CELLS):
@@ -413,7 +486,7 @@ def _divisor_sum_report():
 SUITES = {
     "algebra": [_field_axioms, _gcd_properties, _gcd_table_sieve, _enumeration_cardinality,
                 _squarefree_reexpansion, _irreducible_counts, _squarefree_sieve,
-                _point_count_table],
+                _point_count_table, _artin_schreier],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small,
              _divisor_sum_report],

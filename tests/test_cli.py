@@ -244,3 +244,47 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "zeta", "--g", "0", "--s", "2")
     assert code == 1
     assert err.strip() == "error: --q is required unless --descriptor is given"
+
+
+def test_verify_suite_choices_without_importing_verify(capsys):
+    import subprocess
+    import sys
+
+    from ffcount import cli, verify
+
+    assert cli.VERIFY_SUITES == tuple(verify.SUITES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nonsense"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    # only `ffcount verify` loads the invariant battery
+    probe = "import sys, ffcount.cli; print('ffcount.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_fields_checks_each_descriptor_once(capsys, monkeypatch):
+    from ffcount import quadratic, zeta
+
+    fields = quadratic.enumerate_quadratic_fields(3, 4)
+    checked = []
+    real = zeta.hasse_weil_check
+
+    def counting_check(desc):
+        checked.append(desc)
+        return real(desc)
+
+    monkeypatch.setattr(zeta, "hasse_weil_check", counting_check)
+    code, out, _ = run(capsys, "fields", "--q", "3", "--degD-max", "4")
+    assert code == 0 and out.count(",true\n") == len(fields)
+    assert len(checked) == len(set(checked)) == len({f.descriptor for f in fields})
+
+
+def test_char2_cells_reached_by_the_echelon_test(capsys):
+    # values recorded by the exhaustive Artin-Schreier scan, which took
+    # about 150 s per route for the first and 480 s for the second
+    code, out, _ = run(capsys, "forms", "--q", "2", "--m", "4", "--brute")
+    assert code == 0
+    assert out.splitlines()[1] == "2,2,2,4,2,1:384;2:37656,19008,19008,true,true"
+    code, out, _ = run(capsys, "countd", "--q", "8", "--d", "2", "--m", "1")
+    assert code == 0 and out.splitlines() == ["q,n,d,m,N", "8,2,2,1,64008"]

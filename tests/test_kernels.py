@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import pytest
@@ -47,7 +48,7 @@ def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
 def test_long_lived_caches_are_bounded():
     for cached in (kernels.vector_tables, kernels.discriminant_classes,
                    kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
-                   poly.monic_irreducibles):
+                   poly.monic_irreducibles, poly._artin_schreier_image):
         assert cached.cache_info().maxsize is not None, cached.__name__
 
 
@@ -125,3 +126,70 @@ def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
         argv = ["countd", "--q", str(q), "--d", "2", "--m", str(m), "--budget", "1000000000000"]
         assert main(argv) == 2
         assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", verify.DISCRIMINANT_KERNEL_CELLS)
+def test_squarefree_kernel_at_discriminant_tops(cell):
+    # the kernel discriminant_classes reads at top = 2m, on every monic code
+    message, ok = verify._squarefree_sieve((cell,))
+    assert ok, message
+
+
+def test_squarefree_kernel_small_values():
+    K = GF(3)
+    kernel = kernels.squarefree_kernel(K, 4)
+    code = lambda *coeffs: poly.to_code(3, coeffs)
+    assert kernel[code(1)] == code(1)
+    assert kernel[code(0, 0, 1)] == code(1)  # T^2
+    assert kernel[code(0, 0, 0, 1)] == code(0, 1)  # T^3
+    assert kernel[code(0, 1, 0, 0, 1)] == code(0, 1, 1)  # T (T+1)^3
+    assert kernel[code(2, 0, 1)] == code(2, 0, 1)  # T^2 + 2 = (T+1)(T+2)
+    assert kernel[code(2)] == 0  # not monic
+
+
+@functools.cache
+def _kernel(q, top):
+    return kernels.squarefree_kernel(GF(q), top)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cell=st.sampled_from([(3, 8), (5, 6), (7, 4)]), low=st.integers(0, 3**8 - 1),
+       d=st.integers(0, 8))
+def test_squarefree_kernel_sample_beyond_the_exhaustive_cells(cell, low, d):
+    q, top = cell
+    d = min(d, top)
+    K = GF(q)
+    f = poly.from_code(q, low % q**d, pad=d) + (1,)
+    s = poly.squarefree_part(K, f)[1]
+    assert _kernel(q, top)[poly.to_code(q, f)] == poly.to_code(q, s)
+
+
+@pytest.mark.parametrize("cell", verify.ARTIN_SCHREIER_CELLS)
+def test_artin_schreier_echelon_matches_scan(cell):
+    message, ok = verify._artin_schreier((cell,))
+    assert ok, message
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cell=st.sampled_from([(2, 3), (4, 2), (8, 1)]), nz=st.integers(0, 2**9 - 1),
+       dz=st.integers(1, 2**9 - 1), e=st.integers(0, 2**9 - 1), unit=st.integers(1, 7),
+       noise=st.integers(0, 2**9 - 1))
+def test_artin_schreier_sample_against_scan(cell, nz, dz, e, unit, noise):
+    # w = z^2 + z + noise/(unit * dz^2) for z = nz/dz + e, with numerator
+    # and denominator scaled by the unit: neither reduced nor monic, and
+    # solvable whenever noise is 0 (at every even draw); each piece has
+    # degree <= top
+    Q, top = cell
+    K = GF(Q)
+    to_poly = lambda code: poly.from_code(Q, code % Q ** (top + 1))
+    nz, dz, e = to_poly(nz), to_poly(dz) or poly.ONE, to_poly(e)
+    noise = to_poly(noise // 2) if noise % 2 else poly.ZERO
+    unit = unit % Q or 1
+    dz2 = poly.mul(K, dz, dz)
+    w_num = poly.add(K, poly.add(K, poly.mul(K, nz, nz), poly.mul(K, nz, dz)),
+                     poly.mul(K, poly.add(K, poly.mul(K, e, e), e), dz2))
+    w_num = poly.add(K, poly.mul_scalar(K, w_num, unit), noise)
+    w_den = poly.mul_scalar(K, dz2, unit)
+    expect = verify.artin_schreier_by_scan(K, w_num, w_den)
+    assert poly._artin_schreier_solvable(K, w_num, w_den) == expect
+    assert expect or noise

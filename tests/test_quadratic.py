@@ -160,8 +160,9 @@ def test_deterministic_order():
 
 @pytest.mark.parametrize("cell", verify.FIELD_TABLE_CELLS)
 def test_field_tables_match_naive_definitions(cell):
-    # verify's checks, one cell each: the squarefree sieve against the
-    # factoring filter, the point-count tables against curve_point_counts
+    # verify's checks, one cell each: the squarefree kernel against the
+    # factoring squarefree part, the point-count tables against
+    # curve_point_counts
     for check in (verify._squarefree_sieve, verify._point_count_table):
         message, ok = check((cell,))
         assert ok, message
@@ -172,7 +173,7 @@ def _field_tables(q, d):
     K = GF(q)
     r_max = max((d - 1) // 2, 1)
     tables = [kernels.point_count_table(K, d, r) for r in range(1, r_max + 1)]
-    return kernels.square_factor_sieve(K, d), tables
+    return kernels.squarefree_kernel(K, d), tables
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -184,8 +185,8 @@ def test_field_tables_sample_at_the_largest_cells(cell, low, twist):
     code = low % q**d
     D = poly.from_code(q, code, pad=d) + (1,)
     u = K.non_square_unit() if twist else 1
-    marks, tables = _field_tables(q, d)
-    assert bool(marks[code]) == (poly.squarefree_part(K, D)[1] != D)
+    kernel, tables = _field_tables(q, d)
+    assert kernel[q**d + code] == poly.to_code(q, poly.squarefree_part(K, D)[1])
     counts = tuple(t[code][twist] for t in tables)
     assert counts == curve_point_counts(K, u, D, len(tables))
 
