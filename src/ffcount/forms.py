@@ -34,10 +34,11 @@ from .counting import DEFAULT_BUDGET, check_budget
 from .errors import ConsistencyError, RefusalError
 from .gf import GF
 
-# The oracle spends 5-100 us on each candidate triple (the most at odd q,
-# where it factors each discriminant), a hundred times or more what a
-# candidate costs the table routes the budget is sized for, so each
-# triple counts this many times against the budget.
+# The oracle spends 4-60 us on each candidate triple (the most at odd q,
+# where it factors each discriminant once), 40-600 times the 0.1 us a
+# candidate costs the table routes the budget is sized for
+# (discriminant_classes at q=5, m=2), so each triple counts this many
+# times against the budget.
 ORACLE_TRIPLE_COST = 100
 
 
@@ -142,9 +143,10 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     parameters have no decidable factor-field test here.
 
     The forms are classified by polynomial arithmetic on each triple
-    (kernels.classify_triples_by_polys, 5-100 us per triple, so each
-    triple weighs ORACLE_TRIPLE_COST candidates against the budget), which at
-    odd q is independent of the discriminant tables behind
+    (kernels.classify_triples_by_polys, one irreducibility test over
+    F_{q^2}(T) at 4-60 us per triple, so each triple weighs
+    ORACLE_TRIPLE_COST candidates against the budget), which at odd q
+    is independent of the discriminant tables behind
     count_fixed_degree_points.  Characteristic 2 has no second route yet:
     there both sides read the same cached loop, so only the inseparable
     term of the relation is checked.

@@ -233,6 +233,9 @@ def GF(q: int) -> FiniteField:
 
 @functools.lru_cache(maxsize=None)
 def constant_extension(K: FiniteField, r: int):
-    """(F_{q^r}, code map of the embedding of K = F_q into it)."""
+    """(F_{q^r}, code map of the embedding of K = F_q into it); K itself
+    with the identity map at r = 1."""
+    if r == 1:
+        return K, tuple(range(K.q))
     big = FiniteField(K.p, K.e * r)
     return big, tuple(K.embedding_into(big))

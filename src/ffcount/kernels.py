@@ -131,7 +131,7 @@ def point_count_table(K, d, r):
     point at 0, 2 at a nonzero square and none otherwise.
     """
     q = K.q
-    Kr, emb = (K, range(q)) if r == 1 else constant_extension(K, r)
+    Kr, emb = constant_extension(K, r)
     add, mul = Kr._add, Kr._mul
     low = [[0] * Kr.q]
     for code in range(1, q**d):
@@ -267,12 +267,14 @@ def irreducible_triple_counts(q, m):
 def classify_triples_by_polys(K, m):
     """irreducible_triple_counts by polynomial arithmetic on each triple,
     for any constant field K, over q^(3(m+1)) candidate triples, cached
-    per (K, m).  At odd q it costs 30-100 us per triple, mostly factoring
-    in poly.squarefree_part (0.6 s at q=3, m=2; about 200 s at q=5, m=2).
-    In characteristic 2 the Artin-Schreier test is linear algebra over
-    F_2 and a triple costs 5-25 us (1.1 s at q=8, m=1; 3 s at q=4, m=2).
-    It reads no squarefree_kernel, so at odd q it is a reference
-    independent of discriminant_classes."""
+    per (K, m).  Each coprime triple takes one
+    poly.quadratic_stays_irreducible test.  At odd q a triple costs
+    9-60 us, mostly factoring its discriminant once in
+    poly.squarefree_part (0.7 s at q=3, m=2; 111 s at q=5, m=2).  In
+    characteristic 2 the Artin-Schreier tests are linear algebra over F_2
+    and a triple costs 4-27 us (1.0 s at q=8, m=1; 2.6 s at q=4, m=2;
+    0.9 s at q=2, m=4).  It reads no squarefree_kernel, so at odd q it is
+    a reference independent of discriminant_classes."""
     sep = insep = 0
     all_polys = list(poly.enumerate_polys(K, m))
     monics = [f for f in all_polys if f and f[-1] == 1]
@@ -286,9 +288,7 @@ def classify_triples_by_polys(K, m):
                     g2 = poly.gcd(K, g1, c) if c else g1
                     if g2 != poly.ONE:
                         continue
-                if not poly.quadratic_irreducible_over_base(K, a, b, c):
-                    continue
-                if not poly.stays_irreducible_over_constant_extension(K, (c, b, a), 2):
+                if not poly.quadratic_stays_irreducible(K, a, b, c):
                     continue
                 if K.q % 2 == 0 and not b:
                     insep += 1

@@ -14,8 +14,8 @@ order with constants first.
 
 import functools
 
-from .errors import ConsistencyError, RefusalError
-from .gf import FiniteField, constant_extension
+from .errors import ConsistencyError
+from .gf import FiniteField
 
 ZERO = ()
 ONE = (1,)
@@ -71,10 +71,6 @@ def mul_scalar(K, f, c):
     if c == 0:
         return ZERO
     return tuple(K.mul(a, c) for a in f)
-
-
-def square(K, f):
-    return mul(K, f, f)
 
 
 def pow_(K, f, k: int):
@@ -150,17 +146,6 @@ def evaluate(K, f, x):
     for c in reversed(f):
         acc = K.add(K.mul(acc, x), c)
     return acc
-
-
-def derivative(K, f):
-    out = []
-    for i in range(1, len(f)):
-        c = f[i]
-        s = 0
-        for _ in range(i % K.p):
-            s = K.add(s, c)
-        out.append(s)
-    return normalize(out)
 
 
 # -- enumeration ----------------------------------------------------------
@@ -302,96 +287,65 @@ def is_square_poly(K, f) -> bool:
     return s == ONE and K.is_square(unit)
 
 
-# -- quadratics over F_q[T]: irreducibility over F_{q^j}(T) -----------------
+# -- quadratics over F_q[T]: irreducibility over F_{q^2}(T) -----------------
 
 
-def stays_irreducible_over_constant_extension(K, coeffs, j: int) -> bool:
-    """Whether a polynomial in Y with F_q[T] coefficients stays irreducible
-    once the constant field is extended from F_q to F_{q^j}.
+def quadratic_stays_irreducible(K, a, b, c) -> bool:
+    """Whether a*Y^2 + b*Y + c (a != 0, polynomial coefficients) is
+    irreducible over F_{q^2}(T): irreducible over F_q(T), with a root
+    field that keeps the constant field F_q.
 
-    `coeffs` lists the Y-coefficients (lowest first) as polynomial tuples;
-    the input is assumed irreducible over F_q(T) already.  Supported for
-    Y-degree 1 (always true) and 2; higher degrees would need bivariate
-    factorization and are refused.
+    Odd q: the discriminant b^2 - 4ac must not be a square in F_{q^2}(T),
+    where every unit of F_q is one, so its squarefree part has degree >= 1.
+    Characteristic 2, b = 0: Y^2 = c/a, and a*c must not be a square; over
+    a perfect constant field the squares are the polynomials with no
+    odd-degree term.  Otherwise Y = b*z/a gives z^2 + z = w, w = a*c/b^2.
+    With AS(z) = z^2 + z and c0 a constant outside AS(F_q), F_{q^2}(T) is
+    F_q(T)(z0) for AS(z0) = c0, so w lies in AS(F_{q^2}(T)) iff w or
+    w + c0 lies in AS(F_q(T)) (Stichtenoth, GTM 254, section 3.7).
     """
-    if j < 2:
-        raise ValueError("extension degree j must be >= 2")
-    dY = len(coeffs) - 1
-    while dY >= 0 and not coeffs[dY]:
-        dY -= 1
-    if dY < 1:
-        raise ValueError("Y-degree must be >= 1")
-    if dY == 1:
-        return True
-    if dY > 2:
-        raise RefusalError(
-            "constant-field test implemented for Y-degree <= 2 only "
-            "(no bivariate factorization at higher degree)"
-        )
-    c0, b, a = coeffs[0], coeffs[1], coeffs[2]
+    if not a:
+        raise ValueError("leading coefficient must be nonzero")
     if K.q % 2:
-        # roots generate k(sqrt(disc)); the constant field grows iff the
-        # squarefree part of the discriminant is a (non-square) constant,
-        # and that field F_{q^2}(T) embeds into F_{q^j}(T) iff j is even
-        disc = sub(K, mul(K, b, b), mul_scalar(K, mul(K, a, c0), 4 % K.p))
-        _, s, _ = squarefree_part(K, disc)
-        if deg(s) >= 1:
-            return True
-        return j % 2 == 1
+        disc = sub(K, mul(K, b, b), mul_scalar(K, mul(K, a, c), 4 % K.p))
+        return bool(disc) and deg(squarefree_part(K, disc)[1]) >= 1
+    ac = mul(K, a, c)
     if not b:
-        # inseparable Y^2 - c0/a: squareness in F_{q^j}(T) does not depend
-        # on j in characteristic 2 (the constant field is perfect), so an
-        # irreducible input stays irreducible
-        return True
-    # Artin-Schreier form: irreducible over F_{q^j}(T) iff w = a*c0/b^2 is
-    # not of the form z^2 + z there
-    big, emb = constant_extension(K, j)
-    num = tuple(emb[c] for c in mul(K, a, c0))
-    den = tuple(emb[c] for c in mul(K, b, b))
-    return not _artin_schreier_solvable(big, num, den)
+        return any(ac[1::2])
+    bb = mul(K, b, b)
+    if _artin_schreier_solvable(K, ac, bb):
+        return False
+    c0 = mul_scalar(K, bb, _artin_schreier_constant(K))
+    return not _artin_schreier_solvable(K, add(K, ac, c0), bb)
+
+
+@functools.lru_cache(maxsize=16)
+def _artin_schreier_constant(K):
+    """The least c0 in F_Q, char 2, with no root of z^2 + z = c0 in F_Q."""
+    image = {K.add(K.mul(x, x), x) for x in K.elements()}
+    return min(c for c in K.elements() if c not in image)
 
 
 def _artin_schreier_solvable(K, w_num, w_den) -> bool:
-    """Whether z^2 + z = w_num/w_den has a solution z in F_Q(T), char 2.
+    """Whether z^2 + z = w_num/w_den (w_den != 0) has a solution z in
+    F_Q(T), char 2.
 
-    Any solution has pole divisor exactly half of w's: every pole
-    multiplicity of w must be even, including at infinity.  So the reduced
-    monic denominator is a square dz^2, z = nz/dz, and the order at
-    infinity bounds deg nz.  Then z^2 + z = w reads nz^2 + nz*dz = w_num,
-    and nz -> nz^2 + nz*dz is F_2-linear: w_num, as a bit vector, is
-    reduced against an echelon basis of the image.
+    A solution has poles only where w has them, of half the order, so
+    z = nz/w_den with nz a polynomial.  A pole of w at infinity must have
+    even order, and it bounds deg nz.  Then z^2 + z = w reads
+    nz^2 + nz*w_den = w_num*w_den, and nz -> nz^2 + nz*w_den is
+    F_2-linear: w_num*w_den, as a bit vector, is reduced against an
+    echelon basis of the image.
     """
     if not w_num:
         return True  # z = 0
-    g = gcd(K, w_num, w_den)
-    if g != ONE:
-        w_num = exact_div(K, w_num, g)
-        w_den = exact_div(K, w_den, g)
-    u, w_den = monic(K, w_den)
-    w_num = mul_scalar(K, w_num, K.inv(u))
-    # a square in K[T] (K perfect) has no odd-degree terms, and its root
-    # takes the square root of each coefficient
-    if any(w_den[1::2]):
-        return False
-    dz = tuple(_sqrt_char2(K, c) for c in w_den[::2])
     ord_inf = deg(w_den) - deg(w_num)  # infinity = order in 1/T
-    if ord_inf < 0:
-        if ord_inf % 2:
-            return False
-        num_bound = deg(dz) - ord_inf // 2
-    else:
-        num_bound = deg(dz)
-    x = _bits(K, w_num)
-    for v in _artin_schreier_image(K, dz, num_bound):
+    if ord_inf < 0 and ord_inf % 2:
+        return False
+    x = _bits(K, mul(K, w_num, w_den))
+    for v in _artin_schreier_image(K, w_den, deg(w_den) - min(ord_inf, 0) // 2):
         x = min(x, x ^ v)  # clears v's leading bit if x has it
     return x == 0
-
-
-def _sqrt_char2(K, c):
-    """The square root c^(Q/2) of c in F_Q, Q = 2^e."""
-    for _ in range(K.e - 1):
-        c = K._mul[c][c]
-    return c
 
 
 def _bits(K, f):
@@ -401,42 +355,20 @@ def _bits(K, f):
 
 
 @functools.lru_cache(maxsize=256)
-def _artin_schreier_image(K, dz, bound):
+def _artin_schreier_image(K, den, bound):
     """Echelon F_2-basis, by decreasing leading bit, of the image of
-    nz -> nz^2 + nz*dz over the nz of degree <= bound (as _bits vectors)."""
+    nz -> nz^2 + nz*den over the nz of degree <= bound (as _bits vectors)."""
     basis = []
     for i in range(bound + 1):
         for j in range(K.e):
             nz = (0,) * i + (1 << j,)
-            v = _bits(K, add(K, mul(K, nz, nz), mul(K, nz, dz)))
+            v = _bits(K, add(K, mul(K, nz, nz), mul(K, nz, den)))
             for b in basis:
                 v = min(v, v ^ b)
             if v:
                 basis.append(v)
                 basis.sort(reverse=True)
     return tuple(basis)
-
-
-def quadratic_irreducible_over_base(K, a, b, c) -> bool:
-    """Whether a*Y^2 + b*Y + c (a != 0, polynomial coefficients) is
-    irreducible over F_q(T)."""
-    if not a:
-        raise ValueError("leading coefficient must be nonzero")
-    if K.q % 2:
-        disc = sub(K, mul(K, b, b), mul_scalar(K, mul(K, a, c), 4 % K.p))
-        if not disc:
-            return False
-        unit, s, _ = squarefree_part(K, disc)
-        return not (s == ONE and K.is_square(unit))
-    if b:
-        return not _artin_schreier_solvable(K, mul(K, a, c), mul(K, b, b))
-    if not c:
-        return False
-    # Y^2 = c/a irreducible iff c/a is not a square in F_q(T); in
-    # characteristic 2 all units are squares, so only multiplicities matter
-    g = gcd(K, a, c)
-    ar, cr = exact_div(K, a, g), exact_div(K, c, g)
-    return not (is_square_poly(K, ar) and is_square_poly(K, cr))
 
 
 # -- formatting -------------------------------------------------------------

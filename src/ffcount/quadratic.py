@@ -81,10 +81,7 @@ def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
     """
     out = []
     for r in range(1, r_max + 1):
-        if r == 1:
-            Kr, emb = K, list(range(K.q))
-        else:
-            Kr, emb = constant_extension(K, r)
+        Kr, emb = constant_extension(K, r)
         Dr = tuple(emb[c] for c in D)
         ur = emb[u]
         n = 0
@@ -130,12 +127,12 @@ def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
 
 
 @functools.lru_cache(maxsize=8)
-def enumerate_quadratic_fields(q: int, degD_max: int, check: bool = True):
+def enumerate_quadratic_fields(q: int, degD_max: int):
     """All quadratic extensions with 1 <= deg D <= degD_max, deterministic order.
 
-    Emits QuadraticFieldDesc sorted by (deg D, code of D, u).  With `check`
-    every descriptor must pass the Hasse-Weil window (a counting bug would
-    surface here).
+    Emits QuadraticFieldDesc sorted by (deg D, code of D, u).  Every
+    distinct descriptor must pass the Hasse-Weil window, or ConsistencyError
+    is raised (a counting bug would surface here).
     """
     if q % 2 == 0:
         raise RefusalError("even q refused: no squarefree-D model in characteristic 2")
@@ -161,7 +158,7 @@ def enumerate_quadratic_fields(q: int, degD_max: int, check: bool = True):
                 if first:
                     desc = descriptors[counts] = build_descriptor(q, g, counts)
                 fdesc = QuadraticFieldDesc(q, D, u, g, counts, desc)
-                if first and check:
+                if first:
                     report = hasse_weil_check(desc)
                     if not report["ok"]:
                         raise ConsistencyError(

@@ -84,6 +84,16 @@ def test_polynomial_loop_matches_discriminant_tables(q, m):
     assert (sep, insep) == kernels.irreducible_triple_counts(q, m)
 
 
+@pytest.mark.parametrize("q, m, counts", [
+    (2, 1, (18, 6)), (2, 2, (198, 18)), (2, 3, (2160, 96)), (4, 1, (900, 60)),
+    (3, 2, (6912, 0)), (5, 1, (3000, 0)),
+])
+def test_polynomial_loop_pinned_counts(q, m, counts):
+    # in characteristic 2 no other route gives these counts, so they are
+    # fixed values
+    assert kernels.classify_triples_by_polys(GF(q), m) == counts
+
+
 @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
 def test_discriminant_classes_match_naive_definition(q, m):
     # b^2 - 4ac and its squarefree part by polynomial arithmetic, over every

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from ffcount import poly
-from ffcount.errors import ConsistencyError, RefusalError
-from ffcount.gf import GF
+from ffcount.errors import ConsistencyError
+from ffcount.gf import GF, constant_extension
 
 K2, K3 = GF(2), GF(3)
 
@@ -162,72 +162,73 @@ def test_factor_without_irreducibles_raises(monkeypatch):
         poly.factor(K3, P(1, 0, 1))
 
 
-def test_stays_irreducible_over_constant_extension():
-    # Y^2 + Y + 1 splits over F_4(T)
-    assert not poly.stays_irreducible_over_constant_extension(K2, (P(1), P(1), P(1)), 2)
-    # Y^2 - T survives: T is not a square in F_9(T)
-    assert poly.stays_irreducible_over_constant_extension(K3, (P(0, 2), poly.ZERO, P(1)), 2)
-    # linear polynomials always survive
-    assert poly.stays_irreducible_over_constant_extension(K3, (T, P(1)), 2)
-    # Y^2 + 1 has its roots in F_9: dead over even extensions, alive over odd
-    assert not poly.stays_irreducible_over_constant_extension(K3, (P(1), poly.ZERO, P(1)), 2)
-    assert poly.stays_irreducible_over_constant_extension(K3, (P(1), poly.ZERO, P(1)), 3)
-    with pytest.raises(RefusalError):
-        poly.stays_irreducible_over_constant_extension(K3, (P(1), T, P(1), P(1)), 2)
+def test_quadratic_stays_irreducible_odd():
+    # Y^2 - T irreducible over F_9(T): T is no square there; Y^2 - T^2 not
+    assert poly.quadratic_stays_irreducible(K3, P(1), poly.ZERO, P(0, 2))
+    assert not poly.quadratic_stays_irreducible(K3, P(1), poly.ZERO, P(0, 0, 2))
+    # Y^2 + 1 is irreducible over F_3(T), but its roots lie in F_9
+    assert not poly.quadratic_stays_irreducible(K3, P(1), poly.ZERO, P(1))
+    # zero discriminant: (Y + 1)^2
+    assert not poly.quadratic_stays_irreducible(K3, P(1), P(2), P(1))
+    with pytest.raises(ValueError):
+        poly.quadratic_stays_irreducible(K3, poly.ZERO, P(1), P(1))
 
 
-def test_quadratic_irreducible_over_base_odd():
-    # Y^2 - T irreducible; Y^2 - T^2 not
-    assert poly.quadratic_irreducible_over_base(K3, P(1), poly.ZERO, P(0, 2))
-    assert not poly.quadratic_irreducible_over_base(K3, P(1), poly.ZERO, P(0, 0, 2))
-    # Y^2 + 1 irreducible over F_3(T) (constant-field extension)
-    assert poly.quadratic_irreducible_over_base(K3, P(1), poly.ZERO, P(1))
-    # but its squarefree discriminant part is constant, so it dies over F_9(T)
-    assert not poly.stays_irreducible_over_constant_extension(K3, (P(1), poly.ZERO, P(1)), 2)
-
-
-def test_quadratic_irreducible_over_base_char2():
-    # Y^2 + Y + 1: irreducible over F_2(T), as is Y^2 + Y + T
-    assert poly.quadratic_irreducible_over_base(K2, P(1), P(1), P(1))
-    assert poly.quadratic_irreducible_over_base(K2, P(1), P(1), T)
+def test_quadratic_stays_irreducible_char2():
+    # Y^2 + Y + T survives; Y^2 + Y + 1 splits over F_4(T), and so does
+    # Y^2 + Y + T^2 + T + 1 = Y^2 + Y + (T^2 + T) + 1
+    assert poly.quadratic_stays_irreducible(K2, P(1), P(1), T)
+    assert not poly.quadratic_stays_irreducible(K2, P(1), P(1), P(1))
+    assert not poly.quadratic_stays_irreducible(K2, P(1), P(1), P(1, 1, 1))
     # Y^2 + Y = Y(Y+1)
-    assert not poly.quadratic_irreducible_over_base(K2, P(1), P(1), poly.ZERO)
-    # inseparable: Y^2 - T irreducible, Y^2 - T^2 = (Y-T)^2 not
-    assert poly.quadratic_irreducible_over_base(K2, P(1), poly.ZERO, T)
-    assert not poly.quadratic_irreducible_over_base(K2, P(1), poly.ZERO, P(0, 0, 1))
-    # inseparable irreducibles keep the constant field
-    assert poly.stays_irreducible_over_constant_extension(K2, (T, poly.ZERO, P(1)), 2)
+    assert not poly.quadratic_stays_irreducible(K2, P(1), P(1), poly.ZERO)
+    # inseparable: Y^2 - T irreducible, Y^2 - T^2 = (Y-T)^2 not, and
+    # T*Y^2 + 1 needs a*c = T, no square
+    assert poly.quadratic_stays_irreducible(K2, P(1), poly.ZERO, T)
+    assert not poly.quadratic_stays_irreducible(K2, P(1), poly.ZERO, P(0, 0, 1))
+    assert poly.quadratic_stays_irreducible(K2, T, poly.ZERO, P(1))
+
+
+def _has_root_over_square_extension(K, a, b, c):
+    """Whether a*Y^2 + b*Y + c has a root in F_{q^2}(T), by trying every
+    u/v with u | c and v | a monic in F_{q^2}[T]: a root in lowest terms
+    has that shape (a*u^2 = -v*(b*u + c*v) and c*v^2 = -u*(a*u + b*v))."""
+    big, emb = constant_extension(K, 2)
+    a, b, c = (tuple(emb[x] for x in f) for f in (a, b, c))
+    if not c:
+        return True  # Y = 0
+    divisors = lambda f: [g for g in poly.enumerate_polys(big, poly.deg(f))
+                          if g and not poly.rem(big, f, g)]
+    for v in divisors(a):
+        if v[-1] != 1:
+            continue
+        for u in divisors(c):
+            val = poly.add(big, poly.add(big, poly.mul(big, a, poly.mul(big, u, u)),
+                                         poly.mul(big, b, poly.mul(big, u, v))),
+                           poly.mul(big, c, poly.mul(big, v, v)))
+            if not val:
+                return True
+    return False
+
+
+def _check_against_root_search(K, m):
+    polys = list(poly.enumerate_polys(K, m))
+    for a in polys[1:]:
+        for b in polys:
+            for c in polys:
+                got = poly.quadratic_stays_irreducible(K, a, b, c)
+                assert got == (not _has_root_over_square_extension(K, a, b, c)), (a, b, c)
 
 
 def test_char2_vs_exhaustive_root_search():
-    # irreducibility over F_2(T) checked against explicit root enumeration:
-    # a root u/v of aY^2+bY+c with bounded degrees must exist iff reducible
-    all_p = list(poly.enumerate_polys(K2, 1))
-    for a in [f for f in all_p if f]:
-        for b in all_p:
-            for c in all_p:
-                got = poly.quadratic_irreducible_over_base(K2, a, b, c)
-                has_root = False
-                for u in poly.enumerate_polys(K2, 3):
-                    for v in poly.enumerate_polys(K2, 3):
-                        if not v:
-                            continue
-                        # a u^2 + b u v + c v^2 == 0
-                        val = poly.add(
-                            K2,
-                            poly.add(
-                                K2,
-                                poly.mul(K2, a, poly.mul(K2, u, u)),
-                                poly.mul(K2, b, poly.mul(K2, u, v)),
-                            ),
-                            poly.mul(K2, c, poly.mul(K2, v, v)),
-                        )
-                        if not val:
-                            has_root = True
-                            break
-                    if has_root:
-                        break
-                assert got == (not has_root), (a, b, c)
+    # irreducibility over F_{q^2}(T) against explicit root enumeration; at
+    # q=4 every constant quadratic splits over F_16, through w or w + c0
+    for q, m in ((2, 2), (4, 0)):
+        _check_against_root_search(GF(q), m)
+
+
+def test_odd_q_vs_exhaustive_root_search():
+    _check_against_root_search(K3, 1)
 
 
 def test_format_poly():

@@ -131,8 +131,7 @@ def test_constant_field_preserved():
     # Y^2 - u*D stays irreducible over F_9(T) for every enumerated field
     for f in enumerate_quadratic_fields(3, 3):
         neg_uD = poly.neg(K3, poly.mul_scalar(K3, f.D, f.u))
-        coeffs = (neg_uD, poly.ZERO, (1,))
-        assert poly.stays_irreducible_over_constant_extension(K3, coeffs, 2)
+        assert poly.quadratic_stays_irreducible(K3, poly.ONE, poly.ZERO, neg_uD)
 
 
 def test_genus3_descriptor_from_counts():
