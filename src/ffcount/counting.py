@@ -301,19 +301,23 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     total = 0
     main_partial = Fraction(0)
     if m >= 1:
-        rational_corr = 0
+        corr = 0
         if m % 2 == 0:
-            rational_corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N
-        for field in enumerate_quadratic_fields(q, 2 * m):
-            model = build_class_model(field.descriptor)
-            n_line = moebius_point_count(model, n, m).N
-            corr = rational_corr if m % 2 == 0 else 0
+            corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N
+        fields = enumerate_quadratic_fields(q, 2 * m)
+        # fields sharing a descriptor share their line count and Schanuel
+        # constant: each is computed once per descriptor
+        groups = Counter(field.descriptor for field in fields)
+        n_lines = {desc: moebius_point_count(build_class_model(desc), n, m).N for desc in groups}
+        for field in fields:
+            n_line = n_lines[field.descriptor]
             contrib = n_line - corr
             if contrib < 0:
                 raise ConsistencyError(f"negative contribution from {field.label()}")
             rows.append(FieldContribution(field, n_line, corr, contrib))
             total += contrib
-            main_partial += schanuel_constant(field.descriptor, n) * Fraction(q) ** (n * m)
+        schanuel = sum(k * schanuel_constant(desc, n) for desc, k in groups.items())
+        main_partial = schanuel * Fraction(q) ** (n * m)
     return QuadraticAssembly(q, n, m, total, tuple(rows), main_partial)
 
 

@@ -10,11 +10,13 @@ Two hot loops dominate everything in this package:
 Both run over integer polynomial codes (base-q coefficient vectors) with
 all field work precomputed into tables here.
 
-The vector count is a recursion over coordinates with a running monic gcd
-code; identical (remaining length, gcd, seen-max-degree) states are shared
-through a memo dictionary, and a branch whose gcd has reached 1 is
-completed in closed form.  Its gcd codes come one row gcd(g, .) at a
-time from a divisor sieve over the monic divisors of g.
+The vector count is a recursion over coordinates on states (running monic
+gcd code, max degree reached).  The row gcd(g, .) of a state, from a
+divisor sieve over the monic divisors of g, is counted by next state, and
+the recursion descends once per distinct state, weighted by its count; at
+the last coordinate it counts the 1s of the row.  States at equal
+remaining length are shared through a memo dictionary, and a branch whose
+gcd has reached 1 is completed in closed form.
 
 For odd q, discriminant_classes walks the coprime triples once per
 (q, m) and counts them by discriminant class (squarefree monic part,
@@ -151,12 +153,17 @@ def point_count_table(K, d, r):
     return list(zip(*tables))
 
 
-def count_completions(n_rest, m, q, ncodes, deg, gcd_row, g, flag, memo):
+def count_completions(n_rest, m, q, ncodes, gcd_row, g, flag, memo):
     """Tuples (y_1..y_n_rest) of codes < ncodes with gcd(g, y_*) = 1 and
     maximal degree m reached (flag marks degree m already seen).
 
     gcd_row(g) lists the monic gcd codes of g with every code in
-    range(ncodes), in order.
+    range(ncodes), in order, so the codes of degree exactly m are its
+    tail from q^m on.  The first coordinate y moves the state to
+    (gcd(g, y), flag or deg y == m); the row is counted by that state, and
+    each distinct state is completed once and weighted by its count.  At
+    the last coordinate the count is the number of 1s in the row (in its
+    tail unless flag is set).
     """
     if g == 1:
         total = ncodes**n_rest
@@ -169,11 +176,17 @@ def count_completions(n_rest, m, q, ncodes, deg, gcd_row, g, flag, memo):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    count = 0
-    for y, gy in enumerate(gcd_row(g)):
-        count += count_completions(
-            n_rest - 1, m, q, ncodes, deg, gcd_row, gy, deg[y] == m or flag, memo
-        )
+    row = gcd_row(g)
+    top = q**m
+    if n_rest == 1:
+        count = row.count(1) if flag else row[top:].count(1)
+    else:
+        count = 0
+        for states, next_flag in ((Counter(row[top:]), True), (Counter(row[:top]), flag)):
+            for gy, k in states.items():
+                count += k * count_completions(
+                    n_rest - 1, m, q, ncodes, gcd_row, gy, next_flag, memo
+                )
     memo[key] = count
     return count
 
@@ -184,7 +197,7 @@ def count_coprime_lead(q, n, m, lead_pos, lead_code):
     with code `lead_code`."""
     ncodes, deg, gcd_row, _ = vector_tables(q, m)
     return count_completions(
-        n - lead_pos - 1, m, q, ncodes, deg, gcd_row, lead_code, deg[lead_code] == m, {}
+        n - lead_pos - 1, m, q, ncodes, gcd_row, lead_code, deg[lead_code] == m, {}
     )
 
 

@@ -312,11 +312,10 @@ def quadratic_stays_irreducible(K, a, b, c) -> bool:
     ac = mul(K, a, c)
     if not b:
         return any(ac[1::2])
-    bb = mul(K, b, b)
-    if _artin_schreier_solvable(K, ac, bb):
+    if _artin_schreier_over_square(K, ac, b):
         return False
-    c0 = mul_scalar(K, bb, _artin_schreier_constant(K))
-    return not _artin_schreier_solvable(K, add(K, ac, c0), bb)
+    c0 = mul_scalar(K, mul(K, b, b), _artin_schreier_constant(K))
+    return not _artin_schreier_over_square(K, add(K, ac, c0), b)
 
 
 @functools.lru_cache(maxsize=16)
@@ -328,22 +327,29 @@ def _artin_schreier_constant(K):
 
 def _artin_schreier_solvable(K, w_num, w_den) -> bool:
     """Whether z^2 + z = w_num/w_den (w_den != 0) has a solution z in
-    F_Q(T), char 2.
+    F_Q(T), char 2: w = (w_num*w_den)/w_den^2, tested by
+    _artin_schreier_over_square."""
+    return _artin_schreier_over_square(K, mul(K, w_num, w_den), w_den)
 
-    A solution has poles only where w has them, of half the order, so
-    z = nz/w_den with nz a polynomial.  A pole of w at infinity must have
-    even order, and it bounds deg nz.  Then z^2 + z = w reads
-    nz^2 + nz*w_den = w_num*w_den, and nz -> nz^2 + nz*w_den is
-    F_2-linear: w_num*w_den, as a bit vector, is reduced against an
-    echelon basis of the image.
+
+def _artin_schreier_over_square(K, num, dz) -> bool:
+    """Whether z^2 + z = num/dz^2 (dz != 0) has a solution z in F_Q(T),
+    char 2.
+
+    A solution has poles only where w = num/dz^2 has them, of half the
+    order, so z = nz/dz with nz a polynomial.  A pole of w at infinity must
+    have even order, and it bounds deg nz by
+    deg dz + max(0, deg num - 2 deg dz)/2.  Then z^2 + z = w reads
+    nz^2 + nz*dz = num, and nz -> nz^2 + nz*dz is F_2-linear: num, as a
+    bit vector, is reduced against an echelon basis of the image.
     """
-    if not w_num:
+    if not num:
         return True  # z = 0
-    ord_inf = deg(w_den) - deg(w_num)  # infinity = order in 1/T
+    ord_inf = 2 * deg(dz) - deg(num)  # infinity = order in 1/T
     if ord_inf < 0 and ord_inf % 2:
         return False
-    x = _bits(K, mul(K, w_num, w_den))
-    for v in _artin_schreier_image(K, w_den, deg(w_den) - min(ord_inf, 0) // 2):
+    x = _bits(K, num)
+    for v in _artin_schreier_image(K, dz, deg(dz) - min(ord_inf, 0) // 2):
         x = min(x, x ^ v)  # clears v's leading bit if x has it
     return x == 0
 

@@ -60,6 +60,17 @@ def test_count_at_the_gcd_table_cap(capsys):
     assert [row.split(",")[match] for row in rows[1:]] == ["true"]
 
 
+def test_count_beyond_the_old_gcd_table_cap(capsys):
+    # q=3, m=7 (6561 codes): the brute route counts gcd-row states, and
+    # must equal the Moebius route
+    code, out, _ = run(capsys, "count", "--q", "3", "--n", "2", "--m", "7", "--engine", "both")
+    assert code == 0
+    header, row = out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["N_brute"], fields["N_moebius"], fields["match"]) == (
+        "12754584", "12754584", "true")
+
+
 def test_count_budget_refusal(capsys):
     code, _, err = run(capsys, "count", "--q", "3", "--n", "4", "--m", "4",
                        "--engine", "brute")

@@ -140,6 +140,20 @@ def test_assembly_matches_minimal_polynomials():
     assert all(fc.contribution >= 0 for fc in asm.per_field)
 
 
+def test_grouped_assembly_rows_equal_per_field_moebius():
+    # the assembly computes one line count per descriptor; every row must
+    # still carry the count of its own field's descriptor
+    asm = count_degree2_points_by_fields(3, 2, 2)
+    corr = moebius_point_count(R3, 2, 1).N
+    assert asm.fields_used == len(enumerate_quadratic_fields(3, 4))
+    for fc in asm.per_field:
+        assert fc.N_line == moebius_point_count(fc.field.descriptor, 2, 2).N, fc.field.label()
+        assert (fc.rational_correction, fc.contribution) == (corr, fc.N_line - corr)
+    main = sum(schanuel_constant(fc.field.descriptor, 2) for fc in asm.per_field) * 3**4
+    assert asm.main_term_partial == main
+    assert asm.N == sum(fc.contribution for fc in asm.per_field)
+
+
 def test_degree2_routes_agree_at_q9():
     # odd non-prime q runs the discriminant tables like odd prime q
     assert count_fixed_degree_points(9, 2, 1) == count_degree2_points_by_fields(9, 2, 1).N

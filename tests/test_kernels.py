@@ -53,12 +53,14 @@ def test_long_lived_caches_are_bounded():
 
 
 def test_memo_and_literal_recursions_agree():
-    # pure memoised recursion vs direct product-loop reference on tiny cells
+    # the state-counting recursion (gcd rows grouped by (gcd, degree m
+    # reached), 1s counted at the last coordinate) vs a direct product loop
+    # with Euclid gcds; n >= 3 reaches the grouped inner levels, and q=4 is
+    # not prime
     from itertools import product
 
-    from ffcount import poly
-
-    for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1)):
+    for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 4, 2), (4, 3, 1),
+                    (3, 3, 2)):
         K = GF(q)
         expect = 0
         polys = list(poly.enumerate_polys(K, m))
@@ -188,7 +190,8 @@ def test_artin_schreier_sample_against_scan(cell, nz, dz, e, unit, noise):
     # w = z^2 + z + noise/(unit * dz^2) for z = nz/dz + e, with numerator
     # and denominator scaled by the unit: neither reduced nor monic, and
     # solvable whenever noise is 0 (at every even draw); each piece has
-    # degree <= top
+    # degree <= top.  The test over dz^2, which the triple loop runs with
+    # dz = b, must agree with the general entry point and the scan.
     Q, top = cell
     K = GF(Q)
     to_poly = lambda code: poly.from_code(Q, code % Q ** (top + 1))
@@ -202,4 +205,6 @@ def test_artin_schreier_sample_against_scan(cell, nz, dz, e, unit, noise):
     w_den = poly.mul_scalar(K, dz2, unit)
     expect = verify.artin_schreier_by_scan(K, w_num, w_den)
     assert poly._artin_schreier_solvable(K, w_num, w_den) == expect
+    num = poly.mul_scalar(K, w_num, K.inv(unit))
+    assert poly._artin_schreier_over_square(K, num, dz) == expect
     assert expect or noise
