@@ -82,17 +82,23 @@ def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET, workers=1) -> int:
         return 0
     check_budget(q ** (n * (m + 1)), budget, f"brute count q={q} n={n} m={m}")
     _, _, _, monic_codes = kernels.vector_tables(q, m)
-    tasks = [(q, n, m, pos, code) for pos in range(n) for code in monic_codes]
+    leads = [(pos, code) for pos in range(n) for code in monic_codes]
     if workers > 1:
         import multiprocessing
 
+        # one chunk per worker, dealt round-robin so that cheap and dear
+        # leads mix
+        chunks = [(q, n, m, leads[i::workers]) for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
-            return sum(pool.starmap(_lead_task, tasks, chunksize=16))
-    return sum(_lead_task(*t) for t in tasks)
+            return sum(pool.starmap(_count_leads, chunks))
+    return _count_leads(q, n, m, leads)
 
 
-def _lead_task(q, n, m, pos, code):
-    return kernels.count_coprime_lead(q, n, m, pos, code)
+def _count_leads(q, n, m, leads):
+    """Sum of kernels.count_coprime_lead over the (position, code) leads,
+    with one memo, so that a state met from several leads is counted once."""
+    memo = {}
+    return sum(kernels.count_coprime_lead(q, n, m, pos, code, memo) for pos, code in leads)
 
 
 def brute_count_unnormalized(q, n, m, budget=DEFAULT_BUDGET) -> int:

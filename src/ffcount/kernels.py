@@ -10,13 +10,24 @@ Two hot loops dominate everything in this package:
 Both run over integer polynomial codes (base-q coefficient vectors) with
 all field work precomputed into tables here.
 
+Products of polynomials are never formed one pair at a time: multiples()
+lists the codes of h*f for every cofactor h by shift and add, code(h*f) =
+q * code((h // q)*f) added digitwise to code((h % q)*f), where digitwise
+addition is XOR when p = 2 and split code-sum lookups otherwise.  The
+divisor sieve, squarefree_kernel and discriminant_classes build their
+multiples this way.
+
 The vector count is a recursion over coordinates on states (running monic
-gcd code, max degree reached).  The row gcd(g, .) of a state, from a
-divisor sieve over the monic divisors of g, is counted by next state, and
-the recursion descends once per distinct state, weighted by its count; at
-the last coordinate it counts the 1s of the row.  States at equal
-remaining length are shared through a memo dictionary, and a branch whose
-gcd has reached 1 is completed in closed form.
+gcd code, max degree reached).  The divisor sieve keeps the multiples of
+every monic d as one int bitset, built on first use, so the codes y with
+gcd(g, y) = d are d's bitset minus those of the divisors of g that d
+properly divides, and each next state is counted by popcount, split at
+q^m by shift and mask.  The recursion descends once per distinct state,
+weighted by its count; at the last coordinate it counts the codes outside
+the union of the bitsets of g's irreducible divisors.  Every number is
+the size of an explicit set.  The leads of one count share a memo
+dictionary of states, and a branch whose gcd has reached 1 is completed
+in closed form.
 
 For odd q, discriminant_classes walks the coprime triples once per
 (q, m) and counts them by discriminant class (squarefree monic part,
@@ -34,8 +45,10 @@ the code-sum tables are.  These tables are built per call and not kept.
 """
 
 import functools
+import operator
 from array import array
 from collections import Counter
+from itertools import chain, cycle
 
 from . import poly
 from .errors import RefusalError
@@ -51,47 +64,204 @@ USING_COMPILED = False
 DISCRIMINANT_TABLE_MAX_CODES = 2500
 
 
+def scaled_codes(K, f):
+    """The codes of c*f for the constants c = 0 .. q-1."""
+    return [poly.to_code(K.q, poly.mul_scalar(K, f, c)) for c in range(K.q)]
+
+
+def multiples(q, scaled, count, add, monic=False):
+    """List over the codes h < count (a power of q, at least q) of the
+    code of h*f, where scaled = scaled_codes(K, f); with monic, over the
+    monic h < count only, in code order.
+
+    Shift and add: the code h = q*(h // q) + h % q stands for
+    T*h' + c, so h*f = T*(h'*f) + c*f, whose code is q * code(h'*f)
+    added digitwise to code(c*f) = scaled[c].  add(x, y) is that digitwise
+    sum (_code_adder), defined on the codes of h*f.  A monic h has a
+    monic h // q.
+    """
+    out = scaled[1:2] if monic else scaled[:]
+    block = out[:] if monic else out[1:]  # the h of the most digits so far
+    size = q
+    while size < count:
+        # the next block of one more digit: every h' of the last block,
+        # shifted, once with each digit c
+        shifted = [q * x for x in block]
+        block = list(map(add, _each_repeated(shifted, q), cycle(scaled)))
+        out += block
+        size *= q
+    return out
+
+
+def _each_repeated(values, k):
+    """values[0] k times, then values[1] k times, and so on."""
+    return chain.from_iterable(zip(*[values] * k))
+
+
+def _bitset(codes, size):
+    """The int with bit x set for each x in codes (all below size)."""
+    buf = bytearray((size + 7) // 8)
+    for x in codes:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _code_adder(K, size):
+    """add(x, y), the code of f_x + f_y for the codes below size (a power
+    of q), added digitwise in K.  When p = 2 a code is the bit vector of
+    the coefficients over F_2 and add is XOR; otherwise the code splits
+    into a high and a low part, each added by one _code_sums lookup."""
+    if K.p == 2:
+        return operator.xor
+    low = 1
+    while low * low < size:
+        low *= K.q
+    return _split_add(_code_sums(K, low), _code_sums(K, size // low), low, size // low)
+
+
+def _split_add(low_sums, high_sums, low, high):
+    """add(x, y) for the codes below high * low, from the _code_sums tables
+    of the low parts (below low) and of the high parts (below high)."""
+
+    def add(x, y):
+        xh, xl = divmod(x, low)
+        yh, yl = divmod(y, low)
+        return high_sums[xh * high + yh] * low + low_sums[xl * low + yl]
+
+    return add
+
+
+def _code_sums(K, size):
+    """Flat table t[x * size + y] = code of f_x + f_y for the codes x, y
+    below size (a power of q), added coefficientwise in K.  Row q*x' + c
+    is row x' shifted one digit, plus the digit sums with c."""
+    q, add = K.q, K._add
+    t = list(range(size))  # row 0: f_0 + f_y = f_y
+    for x1 in range(size // q):
+        start = x1 * size
+        shifted = list(_each_repeated([q * v for v in t[start : start + size // q]], q))
+        for c in range(1 if x1 == 0 else 0, q):
+            t += map(operator.add, shifted, cycle(add[c]))
+    return t
+
+
+class DivisorSieve:
+    """Monic divisors and nonzero multiples of the polynomials of degree
+    <= m, as codes below ncodes = q^(m+1), and the gcd states read from
+    them.
+
+    divisors[g], for every monic g, lists the monic divisors of g of
+    degree >= 1 by increasing degree, g last (none for g = 1); it is built
+    from the monic multiples of every monic d.  mask(d), for d = 1 and
+    every monic d of degree 1..m, is an int bitset: bit x is set iff f_x
+    is a nonzero multiple of d, so d | e iff bit e of mask(d) is set.
+    Each mask is built from multiples() on first use and kept only as
+    this bitset; a count at n = 2 reads the masks of irreducible d only.
+
+    Calling the sieve with a monic g gives the row gcd(g, .) as a list over
+    the codes.  states() and coprime_count() count the same row by
+    popcounts of the bitsets, split at top = q^m: the codes of degree
+    exactly m are top .. ncodes - 1.
+    """
+
+    def __init__(self, q, m):
+        K = self.K = GF(q)
+        self.ncodes, self.top = q ** (m + 1), q**m
+        self.add = _code_adder(K, self.ncodes)
+        self.masks = {1: (1 << self.ncodes) - 2}  # built by mask()
+        # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+        self.divisors = {g: [] for k in range(m + 1) for g in range(q**k, 2 * q**k)}
+        # scaled_codes of the monic d of one degree less: d = T*d' + c0
+        # gives c*d = T*(c*d') + c*c0
+        last = {1: list(range(q))}
+        for k in range(1, m + 1):
+            scaled = {}
+            for d in range(q**k, 2 * q**k):
+                d1, c0 = divmod(d, q)
+                scaled[d] = [q * x + y for x, y in zip(last[d1], K._mul[c0])]
+                for x in multiples(q, scaled[d], q ** (m - k + 1), self.add, monic=True):
+                    self.divisors[x].append(d)
+            last = scaled
+
+    def mask(self, d):
+        """The bitset of the nonzero multiples of d (monic, or 1)."""
+        bits = self.masks.get(d)
+        if bits is None:
+            bits = self.masks[d] = _bitset(self.multiples_of(d), self.ncodes) & ~1  # h = 0
+        return bits
+
+    def multiples_of(self, d):
+        """Codes of h*f_d for every cofactor code h with deg h*f_d <= m."""
+        f = poly.from_code(self.K.q, d)
+        count = self.ncodes // self.K.q ** poly.deg(f)
+        return multiples(self.K.q, scaled_codes(self.K, f), count, self.add)
+
+    def __call__(self, g):
+        """The row gcd(g, .): each divisor d of g, by increasing degree, is
+        written into its multiples, so the last writer is the gcd."""
+        row = [1] * self.ncodes
+        for d in self.divisors[g]:
+            for x in self.multiples_of(d):
+                row[x] = d
+        row[0] = g
+        return row
+
+    def coprime_count(self, g, flag):
+        """Codes y with gcd(g, y) = 1, from top on unless flag is set: the
+        nonzero codes outside the masks of g's irreducible divisors, and
+        y = 0 if g = 1 (y = 0 has gcd g)."""
+        hit = 0
+        for d in self.divisors[g]:
+            if len(self.divisors[d]) == 1:  # d is irreducible
+                hit |= self.mask(d)
+        if flag:
+            return self.ncodes - 1 - hit.bit_count() + (g == 1)
+        return self.ncodes - self.top - (hit >> self.top).bit_count()
+
+    def states(self, g, flag):
+        """Counter {(gcd(g, y), flag or deg y == m): codes y}.
+
+        The codes with gcd exactly d are d's mask minus the masks of the
+        divisors of g that d properly divides; y = 0 has gcd g.  Each set is
+        counted below top and from top on by shift and mask.
+        """
+        top = self.top
+        below = (1 << top) - 1
+        divs = self.divisors[g]
+        states = Counter()
+        for d in [1] + divs:
+            exact = self.mask(d)
+            for e in divs:
+                # a cleared bit e means a multiple of e is removed already
+                if e != d and exact >> e & 1:
+                    exact &= ~self.mask(e)
+            high = (exact >> top).bit_count()
+            low = (exact & below).bit_count() + (d == g)
+            if flag:
+                states[d, True] += high + low
+            else:
+                states[d, True] += high
+                states[d, False] += low
+        return +states
+
+
 @functools.lru_cache(maxsize=8)
 def vector_tables(q: int, m: int):
     """(ncodes, deg, gcd_row, monic_codes) for polynomials of degree <= m.
 
-    deg[code] is the degree (-1 for zero); gcd_row(g) is the list of the
-    monic gcd codes of the monic code g with every code in range(ncodes);
-    monic_codes lists the codes of monic nonzero polynomials in increasing
-    order.
-
-    gcd_row is a divisor sieve.  The tables keep the nonzero multiples of
-    each monic d of degree >= 1 and the monic divisors of each code,
-    O(m * ncodes) entries in all.  A row starts as all 1s with row[0] = g,
-    and each monic divisor d of g, in increasing degree, is written into
-    d's multiples.  By unique factorisation the gcd is the highest-degree
-    monic common divisor, so the last writer is the gcd.  Rows are built
-    on each call, not kept.
+    deg[code] is the degree (-1 for zero); monic_codes lists the codes of
+    monic nonzero polynomials in increasing order.  gcd_row is the
+    DivisorSieve of (q, m), which builds the multiples of each monic d by
+    shift and add and keeps them as divisor lists and one int bitset per
+    d.  gcd_row(g) is the list of the monic gcd codes of the monic code g
+    with every code in range(ncodes); count_completions reads its bitset
+    state counts.
     """
-    K = GF(q)
-    ncodes = q ** (m + 1)
-    polys = [poly.from_code(q, code) for code in range(ncodes)]
-    deg = array("i", (len(f) - 1 for f in polys))
-    monic_codes = tuple(c for c, f in enumerate(polys) if f and f[-1] == 1)
-    multiples = {}
-    divisors = [[] for _ in range(ncodes)]
-    for k in range(1, m + 1):
-        cofactors = polys[1 : q ** (m - k + 1)]
-        # monic polynomials of degree k have the codes q^k .. 2q^k - 1
-        for d in range(q**k, 2 * q**k):
-            multiples[d] = [poly.to_code(q, poly.mul(K, polys[d], h)) for h in cofactors]
-            for x in multiples[d]:
-                divisors[x].append(d)
-
-    def gcd_row(g):
-        row = [1] * ncodes
-        row[0] = g
-        for d in divisors[g]:
-            for x in multiples[d]:
-                row[x] = d
-        return row
-
-    return ncodes, deg, gcd_row, monic_codes
+    deg = array("i", [-1])
+    for k in range(m + 1):
+        deg += array("i", [k]) * (q ** (k + 1) - q**k)
+    monic_codes = tuple(c for k in range(m + 1) for c in range(q**k, 2 * q**k))
+    return q ** (m + 1), deg, DivisorSieve(q, m), monic_codes
 
 
 def squarefree_kernel(K, top):
@@ -103,17 +273,20 @@ def squarefree_kernel(K, top):
     and c monic of degree <= top - 2e, first gets c as its witness.  Then,
     in increasing code order, kernel[f] = kernel[witness of f], or f itself
     where there is none: a witness is a lower code, already resolved, and
-    p^2 * c has the squarefree part of c.
+    p^2 * c has the squarefree part of c.  The codes of the p^2 * c come
+    from multiples() of p^2 by shift and add.
     """
     q = K.q
     kernel = array("i", [0]) * q ** (top + 1)
+    add = _code_adder(K, q ** (top + 1))
     for e in range(1, top // 2 + 1):
-        cofactors = [c for k in range(top - 2 * e + 1) for c in poly.enumerate_monic(K, k)]
         for p in poly.monic_irreducibles(K, e):
-            p2 = poly.mul(K, p, p)
-            for c in cofactors:
-                kernel[poly.to_code(q, poly.mul(K, p2, c))] = poly.to_code(q, c)
-    # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+            p2 = scaled_codes(K, poly.mul(K, p, p))
+            mults = multiples(q, p2, q ** (top - 2 * e + 1), add, monic=True)
+            # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+            cofactors = (c for k in range(top - 2 * e + 1) for c in range(q**k, 2 * q**k))
+            for c, x in zip(cofactors, mults):
+                kernel[x] = c
     for k in range(top + 1):
         for f in range(q**k, 2 * q**k):
             witness = kernel[f]
@@ -153,63 +326,45 @@ def point_count_table(K, d, r):
     return list(zip(*tables))
 
 
-def count_completions(n_rest, m, q, ncodes, gcd_row, g, flag, memo):
-    """Tuples (y_1..y_n_rest) of codes < ncodes with gcd(g, y_*) = 1 and
-    maximal degree m reached (flag marks degree m already seen).
+def count_completions(n_rest, sieve, g, flag, memo):
+    """Tuples (y_1..y_n_rest) of codes < sieve.ncodes with gcd(g, y_*) = 1
+    and maximal degree m reached (flag marks degree m already seen).
 
-    gcd_row(g) lists the monic gcd codes of g with every code in
-    range(ncodes), in order, so the codes of degree exactly m are its
-    tail from q^m on.  The first coordinate y moves the state to
-    (gcd(g, y), flag or deg y == m); the row is counted by that state, and
+    The first coordinate y moves the state to (gcd(g, y), flag or
+    deg y == m); sieve.states(g, flag) counts the codes by that state, and
     each distinct state is completed once and weighted by its count.  At
-    the last coordinate the count is the number of 1s in the row (in its
-    tail unless flag is set).
+    the last coordinate the count is sieve.coprime_count(g, flag).  memo
+    holds the count of every (n_rest, g, flag) met so far.
     """
     if g == 1:
-        total = ncodes**n_rest
+        total = sieve.ncodes**n_rest
         if flag:
             return total
-        return total - (q**m) ** n_rest
+        return total - sieve.top**n_rest
     if n_rest == 0:
         return 0
     key = (n_rest, g, flag)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    row = gcd_row(g)
-    top = q**m
     if n_rest == 1:
-        count = row.count(1) if flag else row[top:].count(1)
+        count = sieve.coprime_count(g, flag)
     else:
         count = 0
-        for states, next_flag in ((Counter(row[top:]), True), (Counter(row[:top]), flag)):
-            for gy, k in states.items():
-                count += k * count_completions(
-                    n_rest - 1, m, q, ncodes, gcd_row, gy, next_flag, memo
-                )
+        for (gy, next_flag), k in sieve.states(g, flag).items():
+            count += k * count_completions(n_rest - 1, sieve, gy, next_flag, memo)
     memo[key] = count
     return count
 
 
-def count_coprime_lead(q, n, m, lead_pos, lead_code):
+def count_coprime_lead(q, n, m, lead_pos, lead_code, memo=None):
     """Normalized coprime vectors of height exactly m whose first nonzero
     coordinate sits at `lead_pos` (0-based) and equals the monic polynomial
-    with code `lead_code`."""
-    ncodes, deg, gcd_row, _ = vector_tables(q, m)
-    return count_completions(
-        n - lead_pos - 1, m, q, ncodes, gcd_row, lead_code, deg[lead_code] == m, {}
-    )
-
-
-def _code_sums(K, size):
-    """Flat table t[x * size + y] = code of f_x + f_y for the codes x, y
-    below size (a power of q), added coefficientwise in K."""
-    q, add = K.q, K._add
-    t = [0] * (size * size)
-    for x in range(size):
-        for y in range(size):
-            t[x * size + y] = t[(x // q) * size + y // q] * q + add[x % q][y % q]
-    return t
+    with code `lead_code`.  The leads of one count (one q and m) may share
+    one memo dictionary, so that each state is counted once."""
+    _, deg, sieve, _ = vector_tables(q, m)
+    memo = {} if memo is None else memo
+    return count_completions(n - lead_pos - 1, sieve, lead_code, deg[lead_code] == m, memo)
 
 
 @functools.lru_cache(maxsize=8)
@@ -224,7 +379,8 @@ def discriminant_classes(q: int, m: int) -> Counter:
     The discriminants are histogrammed by code; each code that occurs is
     split into its unit (the leading digit) and monic part, whose
     squarefree part is read from squarefree_kernel at degree 2m.  Nothing
-    is factored.
+    is factored, and no product is formed one pair at a time: the rows
+    -4a*c and the squares b^2 come from multiples() by shift and add.
     """
     if q % 2 == 0:
         raise ValueError("discriminant classes need odd q")
@@ -236,16 +392,24 @@ def discriminant_classes(q: int, m: int) -> Counter:
     # and codes add digitwise in K, so a sum is two lookups in these tables
     nhigh = q**m
     low_sums, high_sums = _code_sums(K, ncodes), _code_sums(K, nhigh)
-    polys = [poly.from_code(q, code) for code in range(ncodes)]
-    sq = [divmod(poly.to_code(q, poly.mul(K, f, f)), ncodes) for f in polys]
+    add = _split_add(low_sums, high_sums, ncodes, nhigh)
+    # b = T*b1 + c has b^2 = T^2*b1^2 + T*(2c*b1) + c^2, and 2c*b1 is a
+    # multiple of the constant 2c
+    twice = [multiples(q, scaled_codes(K, poly.constant(K.add(c, c))), ncodes, add)
+             for c in range(q)]
+    sq = [0] * ncodes
+    for b in range(1, ncodes):
+        b1, c = divmod(b, q)
+        sq[b] = add(add(q * q * sq[b1], q * twice[c][b1]), K.mul(c, c))
+    sq = [divmod(code, ncodes) for code in sq]
     minus4 = K.neg(4 % K.p)
     hist = [0] * (nhigh * ncodes)
     # every a needs its row, and every gcd(a, b) is a monic code too
     rows = {g: gcd_row(g) for g in monic_codes}
     for a in monic_codes:
         arow = rows[a]
-        fa = poly.mul_scalar(K, polys[a], minus4)
-        minus4ac = (poly.to_code(q, poly.mul(K, fa, f)) for f in polys)
+        minus4a = poly.mul_scalar(K, poly.from_code(q, a), minus4)
+        minus4ac = multiples(q, scaled_codes(K, minus4a), ncodes, add)
         high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
         for b in range(ncodes):
             grow = rows[arow[b]]

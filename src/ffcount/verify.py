@@ -8,6 +8,7 @@ satisfy; the full acceptance runs live in the test suite.
 
 import itertools
 import random
+from collections import Counter
 
 from . import counting, forms, kernels, poly, quadratic, riemann_roch, zeta
 from .errors import ConsistencyError
@@ -64,7 +65,12 @@ def _cell_names(cells, var):
     return "; ".join(f"q={q} {var}<={top}" for q, top in cells)
 
 
-def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
+# (q, largest m) of the exhaustive divisor-sieve checks: at q = 2, 4 and 8
+# codes add by XOR, and q = 9 is odd and not prime
+GCD_TABLE_CELLS = ((2, 5), (3, 3), (4, 2), (8, 1), (9, 1))
+
+
+def _gcd_table_sieve(cells=GCD_TABLE_CELLS):
     for q, m_max in cells:
         K = GF(q)
         for m in range(m_max + 1):
@@ -82,6 +88,36 @@ def _gcd_table_sieve(cells=((2, 5), (3, 3), (4, 2), (9, 1))):
                     if rows[x][y] != g or (y in rows and rows[y][x] != g):
                         return f"sieve gcd row wrong at q={q} m={m} codes {x}, {y}", False
     return f"sieve gcd rows equal Euclid gcd ({_cell_names(cells, 'm')})", True
+
+
+def _bitset_states(cells=GCD_TABLE_CELLS):
+    for q, m_max in cells:
+        K = GF(q)
+        for m in range(m_max + 1):
+            ncodes, _, sieve, monic_codes = kernels.vector_tables(q, m)
+            polys = [poly.from_code(q, code) for code in range(ncodes)]
+            # shift and add from every nonzero f, and the mask of every monic f
+            for f in range(1, ncodes):
+                count = q ** (m - poly.deg(polys[f]) + 1)
+                products = [poly.to_code(q, poly.mul(K, h, polys[f])) for h in polys[:count]]
+                shifted = kernels.multiples(q, kernels.scaled_codes(K, polys[f]), count,
+                                            sieve.add)
+                if shifted != products:
+                    return f"shift-and-add multiples of {f} wrong at q={q} m={m}", False
+                mask = sum(1 << x for x in set(products) - {0})
+                if f in sieve.divisors and sieve.mask(f) != mask:
+                    return f"multiple bitset of {f} wrong at q={q} m={m}", False
+            # the states of every row, against Euclid, split at q^m
+            for g in monic_codes:
+                gcds = [poly.to_code(q, poly.gcd(K, polys[g], h)) for h in polys]
+                for flag in (False, True):
+                    expect = Counter((d, flag or y >= q**m) for y, d in enumerate(gcds))
+                    if sieve.states(g, flag) != expect:
+                        return f"bitset states of {g} wrong at q={q} m={m} flag={flag}", False
+                    if sieve.coprime_count(g, flag) != expect[1, True]:
+                        return f"bitset coprime count of {g} wrong at q={q} m={m}", False
+    return (f"shift-and-add multiples equal products, and bitset gcd states equal Euclid "
+            f"({_cell_names(cells, 'm')})"), True
 
 
 # (q, largest deg D) of the exhaustive field-table checks
@@ -484,9 +520,9 @@ def _divisor_sum_report():
 
 
 SUITES = {
-    "algebra": [_field_axioms, _gcd_properties, _gcd_table_sieve, _enumeration_cardinality,
-                _squarefree_reexpansion, _irreducible_counts, _squarefree_sieve,
-                _point_count_table, _artin_schreier],
+    "algebra": [_field_axioms, _gcd_properties, _gcd_table_sieve, _bitset_states,
+                _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
+                _squarefree_sieve, _point_count_table, _artin_schreier],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small,
              _divisor_sum_report],

@@ -71,6 +71,17 @@ def test_count_beyond_the_old_gcd_table_cap(capsys):
         "12754584", "12754584", "true")
 
 
+def test_count_frontier_q2_m12(capsys):
+    # 8192 codes, inside the default budget: the brute route counts gcd
+    # states by bitset popcounts and must equal the Moebius route
+    code, out, _ = run(capsys, "count", "--q", "2", "--n", "2", "--m", "12")
+    assert code == 0
+    header, row = out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["N_brute"], fields["N_moebius"], fields["match"]) == (
+        "25165824", "25165824", "true")
+
+
 def test_count_budget_refusal(capsys):
     code, _, err = run(capsys, "count", "--q", "3", "--n", "4", "--m", "4",
                        "--engine", "brute")

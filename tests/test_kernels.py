@@ -45,6 +45,54 @@ def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
     assert gcd_row(g)[y] == poly.to_code(3, poly.gcd(GF(3), f, h))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_bitset_states_match_euclid(q):
+    # verify's bitset check on every cell with at most 243 codes: the
+    # multiples of every code by shift and add against products, and the
+    # gcd states of every monic row, both flags, against Euclid
+    m_max = max(m for m in range(9) if q ** (m + 1) <= 243)
+    message, ok = verify._bitset_states(((q, m_max),))
+    assert ok, message
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1), flag=st.booleans(),
+       y=st.integers(0, 3**8 - 1))
+def test_bitset_states_match_euclid_sample(k, low, flag, y):
+    # q=3, m=7 (6561 codes): one monic row counted by state against Euclid
+    # (gcd(f, h) = gcd(f, h mod f), one gcd per remainder), and one bit of
+    # its multiple bitset against division
+    K = GF(3)
+    g = 3**k + low % 3**k
+    ncodes, _, sieve, _ = vector_tables(3, 7)
+    f = poly.from_code(3, g)
+    rems = [poly.to_code(3, poly.rem(K, poly.from_code(3, h), f)) for h in range(ncodes)]
+    gcd_of = {r: poly.to_code(3, poly.gcd(K, f, poly.from_code(3, r))) for r in set(rems)}
+    expect = Counter((gcd_of[r], flag or h >= 3**7) for h, r in enumerate(rems))
+    assert sieve.states(g, flag) == expect
+    assert sieve.coprime_count(g, flag) == expect[1, True]
+    y %= ncodes
+    divides = y != 0 and not poly.rem(K, poly.from_code(3, y), f)
+    assert sieve.mask(g) >> y & 1 == divides
+
+
+def test_one_state_count_per_brute_count(monkeypatch):
+    # the leads of one count share one memo: at (2, 3, 8) every (g, flag)
+    # is counted once by states (second coordinate) and once by
+    # coprime_count (last coordinate)
+    seen = Counter()
+    for name in ("states", "coprime_count"):
+        counter = getattr(kernels.DivisorSieve, name)
+
+        def wrapped(self, g, flag, counter=counter, name=name):
+            seen[name, g, flag] += 1
+            return counter(self, g, flag)
+
+        monkeypatch.setattr(kernels.DivisorSieve, name, wrapped)
+    assert brute_count_rational(2, 3, 8, budget=10**9) == 88080384
+    assert seen and max(seen.values()) == 1
+
+
 def test_long_lived_caches_are_bounded():
     for cached in (kernels.vector_tables, kernels.discriminant_classes,
                    kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
@@ -53,14 +101,15 @@ def test_long_lived_caches_are_bounded():
 
 
 def test_memo_and_literal_recursions_agree():
-    # the state-counting recursion (gcd rows grouped by (gcd, degree m
-    # reached), 1s counted at the last coordinate) vs a direct product loop
-    # with Euclid gcds; n >= 3 reaches the grouped inner levels, and q=4 is
+    # the state-counting recursion (codes grouped by (gcd, degree m
+    # reached) by bitset popcounts, coprime codes counted at the last
+    # coordinate) vs a direct product loop with Euclid gcds; n >= 3 reaches
+    # the grouped inner levels, and q=4, 8 (codes added by XOR) and q=9 are
     # not prime
     from itertools import product
 
     for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 4, 2), (4, 3, 1),
-                    (3, 3, 2)):
+                    (3, 3, 2), (8, 2, 1), (9, 2, 1)):
         K = GF(q)
         expect = 0
         polys = list(poly.enumerate_polys(K, m))
