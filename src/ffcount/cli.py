@@ -101,11 +101,18 @@ COUNT_HEADERS = [
 ]
 
 
+def _heights(args):
+    """range(--m, --m-to + 1); --m-to defaults to --m and may not be below it."""
+    m_to = args.m if args.m_to is None else args.m_to
+    if m_to < args.m:
+        raise ValueError(f"--m-to {m_to} is below --m {args.m}")
+    return range(args.m, m_to + 1)
+
+
 def cmd_count(args):
     rows = []
-    m_hi = args.m_to if args.m_to is not None else args.m
     base = zeta.CurveDescriptor.rational(args.q)
-    for m in range(args.m, m_hi + 1):
+    for m in _heights(args):
         row = {"q": args.q, "n": args.n, "d": 1, "m": m}
         if args.engine in ("brute", "both"):
             row["N_brute"] = counting.brute_count_rational(
@@ -129,8 +136,7 @@ def cmd_count(args):
 
 def cmd_countd(args):
     rows = []
-    m_hi = args.m_to if args.m_to is not None else args.m
-    for m in range(args.m, m_hi + 1):
+    for m in _heights(args):
         N = counting.count_fixed_degree_points(args.q, args.d, m, budget=args.budget)
         rows.append({"q": args.q, "n": 2, "d": args.d, "m": m, "N": N})
     emit(rows, ["q", "n", "d", "m", "N"], args.format)
@@ -169,6 +175,8 @@ def cmd_assemble(args):
 
 
 def cmd_fields(args):
+    if args.write_descriptors:  # a path that cannot be made fails before any output
+        os.makedirs(args.write_descriptors, exist_ok=True)
     fields = quadratic.enumerate_quadratic_fields(args.q, args.degD_max)
     hasse_weil_ok = {}  # fields with equal point counts share one descriptor
     rows = []
@@ -192,7 +200,6 @@ def cmd_fields(args):
                 "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],
          args.format)
     if args.write_descriptors:
-        os.makedirs(args.write_descriptors, exist_ok=True)
         for f in fields:
             code = poly.to_code(f.q, f.D)
             path = os.path.join(args.write_descriptors, f"q{f.q}_D{code}_u{f.u}.desc")
@@ -204,11 +211,11 @@ def cmd_fields(args):
 
 def cmd_forms(args):
     rows = []
-    m_hi = args.m_to if args.m_to is not None else args.m
+    heights = _heights(args)
     p = counting.GF(args.q).p
     if args.brute:  # refuse before either route enumerates anything
-        forms.check_oracle_budget(args.q, m_hi, args.budget)
-    for m in range(args.m, m_hi + 1):
+        forms.check_oracle_budget(args.q, heights[-1], args.budget)
+    for m in heights:
         table_counts = {}
         d_prime = args.d
         while True:
@@ -372,7 +379,7 @@ def main(argv=None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (DescriptorError, ConsistencyError, ValueError) as exc:
+    except (DescriptorError, ConsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

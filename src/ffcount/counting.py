@@ -78,6 +78,8 @@ def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET, workers=1) -> int:
     enumeration of normalized coprime polynomial vectors."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
     if m < 0:
         return 0
     check_budget(q ** (n * (m + 1)), budget, f"brute count q={q} n={n} m={m}")

@@ -17,22 +17,23 @@ addition is XOR when p = 2 and split code-sum lookups otherwise.  The
 divisor sieve, squarefree_kernel and discriminant_classes build their
 multiples this way.
 
-The vector count is a recursion over coordinates on states (running monic
-gcd code, max degree reached).  The divisor sieve keeps the multiples of
-every monic d as one int bitset, built on first use, so the codes y with
-gcd(g, y) = d are d's bitset minus those of the divisors of g that d
-properly divides, and each next state is counted by popcount, split at
-q^m by shift and mask.  The recursion descends once per distinct state,
-weighted by its count; at the last coordinate it counts the codes outside
-the union of the bitsets of g's irreducible divisors.  Every number is
-the size of an explicit set.  The leads of one count share a memo
-dictionary of states, and a branch whose gcd has reached 1 is completed
-in closed form.
+Both hot loops read gcds from one divisor sieve, which keeps the multiples
+of every monic d as one int bitset: the codes y with gcd(g, y) = d, the
+gcd class d of g, are d's bitset minus those of the divisors of g that d
+properly divides.  The vector count is a recursion over coordinates on
+states (running monic gcd code, max degree reached), each next state
+counted by popcount of a gcd class, split at q^m by shift and mask.  The
+recursion descends once per distinct state, weighted by its count; at the
+last coordinate it counts the codes outside the union of the bitsets of
+g's irreducible divisors.  Every number is the size of an explicit set.
+The leads of one count share a memo dictionary of states, and a branch
+whose gcd has reached 1 is completed in closed form.
 
 For odd q, discriminant_classes walks the coprime triples once per
-(q, m) and counts them by discriminant class (squarefree monic part,
-whether the unit is a square); its callers pick the classes they need.
-Characteristic 2 goes through a loop over polynomial triples instead,
+(q, m), the b of each gcd class d of a monic a with the c of the class
+gcd(d, c) = 1, and counts them by discriminant class (squarefree monic
+part, whether the unit is a square); its callers pick the classes they
+need.  Characteristic 2 goes through a loop over polynomial triples instead,
 which on odd q is the reference for the class counts; its Artin-Schreier
 test is F_2-linear algebra (poly._artin_schreier_solvable).
 
@@ -48,7 +49,7 @@ import functools
 import operator
 from array import array
 from collections import Counter
-from itertools import chain, cycle
+from itertools import chain, compress, cycle
 
 from . import poly
 from .errors import RefusalError
@@ -106,6 +107,11 @@ def _bitset(codes, size):
     return int.from_bytes(buf, "little")
 
 
+def _select(values, bits):
+    """The values[x] at the x with bit x set in the int bits, by increasing x."""
+    return compress(values, map("1".__eq__, bin(bits)[:1:-1]))  # bit 0 first
+
+
 def _code_adder(K, size):
     """add(x, y), the code of f_x + f_y for the codes below size (a power
     of q), added digitwise in K.  When p = 2 a code is the bit vector of
@@ -158,10 +164,10 @@ class DivisorSieve:
     Each mask is built from multiples() on first use and kept only as
     this bitset; a count at n = 2 reads the masks of irreducible d only.
 
-    Calling the sieve with a monic g gives the row gcd(g, .) as a list over
-    the codes.  states() and coprime_count() count the same row by
-    popcounts of the bitsets, split at top = q^m: the codes of degree
-    exactly m are top .. ncodes - 1.
+    gcd_classes(g) splits the codes by their gcd with a monic g, one bitset
+    per divisor.  states() and coprime_count() count those classes by
+    popcount, split at top = q^m: the codes of degree exactly m are
+    top .. ncodes - 1.
     """
 
     def __init__(self, q, m):
@@ -187,24 +193,27 @@ class DivisorSieve:
         """The bitset of the nonzero multiples of d (monic, or 1)."""
         bits = self.masks.get(d)
         if bits is None:
-            bits = self.masks[d] = _bitset(self.multiples_of(d), self.ncodes) & ~1  # h = 0
+            q, f = self.K.q, poly.from_code(self.K.q, d)
+            count = self.ncodes // q ** poly.deg(f)
+            codes = multiples(q, scaled_codes(self.K, f), count, self.add)
+            bits = self.masks[d] = _bitset(codes, self.ncodes) & ~1  # h = 0
         return bits
 
-    def multiples_of(self, d):
-        """Codes of h*f_d for every cofactor code h with deg h*f_d <= m."""
-        f = poly.from_code(self.K.q, d)
-        count = self.ncodes // self.K.q ** poly.deg(f)
-        return multiples(self.K.q, scaled_codes(self.K, f), count, self.add)
-
-    def __call__(self, g):
-        """The row gcd(g, .): each divisor d of g, by increasing degree, is
-        written into its multiples, so the last writer is the gcd."""
-        row = [1] * self.ncodes
-        for d in self.divisors[g]:
-            for x in self.multiples_of(d):
-                row[x] = d
-        row[0] = g
-        return row
+    def gcd_classes(self, g):
+        """{d: bitset of the codes y with gcd(g, y) = d} for d = 1 and each
+        divisor d of g: d's mask minus the masks of the divisors of g that d
+        properly divides.  y = 0 has gcd g."""
+        divs = self.divisors[g]
+        classes = {}
+        for d in [1] + divs:
+            exact = self.mask(d)
+            for e in divs:
+                # a cleared bit e means a multiple of e is removed already
+                if e != d and exact >> e & 1:
+                    exact &= ~self.mask(e)
+            classes[d] = exact
+        classes[g] |= 1
+        return classes
 
     def coprime_count(self, g, flag):
         """Codes y with gcd(g, y) = 1, from top on unless flag is set: the
@@ -219,24 +228,14 @@ class DivisorSieve:
         return self.ncodes - self.top - (hit >> self.top).bit_count()
 
     def states(self, g, flag):
-        """Counter {(gcd(g, y), flag or deg y == m): codes y}.
-
-        The codes with gcd exactly d are d's mask minus the masks of the
-        divisors of g that d properly divides; y = 0 has gcd g.  Each set is
-        counted below top and from top on by shift and mask.
-        """
+        """Counter {(gcd(g, y), flag or deg y == m): codes y}: the
+        gcd_classes of g counted below top and from top on."""
         top = self.top
         below = (1 << top) - 1
-        divs = self.divisors[g]
         states = Counter()
-        for d in [1] + divs:
-            exact = self.mask(d)
-            for e in divs:
-                # a cleared bit e means a multiple of e is removed already
-                if e != d and exact >> e & 1:
-                    exact &= ~self.mask(e)
+        for d, exact in self.gcd_classes(g).items():
             high = (exact >> top).bit_count()
-            low = (exact & below).bit_count() + (d == g)
+            low = (exact & below).bit_count()
             if flag:
                 states[d, True] += high + low
             else:
@@ -247,15 +246,14 @@ class DivisorSieve:
 
 @functools.lru_cache(maxsize=8)
 def vector_tables(q: int, m: int):
-    """(ncodes, deg, gcd_row, monic_codes) for polynomials of degree <= m.
+    """(ncodes, deg, sieve, monic_codes) for polynomials of degree <= m.
 
     deg[code] is the degree (-1 for zero); monic_codes lists the codes of
-    monic nonzero polynomials in increasing order.  gcd_row is the
+    monic nonzero polynomials in increasing order.  sieve is the
     DivisorSieve of (q, m), which builds the multiples of each monic d by
     shift and add and keeps them as divisor lists and one int bitset per
-    d.  gcd_row(g) is the list of the monic gcd codes of the monic code g
-    with every code in range(ncodes); count_completions reads its bitset
-    state counts.
+    d; count_completions counts its gcd states, and discriminant_classes
+    walks its gcd classes.
     """
     deg = array("i", [-1])
     for k in range(m + 1):
@@ -387,7 +385,7 @@ def discriminant_classes(q: int, m: int) -> Counter:
     if q ** (m + 1) > DISCRIMINANT_TABLE_MAX_CODES:
         raise RefusalError(f"degree {m} too large for the discriminant tables at q={q}")
     K = GF(q)
-    ncodes, deg, gcd_row, monic_codes = vector_tables(q, m)
+    ncodes, deg, sieve, monic_codes = vector_tables(q, m)
     # a code below q^(2m+1) splits as high * ncodes + low with high < q^m,
     # and codes add digitwise in K, so a sum is two lookups in these tables
     nhigh = q**m
@@ -401,24 +399,28 @@ def discriminant_classes(q: int, m: int) -> Counter:
     for b in range(1, ncodes):
         b1, c = divmod(b, q)
         sq[b] = add(add(q * q * sq[b1], q * twice[c][b1]), K.mul(c, c))
-    sq = [divmod(code, ncodes) for code in sq]
+    # b^2 as the offsets of its rows in the two sum tables; the high sums
+    # are scaled by ncodes, so b^2 + x has the code hrow[x_high] + lrow[x_low]
+    sq = [(high * nhigh, low * ncodes) for high, low in (divmod(code, ncodes) for code in sq)]
+    high_sums = [high * ncodes for high in high_sums]
     minus4 = K.neg(4 % K.p)
     hist = [0] * (nhigh * ncodes)
-    # every a needs its row, and every gcd(a, b) is a monic code too
-    rows = {g: gcd_row(g) for g in monic_codes}
     for a in monic_codes:
-        arow = rows[a]
         minus4a = poly.mul_scalar(K, poly.from_code(q, a), minus4)
         minus4ac = multiples(q, scaled_codes(K, minus4a), ncodes, add)
         high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
-        for b in range(ncodes):
-            grow = rows[arow[b]]
-            hb, lb = sq[b][0] * nhigh, sq[b][1] * ncodes
-            # the max degree must reach m through a, b or c
-            cs = range(ncodes) if deg[a] == m or deg[b] == m else range(nhigh, ncodes)
-            for c in cs:
-                if grow[c] == 1:
-                    hist[high_sums[hb + high4ac[c]] * ncodes + low_sums[lb + low4ac[c]]] += 1
+        for d, bs in sieve.gcd_classes(a).items():
+            # gcd(a, b, c) = 1 iff gcd(d, c) = 1 for d = gcd(a, b), and the
+            # max degree must reach m through a, b or c
+            coprime = sieve.gcd_classes(d)[1]
+            deg_m = coprime if deg[a] == m else coprime >> nhigh << nhigh
+            every, below = ((list(_select(high4ac, cs)), list(_select(low4ac, cs)))
+                            for cs in (coprime, deg_m))
+            for b in _select(range(ncodes), bs):
+                hb, lb = sq[b]
+                hrow, lrow = high_sums[hb : hb + nhigh], low_sums[lb : lb + ncodes]
+                for x, y in zip(*(below if b < nhigh else every)):
+                    hist[hrow[x] + lrow[y]] += 1
     kernel = squarefree_kernel(K, 2 * m)
     classes = Counter()
     for code in range(1, len(hist)):

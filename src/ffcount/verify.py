@@ -70,26 +70,6 @@ def _cell_names(cells, var):
 GCD_TABLE_CELLS = ((2, 5), (3, 3), (4, 2), (8, 1), (9, 1))
 
 
-def _gcd_table_sieve(cells=GCD_TABLE_CELLS):
-    for q, m_max in cells:
-        K = GF(q)
-        for m in range(m_max + 1):
-            ncodes, _, gcd_row, monic_codes = kernels.vector_tables(q, m)
-            rows = {g: gcd_row(g) for g in monic_codes}
-            polys = [poly.from_code(q, code) for code in range(ncodes)]
-            for x in monic_codes:
-                if len(rows[x]) != ncodes:
-                    return f"sieve gcd row {x} has {len(rows[x])} entries at q={q} m={m}", False
-                # one Euclid gcd per pair: a monic y > x checks row y too
-                for y in range(ncodes):
-                    if y in rows and y < x:
-                        continue
-                    g = poly.to_code(q, poly.gcd(K, polys[x], polys[y]))
-                    if rows[x][y] != g or (y in rows and rows[y][x] != g):
-                        return f"sieve gcd row wrong at q={q} m={m} codes {x}, {y}", False
-    return f"sieve gcd rows equal Euclid gcd ({_cell_names(cells, 'm')})", True
-
-
 def _bitset_states(cells=GCD_TABLE_CELLS):
     for q, m_max in cells:
         K = GF(q)
@@ -107,17 +87,25 @@ def _bitset_states(cells=GCD_TABLE_CELLS):
                 mask = sum(1 << x for x in set(products) - {0})
                 if f in sieve.divisors and sieve.mask(f) != mask:
                     return f"multiple bitset of {f} wrong at q={q} m={m}", False
-            # the states of every row, against Euclid, split at q^m
+            # gcd classes and states of every monic g at every code, against
+            # Euclid: gcd(g, y) is g, or read from the row of the monic part
+            # of y mod g (a lower code)
+            rows = {}
             for g in monic_codes:
-                gcds = [poly.to_code(q, poly.gcd(K, polys[g], h)) for h in polys]
+                rems = (poly.monic(K, poly.rem(K, h, polys[g]))[1] for h in polys)
+                rows[g] = gcds = [rows[poly.to_code(q, r)][g] if r else g for r in rems]
+                classes = {d: sum(1 << y for y, e in enumerate(gcds) if e == d)
+                           for d in set(gcds)}
+                if sieve.gcd_classes(g) != classes:
+                    return f"gcd classes of {g} wrong at q={q} m={m}", False
                 for flag in (False, True):
                     expect = Counter((d, flag or y >= q**m) for y, d in enumerate(gcds))
                     if sieve.states(g, flag) != expect:
                         return f"bitset states of {g} wrong at q={q} m={m} flag={flag}", False
                     if sieve.coprime_count(g, flag) != expect[1, True]:
                         return f"bitset coprime count of {g} wrong at q={q} m={m}", False
-    return (f"shift-and-add multiples equal products, and bitset gcd states equal Euclid "
-            f"({_cell_names(cells, 'm')})"), True
+    return (f"shift-and-add multiples equal products, and the gcd classes and states "
+            f"of the divisor sieve equal Euclid ({_cell_names(cells, 'm')})"), True
 
 
 # (q, largest deg D) of the exhaustive field-table checks
@@ -520,7 +508,7 @@ def _divisor_sum_report():
 
 
 SUITES = {
-    "algebra": [_field_axioms, _gcd_properties, _gcd_table_sieve, _bitset_states,
+    "algebra": [_field_axioms, _gcd_properties, _bitset_states,
                 _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
                 _squarefree_sieve, _point_count_table, _artin_schreier],
     "places": [_principal_divisor_degree, _height_two_ways],

@@ -51,7 +51,7 @@ def test_count_matches_over_range(capsys):
 
 
 def test_count_at_the_gcd_table_cap(capsys):
-    # q=5, m=4 (3125 codes): both engines, and the worker pool on sieve rows
+    # q=5, m=4 (3125 codes): both engines, and the worker pool on the sieve
     code, out, _ = run(capsys, "count", "--q", "5", "--n", "2", "--m", "4",
                        "--engine", "both", "--workers", "2")
     assert code == 0
@@ -61,8 +61,8 @@ def test_count_at_the_gcd_table_cap(capsys):
 
 
 def test_count_beyond_the_old_gcd_table_cap(capsys):
-    # q=3, m=7 (6561 codes): the brute route counts gcd-row states, and
-    # must equal the Moebius route
+    # q=3, m=7 (6561 codes): the brute route counts gcd states by bitset
+    # popcounts, and must equal the Moebius route
     code, out, _ = run(capsys, "count", "--q", "3", "--n", "2", "--m", "7", "--engine", "both")
     assert code == 0
     header, row = out.splitlines()
@@ -130,6 +130,14 @@ def test_fields_write_descriptors(tmp_path, capsys):
 
     text = (outdir / files[0]).read_text()
     assert parse_descriptor(text).q == 3
+
+
+def test_unwritable_descriptor_dir_exits_1(tmp_path, capsys):
+    # no directory can be made under a regular file: exit 1 before any output
+    (tmp_path / "file").write_text("")
+    code, out, err = run(capsys, "fields", "--q", "3", "--degD-max", "1",
+                         "--write-descriptors", str(tmp_path / "file" / "descs"))
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_forms_cli(capsys):
@@ -266,6 +274,20 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "zeta", "--g", "0", "--s", "2")
     assert code == 1
     assert err.strip() == "error: --q is required unless --descriptor is given"
+    code, out, err = run(capsys, "zeta", "--descriptor", str(tmp_path / "none"), "--s", "2")
+    assert code == 1 and out == "" and err.startswith("error: ") and "none" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("count", "--n", "2", "--m", "1", "--workers", "0"), "workers must be >= 1, not 0"),
+    (("count", "--n", "2", "--m", "1", "--workers", "-1"), "workers must be >= 1, not -1"),
+    (("count", "--n", "2", "--m", "2", "--m-to", "1"), "--m-to 1 is below --m 2"),
+    (("countd", "--d", "2", "--m", "2", "--m-to", "1"), "--m-to 1 is below --m 2"),
+    (("forms", "--brute", "--m", "2", "--m-to", "1"), "--m-to 1 is below --m 2"),
+])
+def test_out_of_range_input_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--q", "3", *argv[1:])
+    assert (code, out, err.strip()) == (1, "", f"error: {message}")
 
 
 def test_verify_suite_choices_without_importing_verify(capsys):

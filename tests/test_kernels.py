@@ -6,51 +6,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffcount import kernels, poly, quadratic, verify
-from ffcount.counting import brute_count_rational, count_fixed_degree_points
+from ffcount.counting import (brute_count_rational, brute_count_unnormalized,
+                              count_fixed_degree_points)
 from ffcount.errors import RefusalError
 from ffcount.gf import GF
 from ffcount.kernels import discriminant_classes, vector_tables
 
 
 def test_vector_tables_shape():
-    ncodes, deg, gcd_row, monic_codes = vector_tables(3, 2)
+    ncodes, deg, sieve, monic_codes = vector_tables(3, 2)
     assert ncodes == 27
     assert deg[0] == -1 and deg[1] == 0 and deg[3] == 1
     assert all(deg[c] >= 0 for c in monic_codes)
-    # one row per monic code: gcd(g, 0) = g, gcd(g, g) = g, and the monic
-    # rows agree with each other
-    for g in monic_codes:
-        row = gcd_row(g)
-        assert len(row) == ncodes and row[0] == row[g] == g and row[1] == 1
-        assert all(row[h] == gcd_row(h)[g] for h in monic_codes)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_sieve_gcd_table_matches_euclid(q):
-    # verify's sieve check on every cell with at most 512 codes: every
-    # monic row, at every code including zero, against Euclid
-    m_max = max(m for m in range(9) if q ** (m + 1) <= 512)
-    message, ok = verify._gcd_table_sieve(((q, m_max),))
-    assert ok, message
+    # the gcd classes of a monic g split the codes: gcd(g, 0) = gcd(g, g) =
+    # g, gcd(g, 1) = 1, and gcd(g, h) = gcd(h, g) for monic h
+    classes = {g: sieve.gcd_classes(g) for g in monic_codes}
+    for g, by_gcd in classes.items():
+        assert sum(by_gcd.values()) == (1 << ncodes) - 1
+        assert by_gcd[g] & (1 | 1 << g) == 1 | 1 << g and by_gcd[1] & 2
+        assert all(classes[h][d] >> g & 1 for d, bits in by_gcd.items()
+                   for h in monic_codes if bits >> h & 1)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1), y=st.integers(0, 3**8 - 1))
 def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
-    # q=3, m=7 (6561 codes) is far beyond the exhaustive grid; the monic
-    # codes of degree k are 3^k .. 2*3^k - 1
+    # q=3, m=7 (6561 codes), far beyond the exhaustive grid: y lies in the
+    # class of gcd(g, y) only.  The monic codes of degree k are 3^k .. 2*3^k - 1.
     g = 3**k + low % 3**k
-    _, _, gcd_row, _ = vector_tables(3, 7)
-    f, h = poly.from_code(3, g), poly.from_code(3, y)
-    assert gcd_row(g)[y] == poly.to_code(3, poly.gcd(GF(3), f, h))
+    d = poly.to_code(3, poly.gcd(GF(3), poly.from_code(3, g), poly.from_code(3, y)))
+    classes = vector_tables(3, 7)[2].gcd_classes(g)
+    assert [e for e, bits in classes.items() if bits >> y & 1] == [d]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_bitset_states_match_euclid(q):
-    # verify's bitset check on every cell with at most 243 codes: the
-    # multiples of every code by shift and add against products, and the
-    # gcd states of every monic row, both flags, against Euclid
-    m_max = max(m for m in range(9) if q ** (m + 1) <= 243)
+    # verify's sieve check on every cell with at most 512 codes: multiples
+    # against products, and the gcd classes and states of every monic g at
+    # every code, zero included, against Euclid
+    m_max = max(m for m in range(9) if q ** (m + 1) <= 512)
     message, ok = verify._bitset_states(((q, m_max),))
     assert ok, message
 
@@ -101,29 +95,13 @@ def test_long_lived_caches_are_bounded():
 
 
 def test_memo_and_literal_recursions_agree():
-    # the state-counting recursion (codes grouped by (gcd, degree m
-    # reached) by bitset popcounts, coprime codes counted at the last
-    # coordinate) vs a direct product loop with Euclid gcds; n >= 3 reaches
-    # the grouped inner levels, and q=4, 8 (codes added by XOR) and q=9 are
-    # not prime
-    from itertools import product
-
+    # the state-counting recursion vs the literal loop over all vectors
+    # with Euclid gcds, which meets each point once per unit; n >= 3
+    # reaches the grouped inner levels, and q=4, 8 (codes added by XOR)
+    # and q=9 are not prime
     for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 4, 2), (4, 3, 1),
                     (3, 3, 2), (8, 2, 1), (9, 2, 1)):
-        K = GF(q)
-        expect = 0
-        polys = list(poly.enumerate_polys(K, m))
-        for vec in product(polys, repeat=n):
-            if all(not f for f in vec):
-                continue
-            if max(poly.deg(f) for f in vec) != m:
-                continue
-            lead = next(f for f in vec if f)
-            if lead[-1] != 1:
-                continue
-            if poly.gcd_many(K, vec) == poly.ONE:
-                expect += 1
-        assert brute_count_rational(q, n, m) == expect
+        assert brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
 
 
 @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
@@ -145,7 +123,7 @@ def test_polynomial_loop_pinned_counts(q, m, counts):
     assert kernels.classify_triples_by_polys(GF(q), m) == counts
 
 
-@pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_discriminant_classes_match_naive_definition(q, m):
     # b^2 - 4ac and its squarefree part by polynomial arithmetic, over every
     # normalized coprime triple of max degree exactly m
@@ -161,7 +139,7 @@ def test_discriminant_classes_match_naive_definition(q, m):
                     continue
                 if poly.gcd_many(K, (a, b, c)) != poly.ONE:
                     continue
-                four_ac = poly.mul_scalar(K, poly.mul(K, a, c), 4 % q)
+                four_ac = poly.mul_scalar(K, poly.mul(K, a, c), 4 % K.p)
                 disc = poly.sub(K, poly.mul(K, b, b), four_ac)
                 if disc:
                     unit, s, _ = poly.squarefree_part(K, disc)
