@@ -28,6 +28,25 @@ def test_vector_tables_shape():
                    for h in monic_codes if bits >> h & 1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_sieve_gcd_table_matches_euclid(q):
+    # the gcd table read off the gcd classes of the largest cell with at
+    # most 512 codes: every monic g, at every code including zero, against
+    # Euclid directly
+    m = max(m for m in range(9) if q ** (m + 1) <= 512)
+    K = GF(q)
+    ncodes, _, sieve, monic_codes = vector_tables(q, m)
+    polys = [poly.from_code(q, code) for code in range(ncodes)]
+    for g in monic_codes:
+        table = [None] * ncodes
+        for d, bits in sieve.gcd_classes(g).items():
+            while bits:
+                y = (bits & -bits).bit_length() - 1
+                assert table[y] is None, (g, y)
+                table[y], bits = d, bits & bits - 1
+        assert table == [poly.to_code(q, poly.gcd(K, polys[g], h)) for h in polys], g
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1), y=st.integers(0, 3**8 - 1))
 def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
