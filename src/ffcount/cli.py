@@ -53,27 +53,26 @@ def _descriptor_from_args(args):
 
 
 def cmd_zeta(args):
+    # every flag is checked before anything is printed
+    if args.schanuel and args.n is None:
+        raise ValueError("--schanuel needs --n")
+    if args.euler_D is not None and args.s is None:
+        raise ValueError("--euler-D needs --s")
+    if (args.s is None and not args.schanuel and args.divisors is None
+            and args.moebius is None and not args.hasse_weil):
+        raise ValueError("nothing to compute: pass --s, --schanuel, --divisors, ...")
     desc = _descriptor_from_args(args)
-    printed = False
     if args.s is not None and args.euler_D is None:
         print(_fmt(zeta.zeta_value(desc, args.s)))
-        printed = True
     if args.schanuel:
-        if args.n is None:
-            raise SystemExit("--schanuel needs --n")
         print(_fmt(zeta.schanuel_constant(desc, args.n)))
-        printed = True
     if args.divisors is not None:
         a = zeta.divisor_counts(desc, args.divisors)
         emit([{"l": l, "a_l": v} for l, v in enumerate(a)], ["l", "a_l"], args.format)
-        printed = True
     if args.moebius is not None:
         b = zeta.moebius_sums(desc, args.moebius)
         emit([{"l": l, "b_l": v} for l, v in enumerate(b)], ["l", "b_l"], args.format)
-        printed = True
     if args.euler_D is not None:
-        if args.s is None:
-            raise SystemExit("--euler-D needs --s")
         rows = [{
             "q": desc.q,
             "s": args.s,
@@ -83,15 +82,11 @@ def cmd_zeta(args):
             "tail_bound": zeta.euler_truncation_bound(desc.q, args.s, args.euler_D),
         }]
         emit(rows, ["q", "s", "D", "product", "closed_form", "tail_bound"], args.format)
-        printed = True
     if args.hasse_weil:
         report = zeta.hasse_weil_check(desc)
         print("ok" if report["ok"] else "FAIL: " + "; ".join(report["failures"]))
-        printed = True
         if not report["ok"]:
             return 1
-    if not printed:
-        raise SystemExit("nothing to compute: pass --s, --schanuel, --divisors, ...")
     return 0
 
 
@@ -212,26 +207,12 @@ def cmd_fields(args):
 def cmd_forms(args):
     rows = []
     heights = _heights(args)
-    p = counting.GF(args.q).p
     if args.brute:  # refuse before either route enumerates anything
         forms.check_oracle_budget(args.q, heights[-1], args.budget)
     for m in heights:
-        table_counts = {}
-        d_prime = args.d
-        while True:
-            table_counts[d_prime] = counting.count_fixed_degree_points(
-                args.q, d_prime, m, budget=args.budget
-            )
-            if d_prime % p:
-                break
-            d_prime //= p
-        h = forms.frobenius_height(p, args.d, m)
-        frobenius = None if h is None else counting.count_fixed_degree_points(
-            args.q, args.d // p, h, budget=args.budget
-        )
-        table = forms.FormTable(p, 2, args.d, m, table_counts, frobenius)
-        row = {"q": args.q, "n": 2, "d": args.d, "m": m, "p": p,
-               "N_counts": ";".join(f"{k}:{v}" for k, v in sorted(table_counts.items())),
+        table = forms.form_table(args.q, args.d, m, args.budget)
+        row = {"q": args.q, "n": 2, "d": args.d, "m": m, "p": table.p,
+               "N_counts": ";".join(f"{k}:{v}" for k, v in sorted(table.counts.items())),
                "NF": "", "brute_NF": "", "match": "",
                "identity_ok": forms.form_count_identity_check(table)}
         try:
@@ -273,16 +254,10 @@ def cmd_verify(args):
     from . import verify
 
     results = verify.run_suite(args.suite, deep=args.deep)
-    failed = 0
     for name, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        if ok is None:
-            status = "report"
-        print(f"{status:6} {name}: {detail}")
-        if ok is False:
-            failed += 1
-    print(f"-- {sum(1 for _, ok, _ in results if ok)} passed, {failed} failed, "
-          f"{sum(1 for _, ok, _ in results if ok is None)} reports")
+        print(f"{'ok' if ok else 'FAIL':6} {name}: {detail}")
+    failed = sum(1 for _, ok, _ in results if not ok)
+    print(f"-- {len(results) - failed} passed, {failed} failed")
     return 1 if failed else 0
 
 

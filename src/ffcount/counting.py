@@ -230,8 +230,10 @@ def count_fixed_degree_points(q, d, m, budget=DEFAULT_BUDGET) -> int:
     Each separable qualifying polynomial contributes d roots; in
     characteristic 2 the inseparable quadratics contribute a single root
     each.  Supported for d <= 2 (higher d would need a constant-field test
-    beyond quadratics).
+    beyond quadratics); d < 1 is not a degree and raises ValueError.
     """
+    if d < 1:
+        raise ValueError(f"degree d must be >= 1, not {d}")
     if d == 1:
         return brute_count_rational(q, 2, m, budget=budget)
     if d != 2:
@@ -358,40 +360,3 @@ def schanuel_sum_quadratic(q, n, degD_max):
     }
     return total, report
 
-
-# -- growth/ratio reporting ----------------------------------------------------
-
-
-def growth_report(q, n_values=(2, 3), m_max=3, budget=DEFAULT_BUDGET):
-    """Float ratio tables around the exact counts (report-only: the growth
-    statements behind them carry non-explicit constants)."""
-    base = CurveDescriptor.rational(q)
-    rows = []
-    for n in n_values:
-        for m in range(m_max + 1):
-            N = moebius_point_count(base, n, m).N
-            rows.append(
-                {"kind": "line", "q": q, "n": n, "d": 1, "m": m, "N": N,
-                 "N_over_q_nm": N / q ** (n * m)}
-            )
-    if q % 2:
-        for m in range(0, min(m_max, 2) + 1):
-            n22 = count_fixed_degree_points(q, 2, m, budget=budget)
-            n31 = moebius_point_count(base, 3, m).N
-            rows.append(
-                {"kind": "degree2", "q": q, "n": 2, "d": 2, "m": m, "N": n22,
-                 "N_over_q_3m": n22 / q ** (3 * m),
-                 "ratio_to_d_times_line": (n22 / (2 * n31)) if n31 else None}
-            )
-        fields = enumerate_quadratic_fields(q, min(2 * m_max, 6))
-        by_genus = {}
-        for f in fields:
-            by_genus[f.genus] = by_genus.get(f.genus, 0) + 1
-        rows.append({"kind": "fields_by_genus", "q": q, "counts": by_genus})
-        for m in range(min(m_max, 2) + 1):
-            upto = sum(c for g, c in by_genus.items() if g <= m)
-            rows.append(
-                {"kind": "fields_genus_le_m", "q": q, "m": m, "count": upto,
-                 "count_over_q_3m": upto / q ** (3 * m)}
-            )
-    return rows

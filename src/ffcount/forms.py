@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .counting import DEFAULT_BUDGET, check_budget
+from .counting import DEFAULT_BUDGET, check_budget, count_fixed_degree_points
 from .errors import ConsistencyError, RefusalError
 from .gf import GF
 
@@ -75,6 +75,23 @@ def frobenius_height(p: int, d: int, m: int):
     if d % p == 0 and (d // p) % p and m % p == 0:
         return m // p
     return None
+
+
+def form_table(q, d, m, budget=DEFAULT_BUDGET) -> FormTable:
+    """The n = 2 table at height m: N(2, d/p^i, m) for every p-power p^i
+    dividing d, and the Frobenius count N(2, d/p, m/p) when
+    frobenius_height() asks for it, all by count_fixed_degree_points."""
+    p = GF(q).p
+    counts = {}
+    d_prime = d
+    while True:  # d < 1 raises in the first count, so d_prime = 0 never loops
+        counts[d_prime] = count_fixed_degree_points(q, d_prime, m, budget=budget)
+        if d_prime % p:
+            break
+        d_prime //= p
+    h = frobenius_height(p, d, m)
+    frobenius = None if h is None else count_fixed_degree_points(q, d // p, h, budget=budget)
+    return FormTable(p, 2, d, m, counts, frobenius)
 
 
 def separable_point_count(table: FormTable) -> int:

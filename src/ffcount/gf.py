@@ -13,7 +13,7 @@ import functools
 
 from .errors import ConsistencyError
 
-__all__ = ["FiniteField", "GF", "constant_extension"]
+__all__ = ["FiniteField", "GF", "constant_extension", "prime_power"]
 
 
 def _is_prime(n: int) -> bool:
@@ -211,24 +211,29 @@ class FiniteField:
         return hash((self.p, self.e, self.modulus))
 
 
-@functools.lru_cache(maxsize=None)
-def GF(q: int) -> FiniteField:
-    """Field with q elements (q a prime power), with a fixed default modulus."""
+def prime_power(q: int):
+    """(p, e) with q = p^e, p prime and e >= 1; ValueError for any other q.
+    Builds no field tables."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
     p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            break
+    while p * p <= q and q % p:
         p += 1
-    else:
-        p = n
-    e = 0
+    if q % p:
+        p = q  # no factor up to sqrt(q): q is prime
+    n, e = q, 0
     while n % p == 0:
         n //= p
         e += 1
     if n != 1:
         raise ValueError(f"{q} is not a prime power")
-    return FiniteField(p, e)
+    return p, e
+
+
+@functools.lru_cache(maxsize=None)
+def GF(q: int) -> FiniteField:
+    """Field with q elements (q a prime power), with a fixed default modulus."""
+    return FiniteField(*prime_power(q))
 
 
 @functools.lru_cache(maxsize=None)

@@ -62,7 +62,7 @@ def build_class_model(desc: CurveDescriptor) -> ClassModel:
 
 
 def _validate_class_dims(desc, table):
-    g, J, q = desc.g, desc.J, desc.q
+    g, J = desc.g, desc.J
     if len(table) != J:
         raise DescriptorError(f"class_dims needs {J} rows, got {len(table)}")
     for j, row in enumerate(table):
@@ -78,13 +78,11 @@ def _validate_class_dims(desc, table):
     if sum(1 for row in table if row[0] == 1) != 1 or any(row[0] > 1 for row in table):
         raise DescriptorError("degree 0 must have exactly one class of dimension 1")
     model = ClassModel(desc, table)
-    a = divisor_counts(desc, 2 * g - 2)
-    for i in range(2 * g - 1):
-        lhs = sum(q ** row[i] for row in table) - J
-        if lhs != (q - 1) * a[i]:
-            raise DescriptorError(
-                f"class_dims degree {i}: sum q^dims - J = {lhs} != (q-1)a({i}) = {(q-1)*a[i]}"
-            )
+    if not class_sum_identity_check(model, 2 * g - 2):
+        raise DescriptorError(
+            f"class_dims fails the class-sum identity sum_j q^dims - J = (q-1)a(i), "
+            f"i in 0..{2*g-2}"
+        )
     for n in (1, 2, 3):
         for i in range(2 * g - 1):
             if not reflection_identity_check(model, i, n):

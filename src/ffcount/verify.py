@@ -1,9 +1,9 @@
 """Invariant battery behind `ffcount verify`.
 
-Each check returns (name, ok, detail); ok is True/False for assertions and
-None for report-only measurements (growth envelopes with non-explicit
-constants).  The battery covers the exact identities every module must
-satisfy; the full acceptance runs live in the test suite.
+Each check returns (detail, ok) with ok True or False, and run_suite
+reports (name, ok, detail) for each.  The battery covers the exact
+identities every module must satisfy; the full acceptance runs live in the
+test suite.
 """
 
 import itertools
@@ -468,13 +468,8 @@ def _field_distinctness():
 
 def _forms_relations():
     for q in (3, 2):
-        p = GF(q).p
         for m in (0, 1, 2):
-            table_counts = {1: counting.brute_count_rational(q, 2, m)}
-            table_counts[2] = counting.count_fixed_degree_points(q, 2, m)
-            h = forms.frobenius_height(p, 2, m)
-            frobenius = None if h is None else counting.brute_count_rational(q, 2, h)
-            table = forms.FormTable(p, 2, 2, m, table_counts, frobenius)
+            table = forms.form_table(q, 2, m)
             if not forms.form_count_identity_check(table):
                 return f"forms aggregation identity fails at q={q} m={m}", False
             nf = forms.form_count(table)
@@ -492,31 +487,14 @@ def _hasse_weil_all():
     return f"{len(fields)} enumerated descriptors pass Hasse-Weil (deg D <= 5)", True
 
 
-def _growth_report():
-    rows = counting.growth_report(3, m_max=2)
-    return f"growth ratios over {len(rows)} rows (floats, no assertion)", None
-
-
-def _divisor_sum_report():
-    desc = zeta.CurveDescriptor(3, 1, (1, 0, 3))
-    meas = zeta.divisor_sum_measurements(desc, 6, 2)
-    return (
-        f"head {meas['head_sum']:.4g} vs envelope {meas['head_envelope']:.4g}; "
-        f"tail {meas['tail_sum_16_terms']:.4g} vs envelope {meas['tail_envelope']:.4g}",
-        None,
-    )
-
-
 SUITES = {
     "algebra": [_field_axioms, _gcd_properties, _bitset_states,
                 _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
                 _squarefree_sieve, _point_count_table, _artin_schreier],
     "places": [_principal_divisor_degree, _height_two_ways],
-    "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small,
-             _divisor_sum_report],
+    "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small],
     "riemann_roch": [_class_model_identities, _genus0_sections],
-    "counting": [_oracle_equivalence, _error_decomposition, _pipeline_agreement,
-                 _growth_report],
+    "counting": [_oracle_equivalence, _error_decomposition, _pipeline_agreement],
     "quadratic": [_twist_pairing, _field_distinctness, _hasse_weil_all],
     "forms": [_forms_relations],
 }

@@ -255,15 +255,15 @@ def test_count_workers_flag(capsys):
 
 
 def test_verify_fast_suites(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "algebra")
-    assert code == 0
-    assert "failed" not in out or "0 failed" in out
-    code, out, _ = run(capsys, "verify", "--suite", "forms")
-    assert code == 0
-    assert "q=2 m<=2" in out and "0 failed" in out
-    for suite in ("riemann_roch", "counting"):
+    # every line is a passed check, then the summary: no report-only lines
+    for suite in ("algebra", "zeta", "riemann_roch", "counting", "forms"):
         code, out, _ = run(capsys, "verify", "--suite", suite)
-        assert code == 0 and "0 failed" in out
+        *checks, summary = out.splitlines()
+        assert code == 0 and checks
+        assert all(line.startswith("ok     ") for line in checks)
+        assert summary == f"-- {len(checks)} passed, 0 failed"
+        if suite == "forms":
+            assert "q=2 m<=2" in out
 
 
 def test_bad_descriptor_exits_1(tmp_path, capsys):
@@ -276,6 +276,14 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     assert err.strip() == "error: --q is required unless --descriptor is given"
     code, out, err = run(capsys, "zeta", "--descriptor", str(tmp_path / "none"), "--s", "2")
     assert code == 1 and out == "" and err.startswith("error: ") and "none" in err
+    # no field has 6 elements, by flags or by file
+    code, out, err = run(capsys, "zeta", "--q", "6", "--g", "0", "--s", "2")
+    assert (code, out, err.strip()) == (
+        1, "", "error: constant field size: 6 is not a prime power")
+    path.write_text("q = 6\ng = 0\nL_coeffs = 1\n")
+    code, out, err = run(capsys, "zeta", "--descriptor", str(path), "--s", "2")
+    assert (code, out, err.strip()) == (
+        1, "", "error: invalid descriptor: constant field size: 6 is not a prime power")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -284,6 +292,14 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     (("count", "--n", "2", "--m", "2", "--m-to", "1"), "--m-to 1 is below --m 2"),
     (("countd", "--d", "2", "--m", "2", "--m-to", "1"), "--m-to 1 is below --m 2"),
     (("forms", "--brute", "--m", "2", "--m-to", "1"), "--m-to 1 is below --m 2"),
+    (("countd", "--d", "0", "--m", "1"), "degree d must be >= 1, not 0"),
+    (("countd", "--d", "-2", "--m", "1"), "degree d must be >= 1, not -2"),
+    (("forms", "--d", "0", "--m", "1"), "degree d must be >= 1, not 0"),
+    (("forms", "--d", "-2", "--m", "1"), "degree d must be >= 1, not -2"),
+    # zeta checks its flags before it prints anything
+    (("zeta", "--s", "2", "--schanuel"), "--schanuel needs --n"),
+    (("zeta", "--divisors", "2", "--euler-D", "3"), "--euler-D needs --s"),
+    (("zeta", "--g", "0"), "nothing to compute: pass --s, --schanuel, --divisors, ..."),
 ])
 def test_out_of_range_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, argv[0], "--q", "3", *argv[1:])

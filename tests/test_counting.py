@@ -11,7 +11,6 @@ from ffcount.counting import (
     count_degree2_points_by_fields,
     count_fixed_degree_points,
     error_decomposition,
-    growth_report,
     moebius_point_count,
     schanuel_sum_quadratic,
 )
@@ -113,6 +112,10 @@ def test_degree2_examples():
     assert count_fixed_degree_points(3, 1, 1) == brute_count_rational(3, 2, 1)
     with pytest.raises(RefusalError):
         count_fixed_degree_points(3, 3, 0)
+    # d < 1 is not a degree: bad input, not an unimplemented case
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"not {d}"):
+            count_fixed_degree_points(3, d, 1)
 
 
 def test_oracle_equivalence_q4():
@@ -257,11 +260,3 @@ def test_grouped_schanuel_sum_equals_per_field_sum(q, degD_max):
     total, report = schanuel_sum_quadratic(q, 6, degD_max)
     assert report["increments"] == per_degree
     assert total == sum(per_degree.values())
-
-
-def test_growth_report_shapes():
-    rows = growth_report(3, m_max=2)
-    kinds = {r["kind"] for r in rows}
-    assert {"line", "degree2", "fields_by_genus"} <= kinds
-    line = [r for r in rows if r["kind"] == "line" and r["n"] == 2 and r["m"] == 2][0]
-    assert line["N_over_q_nm"] == pytest.approx(float(schanuel_constant(R3, 2)))

@@ -9,19 +9,17 @@ from ffcount.forms import (
     brute_force_forms,
     form_count,
     form_count_identity_check,
+    form_table,
     frobenius_height,
     separable_point_count,
 )
 
 
-def make_table(q, m, with_frobenius=False):
-    p = 2 if q % 2 == 0 else {3: 3, 5: 5, 9: 3}[q]
-    counts = {2: count_fixed_degree_points(q, 2, m)}
-    if 2 % p == 0:
-        counts[1] = brute_count_rational(q, 2, m)
-    h = frobenius_height(p, 2, m)
-    frobenius = brute_count_rational(q, 2, h) if with_frobenius and h is not None else None
-    return FormTable(p, 2, 2, m, counts, frobenius)
+def test_form_table():
+    # the counts N(2, d/p^i, m), and N(2, d/p, m/p) when p | d and p | m
+    assert form_table(3, 2, 1) == FormTable(3, 2, 2, 1, {2: 432})
+    assert form_table(2, 2, 1) == FormTable(2, 2, 2, 1, {2: 42, 1: 6})
+    assert form_table(2, 2, 2) == FormTable(2, 2, 2, 2, {2: 414, 1: 24}, frobenius=6)
 
 
 def test_separable_point_count():
@@ -69,12 +67,12 @@ def test_identity_holds_on_arbitrary_tables():
 
 def test_oracle_odd_q():
     for m in (0, 1, 2):
-        t = make_table(3, m)
+        t = form_table(3, 2, m)
         assert brute_force_forms(3, 2, 2, m) == form_count(t)
 
 
 def test_oracle_char2_height1():
-    t = make_table(2, 1)
+    t = form_table(2, 2, 1)
     assert form_count(t) == 24
     assert brute_force_forms(2, 2, 2, 1) == 24
 
@@ -85,7 +83,7 @@ def test_char2_height0_relation_is_not_integral():
     # fails for heights divisible by p (Frobenius images need subtracting),
     # so a table without the Frobenius count is refused rather than
     # answered; the corrected relation below is exact.
-    t = make_table(2, 0)
+    t = FormTable(2, 2, 2, 0, {2: 0, 1: 3})
     assert brute_force_forms(2, 2, 2, 0) == 0
     with pytest.raises(ConsistencyError):
         form_count(t)
@@ -102,7 +100,7 @@ def test_frobenius_height():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_corrected_form_count_matches_oracle_char2(m):
-    assert form_count(make_table(2, m, with_frobenius=True)) == brute_force_forms(2, 2, 2, m)
+    assert form_count(form_table(2, 2, m)) == brute_force_forms(2, 2, 2, m)
 
 
 @pytest.mark.parametrize("m", [0, 1])

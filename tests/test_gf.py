@@ -1,7 +1,7 @@
 import pytest
 
 from ffcount.errors import ConsistencyError
-from ffcount.gf import GF, FiniteField
+from ffcount.gf import GF, FiniteField, prime_power
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -29,6 +29,14 @@ def test_non_prime_power_rejected():
         GF(6)
     with pytest.raises(ValueError):
         FiniteField(4)
+
+
+def test_prime_power():
+    assert [prime_power(q) for q in (2, 4, 9, 27, 97, 121)] == [
+        (2, 1), (2, 2), (3, 2), (3, 3), (97, 1), (11, 2)]
+    for q in (-3, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
 
 
 def test_default_modulus_search_failure_raises(monkeypatch):

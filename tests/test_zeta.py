@@ -43,6 +43,9 @@ def test_descriptor_validation():
         CurveDescriptor(2, 1, (1, 0, 3))  # functional equation: needs qt^2
     with pytest.raises(DescriptorError):
         CurveDescriptor(3, 1, (1, -5, 3))  # J = -1
+    for q in (1, 6, 10):  # no field has q elements
+        with pytest.raises(DescriptorError, match="not a prime power"):
+            CurveDescriptor(q, 0, (1,))
     assert E1.J == 4
 
 
@@ -167,6 +170,8 @@ def test_descriptor_file_errors():
         parse_descriptor("q = 3\ng = 0\nL_coeffs = 1, x\n")
     with pytest.raises(DescriptorError, match="functional equation"):
         parse_descriptor("q = 3\ng = 1\nL_coeffs = 1, 0, 2\n")
+    with pytest.raises(DescriptorError, match="6 is not a prime power"):
+        parse_descriptor("q = 6\ng = 0\nL_coeffs = 1\n")
 
 
 def test_class_dims_descriptor_roundtrip():
