@@ -23,7 +23,7 @@ from itertools import product
 
 from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
-from .gf import GF
+from .gf import GF, prime_power
 from .quadratic import QuadraticFieldDesc, enumerate_quadratic_fields
 from .riemann_roch import ClassModel, build_class_model, lambda_sum
 from .zeta import (
@@ -73,34 +73,15 @@ def check_budget(candidates: int, budget: int, what: str):
         )
 
 
-def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET, workers=1) -> int:
+def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
     """Points of P^(n-1)(F_q(T)) of relative height exactly m, by exhaustive
     enumeration of normalized coprime polynomial vectors."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, not {workers}")
     if m < 0:
         return 0
     check_budget(q ** (n * (m + 1)), budget, f"brute count q={q} n={n} m={m}")
-    _, _, _, monic_codes = kernels.vector_tables(q, m)
-    leads = [(pos, code) for pos in range(n) for code in monic_codes]
-    if workers > 1:
-        import multiprocessing
-
-        # one chunk per worker, dealt round-robin so that cheap and dear
-        # leads mix
-        chunks = [(q, n, m, leads[i::workers]) for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            return sum(pool.starmap(_count_leads, chunks))
-    return _count_leads(q, n, m, leads)
-
-
-def _count_leads(q, n, m, leads):
-    """Sum of kernels.count_coprime_lead over the (position, code) leads,
-    with one memo, so that a state met from several leads is counted once."""
-    memo = {}
-    return sum(kernels.count_coprime_lead(q, n, m, pos, code, memo) for pos, code in leads)
+    return kernels.count_coprime_vectors(q, n, m)
 
 
 def brute_count_unnormalized(q, n, m, budget=DEFAULT_BUDGET) -> int:
@@ -296,6 +277,7 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     m > 2 would draw in genus >= 2 fields, whose exact class data this
     package does not compute; such requests are refused.
     """
+    prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
     if q % 2 == 0:
         raise RefusalError("even q refused: quadratic extensions have no squarefree model")
     if n < 2:

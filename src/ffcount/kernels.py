@@ -26,8 +26,10 @@ counted by popcount of a gcd class, split at q^m by shift and mask.  The
 recursion descends once per distinct state, weighted by its count; at the
 last coordinate it counts the codes outside the union of the bitsets of
 g's irreducible divisors.  Every number is the size of an explicit set.
-The leads of one count share a memo dictionary of states, and a branch
-whose gcd has reached 1 is completed in closed form.
+count_coprime_vectors starts the recursion at every lead (the position
+and monic value of the first nonzero coordinate) in one process, with one
+memo dictionary of states, and a branch whose gcd has reached 1 is
+completed in closed form.
 
 For odd q, discriminant_classes walks the coprime triples once per
 (q, m), the b of each gcd class d of a monic a with the c of the class
@@ -35,7 +37,7 @@ gcd(d, c) = 1, and counts them by discriminant class (squarefree monic
 part, whether the unit is a square); its callers pick the classes they
 need.  Characteristic 2 goes through a loop over polynomial triples instead,
 which on odd q is the reference for the class counts; its Artin-Schreier
-test is F_2-linear algebra (poly._artin_schreier_solvable).
+test is F_2-linear algebra (poly._artin_schreier_over_square).
 
 One sieve gives squarefree parts: squarefree_kernel maps every monic code
 up to a degree to the code of its squarefree monic part.  The
@@ -245,21 +247,12 @@ class DivisorSieve:
 
 
 @functools.lru_cache(maxsize=8)
-def vector_tables(q: int, m: int):
-    """(ncodes, deg, sieve, monic_codes) for polynomials of degree <= m.
-
-    deg[code] is the degree (-1 for zero); monic_codes lists the codes of
-    monic nonzero polynomials in increasing order.  sieve is the
-    DivisorSieve of (q, m), which builds the multiples of each monic d by
-    shift and add and keeps them as divisor lists and one int bitset per
-    d; count_completions counts its gcd states, and discriminant_classes
-    walks its gcd classes.
-    """
-    deg = array("i", [-1])
-    for k in range(m + 1):
-        deg += array("i", [k]) * (q ** (k + 1) - q**k)
-    monic_codes = tuple(c for k in range(m + 1) for c in range(q**k, 2 * q**k))
-    return q ** (m + 1), deg, DivisorSieve(q, m), monic_codes
+def divisor_sieve(q: int, m: int) -> DivisorSieve:
+    """The DivisorSieve of the polynomials of degree <= m over F_q, cached:
+    count_coprime_vectors counts its gcd states, and discriminant_classes
+    walks its gcd classes.  Its divisors dict lists the monic codes in
+    increasing order, and a monic code has degree m iff it is >= top."""
+    return DivisorSieve(q, m)
 
 
 def squarefree_kernel(K, top):
@@ -355,14 +348,15 @@ def count_completions(n_rest, sieve, g, flag, memo):
     return count
 
 
-def count_coprime_lead(q, n, m, lead_pos, lead_code, memo=None):
-    """Normalized coprime vectors of height exactly m whose first nonzero
-    coordinate sits at `lead_pos` (0-based) and equals the monic polynomial
-    with code `lead_code`.  The leads of one count (one q and m) may share
-    one memo dictionary, so that each state is counted once."""
-    _, deg, sieve, _ = vector_tables(q, m)
-    memo = {} if memo is None else memo
-    return count_completions(n - lead_pos - 1, sieve, lead_code, deg[lead_code] == m, memo)
+def count_coprime_vectors(q, n, m):
+    """Normalized coprime vectors of n codes below q^(m+1) with height
+    exactly m: the first nonzero coordinate, at some position, is a monic
+    g, and count_completions counts the coordinates after it.  Every lead
+    shares one memo dictionary, so that each state is counted once."""
+    sieve = divisor_sieve(q, m)
+    memo = {}
+    return sum(count_completions(n - pos - 1, sieve, g, g >= sieve.top, memo)
+               for pos in range(n) for g in sieve.divisors)
 
 
 @functools.lru_cache(maxsize=8)
@@ -385,10 +379,10 @@ def discriminant_classes(q: int, m: int) -> Counter:
     if q ** (m + 1) > DISCRIMINANT_TABLE_MAX_CODES:
         raise RefusalError(f"degree {m} too large for the discriminant tables at q={q}")
     K = GF(q)
-    ncodes, deg, sieve, monic_codes = vector_tables(q, m)
+    sieve = divisor_sieve(q, m)
+    ncodes, nhigh = sieve.ncodes, sieve.top
     # a code below q^(2m+1) splits as high * ncodes + low with high < q^m,
     # and codes add digitwise in K, so a sum is two lookups in these tables
-    nhigh = q**m
     low_sums, high_sums = _code_sums(K, ncodes), _code_sums(K, nhigh)
     add = _split_add(low_sums, high_sums, ncodes, nhigh)
     # b = T*b1 + c has b^2 = T^2*b1^2 + T*(2c*b1) + c^2, and 2c*b1 is a
@@ -405,7 +399,7 @@ def discriminant_classes(q: int, m: int) -> Counter:
     high_sums = [high * ncodes for high in high_sums]
     minus4 = K.neg(4 % K.p)
     hist = [0] * (nhigh * ncodes)
-    for a in monic_codes:
+    for a in sieve.divisors:  # the monic codes
         minus4a = poly.mul_scalar(K, poly.from_code(q, a), minus4)
         minus4ac = multiples(q, scaled_codes(K, minus4a), ncodes, add)
         high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
@@ -413,7 +407,7 @@ def discriminant_classes(q: int, m: int) -> Counter:
             # gcd(a, b, c) = 1 iff gcd(d, c) = 1 for d = gcd(a, b), and the
             # max degree must reach m through a, b or c
             coprime = sieve.gcd_classes(d)[1]
-            deg_m = coprime if deg[a] == m else coprime >> nhigh << nhigh
+            deg_m = coprime if a >= nhigh else coprime >> nhigh << nhigh
             every, below = ((list(_select(high4ac, cs)), list(_select(low4ac, cs)))
                             for cs in (coprime, deg_m))
             for b in _select(range(ncodes), bs):

@@ -325,13 +325,6 @@ def _artin_schreier_constant(K):
     return min(c for c in K.elements() if c not in image)
 
 
-def _artin_schreier_solvable(K, w_num, w_den) -> bool:
-    """Whether z^2 + z = w_num/w_den (w_den != 0) has a solution z in
-    F_Q(T), char 2: w = (w_num*w_den)/w_den^2, tested by
-    _artin_schreier_over_square."""
-    return _artin_schreier_over_square(K, mul(K, w_num, w_den), w_den)
-
-
 def _artin_schreier_over_square(K, num, dz) -> bool:
     """Whether z^2 + z = num/dz^2 (dz != 0) has a solution z in F_Q(T),
     char 2.

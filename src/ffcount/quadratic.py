@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
-from .gf import GF, FiniteField, constant_extension
+from .gf import GF, FiniteField, constant_extension, prime_power
 from .zeta import CurveDescriptor, hasse_weil_check
 
 __all__ = [
@@ -134,6 +134,7 @@ def enumerate_quadratic_fields(q: int, degD_max: int):
     distinct descriptor must pass the Hasse-Weil window, or ConsistencyError
     is raised (a counting bug would surface here).
     """
+    prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
     if q % 2 == 0:
         raise RefusalError("even q refused: no squarefree-D model in characteristic 2")
     if degD_max < 1:
@@ -142,10 +143,12 @@ def enumerate_quadratic_fields(q: int, degD_max: int):
     eps = K.non_square_unit()
     kernel = kernels.squarefree_kernel(K, degD_max)
     out = []
+    # counts -> descriptor, built and checked once: the genus is len(counts),
+    # so degrees of one genus share the dict
+    descriptors = {}
     for d in range(1, degD_max + 1):
         g = (d - 1) // 2
         tables = [kernels.point_count_table(K, d, r) for r in range(1, g + 1)]
-        descriptors = {}  # counts -> descriptor, built and checked once
         lead = q**d  # the code of T^d
         for code in range(lead):
             if kernel[lead + code] != lead + code:  # D is not squarefree

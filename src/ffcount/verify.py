@@ -74,7 +74,8 @@ def _bitset_states(cells=GCD_TABLE_CELLS):
     for q, m_max in cells:
         K = GF(q)
         for m in range(m_max + 1):
-            ncodes, _, sieve, monic_codes = kernels.vector_tables(q, m)
+            sieve = kernels.divisor_sieve(q, m)
+            ncodes = sieve.ncodes
             polys = [poly.from_code(q, code) for code in range(ncodes)]
             # shift and add from every nonzero f, and the mask of every monic f
             for f in range(1, ncodes):
@@ -91,7 +92,7 @@ def _bitset_states(cells=GCD_TABLE_CELLS):
             # Euclid: gcd(g, y) is g, or read from the row of the monic part
             # of y mod g (a lower code)
             rows = {}
-            for g in monic_codes:
+            for g in sieve.divisors:  # the monic codes
                 rems = (poly.monic(K, poly.rem(K, h, polys[g]))[1] for h in polys)
                 rows[g] = gcds = [rows[poly.to_code(q, r)][g] if r else g for r in rems]
                 classes = {d: sum(1 << y for y, e in enumerate(gcds) if e == d)
@@ -134,7 +135,7 @@ def _squarefree_sieve(cells=FIELD_TABLE_CELLS + DISCRIMINANT_KERNEL_CELLS):
 def artin_schreier_by_scan(K, w_num, w_den) -> bool:
     """Whether z^2 + z = w_num/w_den has a solution z in F_Q(T), char 2,
     by scanning every candidate numerator: the reference for
-    poly._artin_schreier_solvable.
+    poly._artin_schreier_over_square.
 
     Any solution has pole divisor exactly half of w's (so all pole
     multiplicities of w, from a full factorization, must be even,
@@ -186,7 +187,8 @@ def _artin_schreier(cells=ARTIN_SCHREIER_CELLS):
             for w_num in polys:
                 if w_num and poly.gcd(K, w_num, w_den) != poly.ONE:
                     continue
-                fast = poly._artin_schreier_solvable(K, w_num, w_den)
+                # w = (w_num*w_den)/w_den^2
+                fast = poly._artin_schreier_over_square(K, poly.mul(K, w_num, w_den), w_den)
                 if fast != artin_schreier_by_scan(K, w_num, w_den):
                     return (f"Artin-Schreier test wrong over F_{Q} at "
                             f"({poly.format_poly(w_num)})/({poly.format_poly(w_den)})"), False

@@ -51,7 +51,7 @@ def test_count_matches_over_range(capsys):
 
 
 def test_count_at_the_gcd_table_cap(capsys):
-    # q=5, m=4 (3125 codes): both engines, and the worker pool on the sieve
+    # q=5, m=4 (3125 codes): both engines, with --workers 2 accepted
     code, out, _ = run(capsys, "count", "--q", "5", "--n", "2", "--m", "4",
                        "--engine", "both", "--workers", "2")
     assert code == 0
@@ -254,6 +254,19 @@ def test_count_workers_flag(capsys):
     assert base[1] == multi[1]
 
 
+def test_count_starts_no_process_pool(capsys, monkeypatch):
+    # --workers is accepted, but the count runs in this process
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, _ = run(capsys, "count", "--q", "3", "--n", "3", "--m", "2",
+                       "--engine", "both", "--workers", "2")
+    assert code == 0 and out.splitlines()[1].split(",")[6] == "true"
+
+
 def test_verify_fast_suites(capsys):
     # every line is a passed check, then the summary: no report-only lines
     for suite in ("algebra", "zeta", "riemann_roch", "counting", "forms"):
@@ -300,9 +313,16 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     (("zeta", "--s", "2", "--schanuel"), "--schanuel needs --n"),
     (("zeta", "--divisors", "2", "--euler-D", "3"), "--euler-D needs --s"),
     (("zeta", "--g", "0"), "nothing to compute: pass --s, --schanuel, --divisors, ..."),
+    # a value that fails after others are computed still prints nothing
+    (("zeta", "--q", "2", "--g", "0", "--s", "2", "--divisors", "-1"), "l_max must be >= 0"),
+    # no field has 6 elements: bad input, not the even-q refusal
+    (("fields", "--q", "6", "--degD-max", "1"), "6 is not a prime power"),
+    (("schanuel-sum", "--q", "6", "--n", "6", "--degD-max", "1"), "6 is not a prime power"),
+    (("assemble", "--q", "6", "--n", "2", "--m", "1"), "6 is not a prime power"),
 ])
 def test_out_of_range_input_exits_1(capsys, argv, message):
-    code, out, err = run(capsys, argv[0], "--q", "3", *argv[1:])
+    q = () if "--q" in argv else ("--q", "3")  # --q 3 unless the case names one
+    code, out, err = run(capsys, argv[0], *q, *argv[1:])
     assert (code, out, err.strip()) == (1, "", f"error: {message}")
 
 
@@ -324,9 +344,10 @@ def test_verify_suite_choices_without_importing_verify(capsys):
 
 
 def test_fields_checks_each_descriptor_once(capsys, monkeypatch):
+    # the enumeration checks each distinct descriptor, and the command
+    # checks none again
     from ffcount import quadratic, zeta
 
-    fields = quadratic.enumerate_quadratic_fields(3, 4)
     checked = []
     real = zeta.hasse_weil_check
 
@@ -335,7 +356,10 @@ def test_fields_checks_each_descriptor_once(capsys, monkeypatch):
         return real(desc)
 
     monkeypatch.setattr(zeta, "hasse_weil_check", counting_check)
+    monkeypatch.setattr(quadratic, "hasse_weil_check", counting_check)
+    quadratic.enumerate_quadratic_fields.cache_clear()
     code, out, _ = run(capsys, "fields", "--q", "3", "--degD-max", "4")
+    fields = quadratic.enumerate_quadratic_fields(3, 4)
     assert code == 0 and out.count(",true\n") == len(fields)
     assert len(checked) == len(set(checked)) == len({f.descriptor for f in fields})
 

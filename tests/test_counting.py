@@ -79,11 +79,6 @@ def test_unnormalized_is_q_minus_1_times_projective():
         assert brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
 
 
-def test_workers_do_not_change_counts():
-    assert brute_count_rational(3, 2, 2, workers=2) == brute_count_rational(3, 2, 2)
-    assert brute_count_rational(2, 3, 2, workers=3) == brute_count_rational(2, 3, 2)
-
-
 def test_error_decomposition_genus0():
     r = moebius_point_count(R2, 2, 3)
     rep = error_decomposition(r, build_class_model(R2))

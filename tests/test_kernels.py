@@ -10,22 +10,22 @@ from ffcount.counting import (brute_count_rational, brute_count_unnormalized,
                               count_fixed_degree_points)
 from ffcount.errors import RefusalError
 from ffcount.gf import GF
-from ffcount.kernels import discriminant_classes, vector_tables
+from ffcount.kernels import discriminant_classes, divisor_sieve
 
 
-def test_vector_tables_shape():
-    ncodes, deg, sieve, monic_codes = vector_tables(3, 2)
-    assert ncodes == 27
-    assert deg[0] == -1 and deg[1] == 0 and deg[3] == 1
-    assert all(deg[c] >= 0 for c in monic_codes)
+def test_divisor_sieve_shape():
+    sieve = divisor_sieve(3, 2)
+    assert sieve.ncodes == 27
+    # the monic codes in increasing order; those of degree 2 are >= top
+    assert list(sieve.divisors) == [1, 3, 4, 5, *range(9, 18)] and sieve.top == 9
     # the gcd classes of a monic g split the codes: gcd(g, 0) = gcd(g, g) =
     # g, gcd(g, 1) = 1, and gcd(g, h) = gcd(h, g) for monic h
-    classes = {g: sieve.gcd_classes(g) for g in monic_codes}
+    classes = {g: sieve.gcd_classes(g) for g in sieve.divisors}
     for g, by_gcd in classes.items():
-        assert sum(by_gcd.values()) == (1 << ncodes) - 1
+        assert sum(by_gcd.values()) == (1 << sieve.ncodes) - 1
         assert by_gcd[g] & (1 | 1 << g) == 1 | 1 << g and by_gcd[1] & 2
         assert all(classes[h][d] >> g & 1 for d, bits in by_gcd.items()
-                   for h in monic_codes if bits >> h & 1)
+                   for h in sieve.divisors if bits >> h & 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -35,10 +35,10 @@ def test_sieve_gcd_table_matches_euclid(q):
     # Euclid directly
     m = max(m for m in range(9) if q ** (m + 1) <= 512)
     K = GF(q)
-    ncodes, _, sieve, monic_codes = vector_tables(q, m)
-    polys = [poly.from_code(q, code) for code in range(ncodes)]
-    for g in monic_codes:
-        table = [None] * ncodes
+    sieve = divisor_sieve(q, m)
+    polys = [poly.from_code(q, code) for code in range(sieve.ncodes)]
+    for g in sieve.divisors:
+        table = [None] * sieve.ncodes
         for d, bits in sieve.gcd_classes(g).items():
             while bits:
                 y = (bits & -bits).bit_length() - 1
@@ -54,7 +54,7 @@ def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
     # class of gcd(g, y) only.  The monic codes of degree k are 3^k .. 2*3^k - 1.
     g = 3**k + low % 3**k
     d = poly.to_code(3, poly.gcd(GF(3), poly.from_code(3, g), poly.from_code(3, y)))
-    classes = vector_tables(3, 7)[2].gcd_classes(g)
+    classes = divisor_sieve(3, 7).gcd_classes(g)
     assert [e for e, bits in classes.items() if bits >> y & 1] == [d]
 
 
@@ -77,14 +77,14 @@ def test_bitset_states_match_euclid_sample(k, low, flag, y):
     # its multiple bitset against division
     K = GF(3)
     g = 3**k + low % 3**k
-    ncodes, _, sieve, _ = vector_tables(3, 7)
+    sieve = divisor_sieve(3, 7)
     f = poly.from_code(3, g)
-    rems = [poly.to_code(3, poly.rem(K, poly.from_code(3, h), f)) for h in range(ncodes)]
+    rems = [poly.to_code(3, poly.rem(K, poly.from_code(3, h), f)) for h in range(sieve.ncodes)]
     gcd_of = {r: poly.to_code(3, poly.gcd(K, f, poly.from_code(3, r))) for r in set(rems)}
     expect = Counter((gcd_of[r], flag or h >= 3**7) for h, r in enumerate(rems))
     assert sieve.states(g, flag) == expect
     assert sieve.coprime_count(g, flag) == expect[1, True]
-    y %= ncodes
+    y %= sieve.ncodes
     divides = y != 0 and not poly.rem(K, poly.from_code(3, y), f)
     assert sieve.mask(g) >> y & 1 == divides
 
@@ -107,7 +107,7 @@ def test_one_state_count_per_brute_count(monkeypatch):
 
 
 def test_long_lived_caches_are_bounded():
-    for cached in (kernels.vector_tables, kernels.discriminant_classes,
+    for cached in (kernels.divisor_sieve, kernels.discriminant_classes,
                    kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
                    poly.monic_irreducibles, poly._artin_schreier_image):
         assert cached.cache_info().maxsize is not None, cached.__name__
@@ -175,7 +175,7 @@ def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
     def no_tables(q, m):
         raise AssertionError("tables built before the refusal")
 
-    monkeypatch.setattr(kernels, "vector_tables", no_tables)
+    monkeypatch.setattr(kernels, "divisor_sieve", no_tables)
     for q, m in ((3, 7), (5, 4)):
         with pytest.raises(RefusalError):
             discriminant_classes(q, m)
@@ -236,8 +236,9 @@ def test_artin_schreier_sample_against_scan(cell, nz, dz, e, unit, noise):
     # w = z^2 + z + noise/(unit * dz^2) for z = nz/dz + e, with numerator
     # and denominator scaled by the unit: neither reduced nor monic, and
     # solvable whenever noise is 0 (at every even draw); each piece has
-    # degree <= top.  The test over dz^2, which the triple loop runs with
-    # dz = b, must agree with the general entry point and the scan.
+    # degree <= top.  The test over dz^2 must agree with the scan both on
+    # w = (w_num*w_den)/w_den^2 and, as the triple loop runs it with dz = b,
+    # on the reduced numerator over dz^2.
     Q, top = cell
     K = GF(Q)
     to_poly = lambda code: poly.from_code(Q, code % Q ** (top + 1))
@@ -250,7 +251,7 @@ def test_artin_schreier_sample_against_scan(cell, nz, dz, e, unit, noise):
     w_num = poly.add(K, poly.mul_scalar(K, w_num, unit), noise)
     w_den = poly.mul_scalar(K, dz2, unit)
     expect = verify.artin_schreier_by_scan(K, w_num, w_den)
-    assert poly._artin_schreier_solvable(K, w_num, w_den) == expect
+    assert poly._artin_schreier_over_square(K, poly.mul(K, w_num, w_den), w_den) == expect
     num = poly.mul_scalar(K, w_num, K.inv(unit))
     assert poly._artin_schreier_over_square(K, num, dz) == expect
     assert expect or noise
