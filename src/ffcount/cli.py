@@ -20,6 +20,9 @@ from .errors import ConsistencyError, DescriptorError, RefusalError
 
 
 def _fmt(value):
+    cls = type(value)
+    if cls is str or cls is int:  # ahead of the ABC check isinstance(value, Fraction)
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, Fraction):
@@ -32,15 +35,17 @@ def _fmt(value):
 
 
 def emit(rows, headers, fmt, out=None):
+    """Write rows as CSV or JSON.  A row is a dict keyed by header, whose
+    values _fmt formats, or a list of the formatted cells in header order."""
     out = out or sys.stdout
+    table = [r if type(r) is list else [_fmt(r.get(h, "")) for h in headers] for r in rows]
     if fmt == "json":
-        out.write(json.dumps([{h: _fmt(r.get(h, "")) for h in headers} for r in rows], indent=2))
+        out.write(json.dumps([dict(zip(headers, cells)) for cells in table], indent=2))
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
-    for r in rows:
-        writer.writerow([_fmt(r.get(h, "")) for h in headers])
+    writer.writerows(table)
 
 
 def _descriptor_from_args(args):
@@ -174,26 +179,35 @@ def cmd_assemble(args):
 
 
 def cmd_fields(args):
+    # the enumeration checks q before any directory is made, and raises
+    # ConsistencyError on a descriptor outside the Hasse-Weil window, so
+    # every field it returns passes
+    fields = quadratic.enumerate_quadratic_fields(args.q, args.degD_max)
     if args.write_descriptors:  # a path that cannot be made fails before any output
         os.makedirs(args.write_descriptors, exist_ok=True)
-    # the enumeration raises ConsistencyError on a descriptor outside the
-    # Hasse-Weil window, so every field it returns passes
-    fields = quadratic.enumerate_quadratic_fields(args.q, args.degD_max)
+    q = str(args.q)
+    # the columns from g on depend only on deg D and the point counts,
+    # which determine the descriptor; they are formatted once per pair
+    shared = {}
     rows = []
+    D = None
     for f in fields:
-        rows.append({
-            "q": f.q,
-            "deg_D": f.deg_D,
-            "D": poly.format_poly(f.D),
-            "u": f.u,
-            "g": f.genus,
-            "L_coeffs": ";".join(str(c) for c in f.descriptor.L),
-            "J": f.J,
-            "point_counts": ";".join(str(c) for c in f.point_counts),
-            "min_gen_height_bound": quadratic.min_generator_height_bound(f),
-            "clifford_gap_2delta_minus_g": 2 * quadratic.min_generator_height_bound(f) - f.genus,
-            "hasse_weil_ok": True,
-        })
+        if f.D is not D:  # the twists of one D are consecutive and share its tuple
+            D, D_text = f.D, poly.format_poly(f.D)
+        key = f.deg_D, f.point_counts
+        cells = shared.get(key)
+        if cells is None:
+            bound = quadratic.min_generator_height_bound(f)
+            cells = shared[key] = [
+                str(f.genus),
+                ";".join(map(str, f.descriptor.L)),
+                str(f.J),
+                ";".join(map(str, f.point_counts)),
+                _fmt(bound),
+                _fmt(2 * bound - f.genus),
+                "true",
+            ]
+        rows.append([q, str(key[0]), D_text, str(f.u), *cells])
     emit(rows, ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
                 "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],
          args.format)

@@ -47,6 +47,19 @@ def _vec_mul_mod(p, a, b, modulus):
     return r
 
 
+def _irreducible(p, f):
+    """Whether the monic f over F_p (coefficients, constant first) of
+    degree e >= 1 is irreducible: no monic g of degree 1 .. e//2 divides
+    it.  f mod g is the product f * 1 reduced by _vec_mul_mod."""
+    e = len(f) - 1
+    for k in range(1, e // 2 + 1):
+        for code in range(p**k):
+            g = tuple((code // p**i) % p for i in range(k)) + (1,)
+            if not any(_vec_mul_mod(p, f, (1,), g)):
+                return False
+    return True
+
+
 class FiniteField:
     """The finite field with p^e elements, elements encoded as ints in range(q)."""
 
@@ -60,29 +73,26 @@ class FiniteField:
         self.q = p**e
         if e == 1:
             self.modulus = None
+        elif modulus is None:
+            self.modulus = self._default_modulus(p, e)
         else:
-            if modulus is None:
-                modulus = self._default_modulus(p, e)
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e")
+            if not _irreducible(p, modulus):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._build_tables()
-        if self.modulus is not None and not self._modulus_irreducible():
-            raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     @staticmethod
     def _default_modulus(p, e):
-        # lexicographically first monic irreducible of degree e, found by
-        # checking that x^(p^e) = x and x^(p^(e/l)) != x for prime l | e
-        # via explicit table construction; cheap at these sizes.
+        # the monic irreducible of degree e of least code c_0 + c_1*p + ...
+        # + c_(e-1)*p^(e-1); each candidate is tested by _irreducible on its
+        # coefficients alone, and the field tables are built once, for it
         for code in range(p**e):
             cand = tuple((code // p**i) % p for i in range(e)) + (1,)
-            try:
-                FiniteField(p, e, cand)
-            except ValueError:
-                continue
-            return cand
+            if _irreducible(p, cand):
+                return cand
         raise ConsistencyError(f"no irreducible modulus of degree {e} over F_{p}")
 
     def _build_tables(self):
@@ -110,11 +120,6 @@ class FiniteField:
                     self._inv[a] = b
                     break
         self._squares = frozenset(self._mul[a][a] for a in range(1, q))
-
-    def _modulus_irreducible(self):
-        # the table construction succeeds for any monic modulus; the field is
-        # genuine iff every nonzero element found an inverse
-        return all(self._inv[a] for a in range(1, self.q))
 
     # -- arithmetic -------------------------------------------------------
 

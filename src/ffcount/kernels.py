@@ -43,8 +43,10 @@ One sieve gives squarefree parts: squarefree_kernel maps every monic code
 up to a degree to the code of its squarefree monic part.  The
 discriminant classes read it at degree 2m, and the quadratic-field
 enumeration reads it for the squarefree D, together with the point counts
-of y^2 = u*D(x) over F_{q^r} from the values D(x), built digit by digit as
-the code-sum tables are.  These tables are built per call and not kept.
+of y^2 = u*D(x) over F_{q^r}: one character sum over the values D(x) per
+code, built digit by digit as the code-sum tables are, gives both twists,
+the twist u entering only through its character chi_r(u).  These tables
+are built per call and not kept.
 """
 
 import functools
@@ -291,30 +293,36 @@ def point_count_table(K, d, r):
     y^2 = u*D(x) over F_{q^r}, those at infinity included, as
     quadratic.curve_point_counts counts them.
 
-    The low parts are evaluated at every x of F_{q^r} digit by digit, by
-    Horner's rule low[code][x] = c0 + x * low[code // q][x] over the field
-    tables, and D(x) = x^d + low[code][x].  A value v of u*D(x) gives 1
-    point at 0, 2 at a nonzero square and none otherwise.
+    With chi the quadratic character of F_{q^r} (chi(0) = 0), an affine x
+    gives 1 + chi(u)*chi(D(x)) points, and infinity gives 1 for odd d and
+    1 + chi(u) for even d, so N_r(u) = q^r + 1 + chi(u)*(S + [d even])
+    with one character sum S = sum over x of chi(D(x)) per code; the twist
+    reads chi(eps) off F_{q^r}.  The low parts are evaluated at every x
+    of F_{q^r} digit by digit, by Horner's rule
+    low[code][x] = c0 + x * low[code // q][x] over the field tables, the q
+    codes of one parent from one row of products x * low[parent][x], and
+    D(x) = x^d + low[code][x].
     """
     q = K.q
     Kr, emb = constant_extension(K, r)
     add, mul = Kr._add, Kr._mul
-    low = [[0] * Kr.q]
-    for code in range(1, q**d):
-        row_c0 = add[emb[code % q]]
-        low.append([row_c0[mx[v]] for mx, v in zip(mul, low[code // q])])
+    plus = [add[emb[c0]] for c0 in range(q)]  # plus[c0][v] = c0 + v
+    low = [[emb[c0]] * Kr.q for c0 in range(q)]  # the constants
+    for parent in range(1, q ** (d - 1)):
+        products = list(map(list.__getitem__, mul, low[parent]))
+        low += [list(map(row.__getitem__, products)) for row in plus]
     values = Kr.elements()
-    weight = [2 if Kr.is_square(v) else 0 for v in values]
-    weight[0] = 1
-    tables = []
-    for u in (1, K.non_square_unit()):
-        ur = emb[u]
-        weight_u = [weight[v] for v in mul[ur]]
-        # per x, the weight of u*(x^d + v) for every value v of the low part
-        by_value = [[weight_u[v] for v in add[Kr.pow(x, d)]] for x in values]
-        at_infinity = 1 if d % 2 else (2 if Kr.is_square(ur) else 0)
-        tables.append([sum(map(list.__getitem__, by_value, row)) + at_infinity for row in low])
-    return list(zip(*tables))
+    chi = [1 if Kr.is_square(v) else -1 for v in values]
+    chi[0] = 0
+    # per x, chi(x^d + v) for every value v of the low part
+    by_value = [[chi[v] for v in add[Kr.pow(x, d)]] for x in values]
+    base, even = Kr.q + 1, 1 - d % 2
+    twist = chi[emb[K.non_square_unit()]]
+    out = []
+    for row in low:
+        t = sum(map(list.__getitem__, by_value, row)) + even
+        out.append((base + t, base + twist * t))
+    return out
 
 
 def count_completions(n_rest, sieve, g, flag, memo):

@@ -12,8 +12,8 @@ monic D (D = T^d + the polynomial of the code), through two tables from
 `kernels`: the squarefree kernel, a sieve over p^2 * c for each monic
 irreducible p that maps every monic code up to the largest degree to its
 squarefree part, so that the squarefree D are its fixed points; and the
-point counts N_r of both twists for every code, from one Horner table of
-the values D(x) over F_{q^r}.  No D is factored and no curve is counted point by point;
+point counts N_r of both twists for every code, from one character sum
+over a Horner table of the values D(x) over F_{q^r}.  No D is factored and no curve is counted point by point;
 `poly.squarefree_part` and `curve_point_counts` are the naive definitions
 the tables are checked against (`ffcount verify --suite algebra`).  Fields
 with equal point counts share one descriptor, built and Hasse-Weil checked

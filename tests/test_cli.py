@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -138,6 +139,45 @@ def test_unwritable_descriptor_dir_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "fields", "--q", "3", "--degD-max", "1",
                          "--write-descriptors", str(tmp_path / "file" / "descs"))
     assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_bad_q_makes_no_descriptor_dir(tmp_path, capsys):
+    # q is checked before the directory is made
+    outdir = tmp_path / "descs"
+    code, out, err = run(capsys, "fields", "--q", "6", "--degD-max", "1",
+                         "--write-descriptors", str(outdir))
+    assert code == 1 and out == "" and "6 is not a prime power" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fields_output_equals_one_dict_per_field(capsys, fmt):
+    # the rows formatted once per descriptor are the bytes of one dict per
+    # field through emit and _fmt
+    from ffcount import cli, poly, quadratic
+
+    headers = ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
+               "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"]
+    rows = []
+    for f in quadratic.enumerate_quadratic_fields(3, 4):
+        bound = quadratic.min_generator_height_bound(f)
+        rows.append({
+            "q": f.q, "deg_D": f.deg_D, "D": poly.format_poly(f.D), "u": f.u, "g": f.genus,
+            "L_coeffs": ";".join(str(c) for c in f.descriptor.L), "J": f.J,
+            "point_counts": ";".join(str(c) for c in f.point_counts),
+            "min_gen_height_bound": bound, "clifford_gap_2delta_minus_g": 2 * bound - f.genus,
+            "hasse_weil_ok": True,
+        })
+    expected = io.StringIO()
+    cli.emit(rows, headers, fmt, expected)
+    code, out, _ = run(capsys, "fields", "--q", "3", "--degD-max", "4", "--format", fmt)
+    assert code == 0 and out == expected.getvalue()
+    # an integral Fraction is written n/1
+    if fmt == "csv":
+        first = out.splitlines()[1].split(",")
+        assert first[1] == "1" and first[8:10] == ["1/2", "1/1"]
+    else:
+        assert json.loads(out)[0]["clifford_gap_2delta_minus_g"] == "1/1"
 
 
 def test_forms_cli(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from ffcount import gf
 from ffcount.errors import ConsistencyError
 from ffcount.gf import GF, FiniteField, prime_power
 
@@ -40,9 +41,32 @@ def test_prime_power():
 
 
 def test_default_modulus_search_failure_raises(monkeypatch):
-    monkeypatch.setattr(FiniteField, "_modulus_irreducible", lambda self: False)
+    monkeypatch.setattr(gf, "_irreducible", lambda p, f: False)
     with pytest.raises(ConsistencyError):
         FiniteField(3, 2)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81, 125])
+def test_default_modulus_is_the_first_candidate_that_builds_a_field(q, monkeypatch):
+    # the naive definition: build the tables for each candidate in code
+    # order and take the first in which every nonzero element has an inverse
+    p, e = prime_power(q)
+    with monkeypatch.context() as patch:
+        patch.setattr(gf, "_irreducible", lambda p, f: True)  # let any modulus build
+        for code in range(p**e):
+            cand = tuple((code // p**i) % p for i in range(e)) + (1,)
+            K = FiniteField(p, e, cand)
+            if all(K.inv(a) for a in K.units()):
+                break
+    assert FiniteField(p, e).modulus == GF(q).modulus == cand
+
+
+def test_explicit_modulus_must_be_irreducible():
+    assert FiniteField(3, 2, (2, 2, 1)).modulus == (2, 2, 1)
+    for p, modulus in ((3, (0, 0, 1)), (3, (2, 0, 1)), (2, (1, 0, 1, 0, 1))):
+        # the last is (x^2 + x + 1)^2, reducible with no root in F_2
+        with pytest.raises(ValueError, match="reducible"):
+            FiniteField(p, len(modulus) - 1, modulus)
 
 
 def test_inverse_of_zero():
