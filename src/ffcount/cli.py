@@ -20,9 +20,6 @@ from .errors import ConsistencyError, DescriptorError, RefusalError
 
 
 def _fmt(value):
-    cls = type(value)
-    if cls is str or cls is int:  # ahead of the ABC check isinstance(value, Fraction)
-        return str(value)
     if value is None:
         return ""
     if isinstance(value, Fraction):
@@ -190,10 +187,7 @@ def cmd_fields(args):
     # which determine the descriptor; they are formatted once per pair
     shared = {}
     rows = []
-    D = None
     for f in fields:
-        if f.D is not D:  # the twists of one D are consecutive and share its tuple
-            D, D_text = f.D, poly.format_poly(f.D)
         key = f.deg_D, f.point_counts
         cells = shared.get(key)
         if cells is None:
@@ -207,7 +201,7 @@ def cmd_fields(args):
                 _fmt(2 * bound - f.genus),
                 "true",
             ]
-        rows.append([q, str(key[0]), D_text, str(f.u), *cells])
+        rows.append([q, str(key[0]), poly.format_poly(f.D), str(f.u), *cells])
     emit(rows, ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
                 "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],
          args.format)

@@ -322,14 +322,10 @@ def schanuel_sum_quadratic(q, n, degD_max):
     """
     if n <= 4:
         raise RefusalError(f"sum over quadratic fields converges only for n > 4, got n={n}")
-    # fields with equal point counts share one descriptor, hence their
-    # Schanuel constant
-    fields = enumerate_quadratic_fields(q, degD_max)
-    groups = Counter((f.deg_D, f.point_counts) for f in fields)
-    descriptors = {f.point_counts: f.descriptor for f in fields}
+    # fields sharing a descriptor share their Schanuel constant
+    groups = Counter((f.deg_D, f.descriptor) for f in enumerate_quadratic_fields(q, degD_max))
     increments = {}
-    for (d, counts), k in groups.items():
-        desc = descriptors[counts]
+    for (d, desc), k in groups.items():
         increments[d] = increments.get(d, Fraction(0)) + k * schanuel_constant(desc, n)
     total = sum(increments.values(), Fraction(0))
     degs = sorted(increments)

@@ -48,16 +48,13 @@ def _vec_mul_mod(p, a, b, modulus):
 
 
 def _irreducible(p, f):
-    """Whether the monic f over F_p (coefficients, constant first) of
-    degree e >= 1 is irreducible: no monic g of degree 1 .. e//2 divides
-    it.  f mod g is the product f * 1 reduced by _vec_mul_mod."""
-    e = len(f) - 1
-    for k in range(1, e // 2 + 1):
-        for code in range(p**k):
-            g = tuple((code // p**i) % p for i in range(k)) + (1,)
-            if not any(_vec_mul_mod(p, f, (1,), g)):
-                return False
-    return True
+    """Whether the monic f over F_p (coefficients, constant first) is
+    irreducible, by poly.is_irreducible over F_p.  poly imports this
+    module, hence the local import; F_p needs no modulus, so the call
+    builds no field that would ask this test again."""
+    from . import poly
+
+    return poly.is_irreducible(GF(p), f)
 
 
 class FiniteField:

@@ -1,6 +1,6 @@
 import pytest
 
-from ffcount import gf
+from ffcount import poly
 from ffcount.errors import ConsistencyError
 from ffcount.gf import GF, FiniteField, prime_power
 
@@ -41,7 +41,7 @@ def test_prime_power():
 
 
 def test_default_modulus_search_failure_raises(monkeypatch):
-    monkeypatch.setattr(gf, "_irreducible", lambda p, f: False)
+    monkeypatch.setattr(poly, "is_irreducible", lambda K, f: False)
     with pytest.raises(ConsistencyError):
         FiniteField(3, 2)
 
@@ -52,7 +52,7 @@ def test_default_modulus_is_the_first_candidate_that_builds_a_field(q, monkeypat
     # order and take the first in which every nonzero element has an inverse
     p, e = prime_power(q)
     with monkeypatch.context() as patch:
-        patch.setattr(gf, "_irreducible", lambda p, f: True)  # let any modulus build
+        patch.setattr(poly, "is_irreducible", lambda K, f: True)  # let any modulus build
         for code in range(p**e):
             cand = tuple((code // p**i) % p for i in range(e)) + (1,)
             K = FiniteField(p, e, cand)
