@@ -101,12 +101,20 @@ COUNT_HEADERS = [
 ]
 
 
+def _height(m):
+    """--m, which may not be negative."""
+    if m < 0:
+        raise ValueError(f"--m must be >= 0, not {m}")
+    return m
+
+
 def _heights(args):
     """range(--m, --m-to + 1); --m-to defaults to --m and may not be below it."""
-    m_to = args.m if args.m_to is None else args.m_to
-    if m_to < args.m:
-        raise ValueError(f"--m-to {m_to} is below --m {args.m}")
-    return range(args.m, m_to + 1)
+    m = _height(args.m)
+    m_to = m if args.m_to is None else args.m_to
+    if m_to < m:
+        raise ValueError(f"--m-to {m_to} is below --m {m}")
+    return range(m, m_to + 1)
 
 
 def cmd_count(args):
@@ -145,7 +153,8 @@ def cmd_countd(args):
 
 
 def cmd_assemble(args):
-    result = counting.count_degree2_points_by_fields(args.q, args.n, args.m, budget=args.budget)
+    result = counting.count_degree2_points_by_fields(args.q, args.n, _height(args.m),
+                                                     budget=args.budget)
     if args.per_field:
         rows = [
             {

@@ -2,66 +2,36 @@
 
 Elements of F_q with q = p^e are encoded as integers in range(q): the
 element c_0 + c_1*w + ... + c_{e-1}*w^(e-1), with w a root of the field
-modulus, is encoded as c_0 + c_1*p + ... + c_{e-1}*p^(e-1).  For prime q
-this is the plain representation of Z/pZ.  Addition, multiplication and
-inversion are precomputed into flat lists at construction time; every
-field used here has at most a few hundred elements, so the tables are the
-fastest and simplest option for the enumeration loops built on top.
+modulus, is encoded as c_0 + c_1*p + ... + c_{e-1}*p^(e-1), which is the
+poly integer code over F_p of its coefficients in w.  For prime q this is
+the plain representation of Z/pZ.  Addition, multiplication and inversion
+are precomputed into flat lists at construction time; every field used
+here has at most a few hundred elements, so the tables are the fastest and
+simplest option for the enumeration loops built on top.
+
+For e > 1 the tables are built on poly over F_p, digit by digit.  The
+addition table is poly.code_sums over F_p.  Row a of the multiplication
+table starts with the p multiples a*c, c in F_p (poly.scaled_codes); for
+b = b0 + w*b1, with b0 = b % p and b1 = b // p, a*b = a*b0 + w*(a*b1), so
+entry b reads entries b0 and b1 < b, and multiplication by w shifts a code
+up one digit and folds the top digit back through w^e = -(modulus without
+its leading 1).  The default modulus is the first monic of degree e, in
+code order, that poly.is_irreducible accepts.
 """
 
 import functools
 
+from . import poly
 from .errors import ConsistencyError
 
 __all__ = ["FiniteField", "GF", "constant_extension", "prime_power"]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _vec_mul_mod(p, a, b, modulus):
-    """Multiply coefficient vectors a, b over F_p and reduce mod `modulus`."""
-    e = len(modulus) - 1
-    r = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                r[i + j] = (r[i + j] + x * y) % p
-    # modulus is monic of degree e
-    for k in range(len(r) - 1, e - 1, -1):
-        c = r[k]
-        if c:
-            r[k] = 0
-            for j in range(e):
-                r[k - e + j] = (r[k - e + j] - c * modulus[j]) % p
-    r = r[:e]
-    r += [0] * (e - len(r))
-    return r
-
-
-def _irreducible(p, f):
-    """Whether the monic f over F_p (coefficients, constant first) is
-    irreducible, by poly.is_irreducible over F_p.  poly imports this
-    module, hence the local import; F_p needs no modulus, so the call
-    builds no field that would ask this test again."""
-    from . import poly
-
-    return poly.is_irreducible(GF(p), f)
 
 
 class FiniteField:
     """The finite field with p^e elements, elements encoded as ints in range(q)."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
@@ -76,19 +46,16 @@ class FiniteField:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e")
-            if not _irreducible(p, modulus):
+            if not poly.is_irreducible(GF(p), modulus):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._build_tables()
 
     @staticmethod
     def _default_modulus(p, e):
-        # the monic irreducible of degree e of least code c_0 + c_1*p + ...
-        # + c_(e-1)*p^(e-1); each candidate is tested by _irreducible on its
-        # coefficients alone, and the field tables are built once, for it
-        for code in range(p**e):
-            cand = tuple((code // p**i) % p for i in range(e)) + (1,)
-            if _irreducible(p, cand):
+        Fp = GF(p)
+        for cand in poly.enumerate_monic(Fp, e):
+            if poly.is_irreducible(Fp, cand):
                 return cand
         raise ConsistencyError(f"no irreducible modulus of degree {e} over F_{p}")
 
@@ -98,24 +65,22 @@ class FiniteField:
             self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            vecs = [tuple((c // p**i) % p for i in range(e)) for c in range(q)]
-            enc = lambda v: sum(int(v[i]) * p**i for i in range(e))
-            self._add = [
-                [enc([(x + y) % p for x, y in zip(vecs[a], vecs[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-            self._mul = [
-                [enc(_vec_mul_mod(p, vecs[a], vecs[b], self.modulus)) for b in range(q)]
-                for a in range(q)
-            ]
+            Fp, top = GF(p), p ** (e - 1)
+            sums = poly.code_sums(Fp, q)
+            self._add = add = [sums[a * q : (a + 1) * q] for a in range(q)]
+            # c*w^e for the top digits c, w^e = -(modulus without its leading 1)
+            fold = poly.scaled_codes(Fp, poly.neg(Fp, self.modulus[:-1]))
+            times_w = [add[x % top * p][fold[x // top]] for x in range(q)]
+            self._mul = []
+            for a in range(q):
+                row = poly.scaled_codes(Fp, poly.from_code(p, a))
+                low = row[:]
+                for b1 in range(1, q // p):  # a*(b1*p + c) = a*c + w*(a*b1)
+                    row += map(add[times_w[row[b1]]].__getitem__, low)
+                self._mul.append(row)
         self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    self._inv[a] = b
-                    break
+        # a non-field ring (a reducible modulus) leaves its non-units at 0
+        self._inv = [0] + [row.index(1) if 1 in row else 0 for row in self._mul[1:]]
         self._squares = frozenset(self._mul[a][a] for a in range(1, q))
 
     # -- arithmetic -------------------------------------------------------
@@ -181,24 +146,14 @@ class FiniteField:
             raise ValueError(f"F_{self.q} does not embed into F_{other.q}")
         if self.e == 1:
             return list(range(self.p))
-        root = None
-        for r in other.elements():
-            acc = 0
-            for c in reversed(self.modulus):
-                acc = other.add(other.mul(acc, r), c % self.p)
-            if acc == 0:
-                root = r
-                break
+        # F_p has the codes 0 .. p-1 in both fields, so a polynomial over
+        # F_p is evaluated in `other` as it stands
+        root = next((r for r in other.elements()
+                     if poly.evaluate(other, self.modulus, r) == 0), None)
         if root is None:
             raise ConsistencyError(f"modulus {self.modulus} has no root in F_{other.q}")
-        images = []
-        for code in range(self.q):
-            vec = [(code // self.p**i) % self.p for i in range(self.e)]
-            acc = 0
-            for c in reversed(vec):
-                acc = other.add(other.mul(acc, root), c)
-            images.append(acc)
-        return images
+        return [poly.evaluate(other, poly.from_code(self.p, code), root)
+                for code in range(self.q)]
 
     def __repr__(self):
         return f"FiniteField({self.p}, {self.e})" if self.e > 1 else f"FiniteField({self.p})"

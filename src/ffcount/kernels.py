@@ -53,11 +53,12 @@ import functools
 import operator
 from array import array
 from collections import Counter
-from itertools import chain, compress, cycle
+from itertools import compress, cycle
 
 from . import poly
 from .errors import RefusalError
 from .gf import GF, constant_extension
+from .poly import code_sums, each_repeated, scaled_codes
 
 # There is a single pure-Python lane; the benchmark harness still reads
 # this flag to label its records.
@@ -67,11 +68,6 @@ USING_COMPILED = False
 # a Python list of ncodes^2 ints (about 100 MB at 2500 codes) and its walk
 # over the triples grows like ncodes^3 / q.
 DISCRIMINANT_TABLE_MAX_CODES = 2500
-
-
-def scaled_codes(K, f):
-    """The codes of c*f for the constants c = 0 .. q-1."""
-    return [poly.to_code(K.q, poly.mul_scalar(K, f, c)) for c in range(K.q)]
 
 
 def multiples(q, scaled, count, add, monic=False):
@@ -92,15 +88,10 @@ def multiples(q, scaled, count, add, monic=False):
         # the next block of one more digit: every h' of the last block,
         # shifted, once with each digit c
         shifted = [q * x for x in block]
-        block = list(map(add, _each_repeated(shifted, q), cycle(scaled)))
+        block = list(map(add, each_repeated(shifted, q), cycle(scaled)))
         out += block
         size *= q
     return out
-
-
-def _each_repeated(values, k):
-    """values[0] k times, then values[1] k times, and so on."""
-    return chain.from_iterable(zip(*[values] * k))
 
 
 def _bitset(codes, size):
@@ -120,17 +111,17 @@ def _code_adder(K, size):
     """add(x, y), the code of f_x + f_y for the codes below size (a power
     of q), added digitwise in K.  When p = 2 a code is the bit vector of
     the coefficients over F_2 and add is XOR; otherwise the code splits
-    into a high and a low part, each added by one _code_sums lookup."""
+    into a high and a low part, each added by one code_sums lookup."""
     if K.p == 2:
         return operator.xor
     low = 1
     while low * low < size:
         low *= K.q
-    return _split_add(_code_sums(K, low), _code_sums(K, size // low), low, size // low)
+    return _split_add(code_sums(K, low), code_sums(K, size // low), low, size // low)
 
 
 def _split_add(low_sums, high_sums, low, high):
-    """add(x, y) for the codes below high * low, from the _code_sums tables
+    """add(x, y) for the codes below high * low, from the code_sums tables
     of the low parts (below low) and of the high parts (below high)."""
 
     def add(x, y):
@@ -139,20 +130,6 @@ def _split_add(low_sums, high_sums, low, high):
         return high_sums[xh * high + yh] * low + low_sums[xl * low + yl]
 
     return add
-
-
-def _code_sums(K, size):
-    """Flat table t[x * size + y] = code of f_x + f_y for the codes x, y
-    below size (a power of q), added coefficientwise in K.  Row q*x' + c
-    is row x' shifted one digit, plus the digit sums with c."""
-    q, add = K.q, K._add
-    t = list(range(size))  # row 0: f_0 + f_y = f_y
-    for x1 in range(size // q):
-        start = x1 * size
-        shifted = list(_each_repeated([q * v for v in t[start : start + size // q]], q))
-        for c in range(1 if x1 == 0 else 0, q):
-            t += map(operator.add, shifted, cycle(add[c]))
-    return t
 
 
 class DivisorSieve:
@@ -391,7 +368,7 @@ def discriminant_classes(q: int, m: int) -> Counter:
     ncodes, nhigh = sieve.ncodes, sieve.top
     # a code below q^(2m+1) splits as high * ncodes + low with high < q^m,
     # and codes add digitwise in K, so a sum is two lookups in these tables
-    low_sums, high_sums = _code_sums(K, ncodes), _code_sums(K, nhigh)
+    low_sums, high_sums = code_sums(K, ncodes), code_sums(K, nhigh)
     add = _split_add(low_sums, high_sums, ncodes, nhigh)
     # b = T*b1 + c has b^2 = T^2*b1^2 + T*(2c*b1) + c^2, and 2c*b1 is a
     # multiple of the constant 2c

@@ -62,9 +62,6 @@ class Divisor:
     def __eq__(self, other):
         return isinstance(other, Divisor) and self.coeffs == other.coeffs
 
-    def support(self):
-        return sorted(self.coeffs, key=lambda p: (p.degree, p.prime or ()))
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

@@ -9,13 +9,16 @@ desk scale (degree below ~20) and correctness is the only requirement.
 A second encoding is used by the enumeration kernels: a polynomial of
 degree <= m is an integer code sum(c_i * q^i), i.e. its coefficient vector
 read as a base-q number.  Codes enumerate polynomials in a deterministic
-order with constants first.
+order with constants first.  On this encoding, code_sums tabulates the code
+of f_x + f_y for all codes x, y below a power of q, and scaled_codes lists
+the codes of the constant multiples c*f.
 """
 
 import functools
+import operator
+from itertools import chain, cycle
 
 from .errors import ConsistencyError
-from .gf import FiniteField
 
 ZERO = ()
 ONE = (1,)
@@ -187,11 +190,35 @@ def to_code(q: int, f) -> int:
     return acc
 
 
+def scaled_codes(K, f):
+    """The codes of c*f for the constants c = 0 .. q-1."""
+    return [to_code(K.q, mul_scalar(K, f, c)) for c in range(K.q)]
+
+
+def code_sums(K, size):
+    """Flat table t[x * size + y] = code of f_x + f_y for the codes x, y
+    below size (a power of q), added coefficientwise in K.  Row q*x' + c
+    is row x' shifted one digit, plus the digit sums with c."""
+    q, add = K.q, K._add
+    t = list(range(size))  # row 0: f_0 + f_y = f_y
+    for x1 in range(size // q):
+        start = x1 * size
+        shifted = list(each_repeated([q * v for v in t[start : start + size // q]], q))
+        for c in range(1 if x1 == 0 else 0, q):
+            t += map(operator.add, shifted, cycle(add[c]))
+    return t
+
+
+def each_repeated(values, k):
+    """values[0] k times, then values[1] k times, and so on."""
+    return chain.from_iterable(zip(*[values] * k))
+
+
 # -- irreducibility and factorization --------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
-def monic_irreducibles(K: FiniteField, d: int):
+def monic_irreducibles(K, d: int):
     """Tuple of all monic irreducible polynomials of degree d, in code order."""
     if d < 1:
         raise ValueError("irreducibles have degree >= 1")

@@ -81,7 +81,7 @@ def _bitset_states(cells=GCD_TABLE_CELLS):
             for f in range(1, ncodes):
                 count = q ** (m - poly.deg(polys[f]) + 1)
                 products = [poly.to_code(q, poly.mul(K, h, polys[f])) for h in polys[:count]]
-                shifted = kernels.multiples(q, kernels.scaled_codes(K, polys[f]), count,
+                shifted = kernels.multiples(q, poly.scaled_codes(K, polys[f]), count,
                                             sieve.add)
                 if shifted != products:
                     return f"shift-and-add multiples of {f} wrong at q={q} m={m}", False

@@ -359,6 +359,13 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     (("fields", "--q", "6", "--degD-max", "1"), "6 is not a prime power"),
     (("schanuel-sum", "--q", "6", "--n", "6", "--degD-max", "1"), "6 is not a prime power"),
     (("assemble", "--q", "6", "--n", "2", "--m", "1"), "6 is not a prime power"),
+    # a negative height is bad input for every engine and subcommand
+    (("count", "--n", "2", "--m", "-1"), "--m must be >= 0, not -1"),
+    (("count", "--n", "2", "--m", "-1", "--engine", "brute"), "--m must be >= 0, not -1"),
+    (("count", "--n", "2", "--m", "-2", "--m-to", "1"), "--m must be >= 0, not -2"),
+    (("countd", "--d", "2", "--m", "-1"), "--m must be >= 0, not -1"),
+    (("forms", "--brute", "--m", "-1"), "--m must be >= 0, not -1"),
+    (("assemble", "--n", "2", "--m", "-1"), "--m must be >= 0, not -1"),
 ])
 def test_out_of_range_input_exits_1(capsys, argv, message):
     q = () if "--q" in argv else ("--q", "3")  # --q 3 unless the case names one

@@ -61,6 +61,20 @@ def test_default_modulus_is_the_first_candidate_that_builds_a_field(q, monkeypat
     assert FiniteField(p, e).modulus == GF(q).modulus == cand
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49, 81, 125])
+def test_tables_match_polynomial_arithmetic_mod_the_modulus(q):
+    # the naive definition: an element code is the poly code over F_p of
+    # its coefficients in w, multiplied as polynomials and reduced
+    K = GF(q)
+    Fp = GF(K.p)
+    polys = [poly.from_code(K.p, a) for a in K.elements()]
+    for a, A in enumerate(polys):
+        for b, B in enumerate(polys):
+            assert K.add(a, b) == poly.to_code(K.p, poly.add(Fp, A, B))
+            product = poly.rem(Fp, poly.mul(Fp, A, B), K.modulus)
+            assert K.mul(a, b) == poly.to_code(K.p, product)
+
+
 def test_explicit_modulus_must_be_irreducible():
     assert FiniteField(3, 2, (2, 2, 1)).modulus == (2, 2, 1)
     for p, modulus in ((3, (0, 0, 1)), (3, (2, 0, 1)), (2, (1, 0, 1, 0, 1))):
@@ -96,24 +110,16 @@ def test_char2_all_squares():
         K.non_square_unit()
 
 
-def test_embedding_prime_into_extension():
-    K3, K9 = GF(3), GF(9)
-    emb = K3.embedding_into(K9)
-    assert emb[:3] == [0, 1, 2]
-    for a in K3.elements():
-        for b in K3.elements():
-            assert emb[K3.add(a, b)] == K9.add(emb[a], emb[b])
-            assert emb[K3.mul(a, b)] == K9.mul(emb[a], emb[b])
-
-
-def test_embedding_f4_into_f16():
-    K4, K16 = GF(4), GF(16)
-    emb = K4.embedding_into(K16)
-    assert emb[0] == 0 and emb[1] == 1
-    for a in K4.elements():
-        for b in K4.elements():
-            assert emb[K4.mul(a, b)] == K16.mul(emb[a], emb[b])
-            assert emb[K4.add(a, b)] == K16.add(emb[a], emb[b])
+@pytest.mark.parametrize("small, big", [(3, 9), (4, 16), (9, 81), (5, 125)])
+def test_embedding_is_a_homomorphism(small, big):
+    K, L = GF(small), GF(big)
+    emb = K.embedding_into(L)
+    assert emb[: K.p] == list(range(K.p))  # F_p has the same codes in both
+    assert len(set(emb)) == K.q
+    for a in K.elements():
+        for b in K.elements():
+            assert emb[K.add(a, b)] == L.add(emb[a], emb[b])
+            assert emb[K.mul(a, b)] == L.mul(emb[a], emb[b])
 
 
 def test_no_embedding_between_coprime_degrees():

@@ -176,7 +176,7 @@ def _field_tables(q, d):
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(cell=st.sampled_from([(5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (7, 4)]),
+@given(cell=st.sampled_from([(5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (7, 4), (3, 7)]),
        low=st.integers(0, 7**4 - 1), twist=st.booleans())
 def test_field_tables_sample_at_the_largest_cells(cell, low, twist):
     q, d = cell
