@@ -10,10 +10,11 @@ with status 2 and a reason on stderr; other errors exit 1.
 import argparse
 import csv
 import io
-import json
+import operator
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import counting, forms, poly, quadratic, zeta
 from .errors import ConsistencyError, DescriptorError, RefusalError
@@ -37,12 +38,28 @@ def emit(rows, headers, fmt, out=None):
     out = out or sys.stdout
     table = [r if type(r) is list else [_fmt(r.get(h, "")) for h in headers] for r in rows]
     if fmt == "json":
-        out.write(json.dumps([dict(zip(headers, cells)) for cells in table], indent=2))
-        out.write("\n")
+        _write_json(table, headers, out)
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
     writer.writerows(table)
+
+
+def _write_json(table, headers, out):
+    """Write the bytes of json.dumps([dict(zip(headers, cells)) for cells
+    in table], indent=2) and a newline, one row at a time.  Every cell is a
+    string, quoted by json's C string encoder; json.dumps with an indent
+    runs its pure-Python encoder and builds the whole text first."""
+    if not table:
+        out.write("[]\n")
+        return
+    keys = [f"    {encode_basestring_ascii(h)}: " for h in headers]
+    opening = "[\n  {\n"
+    for cells in table:
+        out.write(opening)
+        out.write(",\n".join(map(operator.add, keys, map(encode_basestring_ascii, cells))))
+        opening = "\n  },\n  {\n"
+    out.write("\n  }\n]\n")
 
 
 def _descriptor_from_args(args):

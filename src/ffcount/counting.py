@@ -17,12 +17,12 @@ summing per-field counts over the enumerated quadratic extensions.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
+from .frozen import Frozen
 from .gf import GF, prime_power
 from .quadratic import QuadraticFieldDesc, enumerate_quadratic_fields
 from .riemann_roch import ClassModel, build_class_model, lambda_sum
@@ -37,8 +37,7 @@ from .zeta import (
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Frozen):
     """Exact count plus its decomposition N = main + unit_sum + zeta_tail +
     genus_window (an algebraic identity, not an estimate)."""
 
@@ -245,16 +244,14 @@ def brute_count_p1_over_field(field: QuadraticFieldDesc, m, budget=DEFAULT_BUDGE
 # -- assembly over quadratic fields (d = 2) -----------------------------------
 
 
-@dataclass(frozen=True)
-class FieldContribution:
+class FieldContribution(Frozen):
     field: QuadraticFieldDesc
     N_line: int  # N_K(n, 1, m): all P^(n-1)(K) points of height m
     rational_correction: int
     contribution: int
 
 
-@dataclass(frozen=True)
-class QuadraticAssembly:
+class QuadraticAssembly(Frozen):
     q: int
     n: int
     m: int

@@ -26,24 +26,25 @@ decomposability is automatic and the factor field is read off the
 discriminant.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
 from .counting import DEFAULT_BUDGET, check_budget, count_fixed_degree_points
 from .errors import ConsistencyError, RefusalError
+from .frozen import Frozen
 from .gf import GF
 
 # The oracle spends 4-60 us on each candidate triple (the most at odd q,
-# where it factors each discriminant once), 40-600 times the 0.1 us a
-# candidate costs the table routes the budget is sized for
-# (discriminant_classes at q=5, m=2), so each triple counts this many
-# times against the budget.
+# where it factors each discriminant once).  The table routes the budget
+# is sized for spend about 0.01 us a candidate (discriminant_classes at
+# q=5, m=2: 14-21 ms for 5^9 candidates, walked up to Y -> mu*Y + kappa),
+# so the oracle costs 400-6000 times as much.  Each triple counts 100
+# times against the budget: the refusals this sets are the ones the tests
+# pin.
 ORACLE_TRIPLE_COST = 100
 
 
-@dataclass(frozen=True)
-class FormTable:
+class FormTable(Frozen):
     """Counts N(n, d', m) for the divisors d' of d needed by the relations,
     plus N(n, d/p, m/p) when frobenius_height() says form_count needs it."""
 

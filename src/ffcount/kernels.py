@@ -32,12 +32,14 @@ memo dictionary of states, and a branch whose gcd has reached 1 is
 completed in closed form.
 
 For odd q, discriminant_classes walks the coprime triples once per
-(q, m), the b of each gcd class d of a monic a with the c of the class
-gcd(d, c) = 1, and counts them by discriminant class (squarefree monic
-part, whether the unit is a square); its callers pick the classes they
-need.  Characteristic 2 goes through a loop over polynomial triples instead,
-which on odd q is the reference for the class counts; its Artin-Schreier
-test is F_2-linear algebra (poly._artin_schreier_over_square).
+(q, m), up to the substitutions Y -> mu*Y + kappa, which keep the
+discriminant class: the b of each gcd class d of a monic a with the c of
+the class gcd(d, c) = 1.  It counts them by discriminant class
+(squarefree monic part, whether the unit is a square); its callers pick
+the classes they need.  Characteristic 2 goes through a loop over
+polynomial triples instead, which on odd q is the reference for the class
+counts; its Artin-Schreier test is F_2-linear algebra
+(poly._artin_schreier_over_square).
 
 One sieve gives squarefree parts: squarefree_kernel maps every monic code
 up to a degree to the code of its squarefree monic part.  The
@@ -65,8 +67,9 @@ from .poly import code_sums, each_repeated, scaled_codes
 USING_COMPILED = False
 
 # discriminant_classes refuses above this many codes: its code-sum table is
-# a Python list of ncodes^2 ints (about 100 MB at 2500 codes) and its walk
-# over the triples grows like ncodes^3 / q.
+# a Python list of ncodes^2 pointers to ncodes shared ints (about 50 MB at
+# 2500 codes), and its walk over the reduced triples grows like
+# ncodes^3 / (q (q-1)^2): 27.7 million steps at q=3, m=5.
 DISCRIMINANT_TABLE_MAX_CODES = 2500
 
 
@@ -234,10 +237,12 @@ def divisor_sieve(q: int, m: int) -> DivisorSieve:
     return DivisorSieve(q, m)
 
 
-def squarefree_kernel(K, top):
+def squarefree_kernel(K, top, add=None):
     """array over the codes below q^(top+1): at each monic code f, the code
     of the squarefree monic part of f (poly.squarefree_part's s); 0 at
     the codes that are not monic.  f is squarefree iff kernel[f] == f.
+    add is the digitwise sum of the codes below q^(top+1), built by
+    _code_adder unless the caller has it.
 
     Every monic p^2 * c, for p monic irreducible of degree e <= top//2
     and c monic of degree <= top - 2e, first gets c as its witness.  Then,
@@ -248,7 +253,7 @@ def squarefree_kernel(K, top):
     """
     q = K.q
     kernel = array("i", [0]) * q ** (top + 1)
-    add = _code_adder(K, q ** (top + 1))
+    add = add or _code_adder(K, q ** (top + 1))
     for e in range(1, top // 2 + 1):
         for p in poly.monic_irreducibles(K, e):
             p2 = scaled_codes(K, poly.mul(K, p, p))
@@ -353,11 +358,59 @@ def discriminant_classes(q: int, m: int) -> Counter:
     characteristic 2 goes through classify_triples_by_polys.  The cached
     Counter is shared by every caller, who must not change it.
 
-    The discriminants are histogrammed by code; each code that occurs is
-    split into its unit (the leading digit) and monic part, whose
-    squarefree part is read from squarefree_kernel at degree 2m.  Nothing
-    is factored, and no product is formed one pair at a time: the rows
-    -4a*c and the squares b^2 come from multiples() by shift and add.
+    The substitutions Y -> mu*Y + kappa (mu a unit, kappa a constant) send
+    (a, b, c) to (a, (b + 2 kappa a)/mu, (c + kappa b + kappa^2 a)/mu^2),
+    and keep a, the gcd, the max degree and the square class of the
+    discriminant, which is multiplied by mu^-2.  kappa moves the
+    coefficient of b at T^(deg a) freely, and then mu makes b monic unless
+    b = 0.  So discriminant_histogram walks two kinds of b only: b = 0,
+    weighted q, and monic b whose coefficient at T^(deg a) is 0, weighted
+    q(q-1).
+
+    Each discriminant code that occurs is classified by table, one unit u
+    (its leading digit) at a time: the code u*q^k + low has the monic part
+    q^k + code(u^-1 * low), read from a digitwise scaling table, whose
+    squarefree part squarefree_kernel at degree 2m gives.  The counts are
+    collected by kernel code, and each distinct s becomes a polynomial
+    once.  Nothing is factored.
+    """
+    hist, kernel = discriminant_histogram(q, m, reduced=True)
+    K = GF(q)
+    # by_kernel[square][s]: triples whose discriminant has the squarefree
+    # monic part of code s and a square unit or not
+    by_kernel = [array("q", bytes(8 * len(hist))) for _ in range(2)]
+    for u in range(1, q):
+        # the codes of u^-1 * f for the f below q^(2m); codes of constant
+        # multiples add without carries, so digitwise addition is +
+        scale = multiples(q, K._mul[K.inv(u)], q ** (2 * m), operator.add)
+        counts = by_kernel[K.is_square(u)]
+        size = 1  # q^k
+        for k in range(2 * m + 1):
+            start = u * size
+            for low, n in enumerate(hist[start : start + size]):
+                if n:
+                    counts[kernel[size + scale[low]]] += n
+            size *= q
+    classes = Counter()
+    for s in compress(range(len(hist)), map(operator.or_, *by_kernel)):
+        f = poly.from_code(q, s)  # one tuple for both unit classes
+        for square, counts in zip((False, True), by_kernel):
+            if counts[s]:
+                classes[f, square] = counts[s]
+    return classes
+
+
+def discriminant_histogram(q, m, reduced):
+    """(hist, kernel): hist[code] counts the normalized coprime triples of
+    max degree exactly m (as in discriminant_classes) by the code of their
+    discriminant b^2 - 4ac, below q^(2m+1), and kernel is
+    squarefree_kernel(K, 2m), built on the same code-sum tables.  With
+    reduced, only the b of the reduced walk are met, each weighted by the
+    size of its orbit (discriminant_classes); otherwise every b, weighted 1.
+
+    Each b of the gcd class d of a monic a is met with the c of the class
+    gcd(d, c) = 1.  No product is formed one pair at a time: the rows -4a*c
+    and the squares b^2 come from multiples() by shift and add.
     """
     if q % 2 == 0:
         raise ValueError("discriminant classes need odd q")
@@ -381,14 +434,25 @@ def discriminant_classes(q: int, m: int) -> Counter:
     # b^2 as the offsets of its rows in the two sum tables; the high sums
     # are scaled by ncodes, so b^2 + x has the code hrow[x_high] + lrow[x_low]
     sq = [(high * nhigh, low * ncodes) for high, low in (divmod(code, ncodes) for code in sq)]
-    high_sums = [high * ncodes for high in high_sums]
+    high_sums = list(map([high * ncodes for high in range(nhigh)].__getitem__, high_sums))
+    if reduced:
+        zero_weight, weight = q, q * (q - 1)
+        walked = [_reduced_b(q, m, k) for k in range(m + 1)]  # by deg a
+    else:
+        zero_weight = weight = 1
+        walked = [(1 << ncodes) - 1] * (m + 1)
     minus4 = K.neg(4 % K.p)
-    hist = [0] * (nhigh * ncodes)
+    # b = 0 is counted apart, and weighted at the end: each step adds 1,
+    # and most counts stay small ints, which need no allocation
+    hist, hist0 = [0] * (nhigh * ncodes), [0] * (nhigh * ncodes)
     for a in sieve.divisors:  # the monic codes
-        minus4a = poly.mul_scalar(K, poly.from_code(q, a), minus4)
-        minus4ac = multiples(q, scaled_codes(K, minus4a), ncodes, add)
+        a_poly = poly.from_code(q, a)
+        minus4ac = multiples(q, scaled_codes(K, poly.mul_scalar(K, a_poly, minus4)), ncodes, add)
         high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
         for d, bs in sieve.gcd_classes(a).items():
+            bs &= walked[poly.deg(a_poly)]
+            if not bs:
+                continue
             # gcd(a, b, c) = 1 iff gcd(d, c) = 1 for d = gcd(a, b), and the
             # max degree must reach m through a, b or c
             coprime = sieve.gcd_classes(d)[1]
@@ -396,18 +460,20 @@ def discriminant_classes(q: int, m: int) -> Counter:
             every, below = ((list(_select(high4ac, cs)), list(_select(low4ac, cs)))
                             for cs in (coprime, deg_m))
             for b in _select(range(ncodes), bs):
+                counts = hist if b else hist0
                 hb, lb = sq[b]
                 hrow, lrow = high_sums[hb : hb + nhigh], low_sums[lb : lb + ncodes]
                 for x, y in zip(*(below if b < nhigh else every)):
-                    hist[hrow[x] + lrow[y]] += 1
-    kernel = squarefree_kernel(K, 2 * m)
-    classes = Counter()
-    for code in range(1, len(hist)):
-        if hist[code]:
-            unit, f = poly.monic(K, poly.from_code(q, code))
-            s = poly.from_code(q, kernel[poly.to_code(q, f)])
-            classes[s, K.is_square(unit)] += hist[code]
-    return classes
+                    counts[hrow[x] + lrow[y]] += 1
+    hist = list(map(operator.add, map(weight.__mul__, hist), map(zero_weight.__mul__, hist0)))
+    return hist, squarefree_kernel(K, 2 * m, add)
+
+
+def _reduced_b(q, m, k):
+    """Bitset of the b of the reduced walk for a of degree k: b = 0, and the
+    monic b of degree <= m whose coefficient at T^k is 0."""
+    return _bitset([0] + [b for e in range(m + 1) for b in range(q**e, 2 * q**e)
+                          if b // q**k % q == 0], q ** (m + 1))
 
 
 def irreducible_triple_counts(q, m):

@@ -9,16 +9,15 @@ ints.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import poly
+from .frozen import Frozen
 from .poly import ZERO, ONE
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Frozen):
     """A place of F_q(T): a monic irreducible polynomial, or infinity (prime=None)."""
 
     prime: tuple | None

@@ -201,11 +201,13 @@ def code_sums(K, size):
     is row x' shifted one digit, plus the digit sums with c."""
     q, add = K.q, K._add
     t = list(range(size))  # row 0: f_0 + f_y = f_y
+    # every row holds the int objects of row 0, one per code, so the
+    # table costs a pointer per entry
     for x1 in range(size // q):
         start = x1 * size
         shifted = list(each_repeated([q * v for v in t[start : start + size // q]], q))
         for c in range(1 if x1 == 0 else 0, q):
-            t += map(operator.add, shifted, cycle(add[c]))
+            t += map(t.__getitem__, map(operator.add, shifted, cycle(add[c])))
     return t
 
 

@@ -25,11 +25,11 @@ The minimal-polynomial counters elsewhere still cover char-2 counting.
 """
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
+from .frozen import Frozen
 from .gf import GF, FiniteField, constant_extension, prime_power
 from .zeta import CurveDescriptor, hasse_weil_check
 
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadraticFieldDesc:
+class QuadraticFieldDesc(Frozen):
     """One quadratic extension: squarefree monic D, twist unit u, derived data."""
 
     q: int

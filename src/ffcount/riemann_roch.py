@@ -15,17 +15,16 @@ The Clifford bound caps table entries at floor((i+2)/2) in the window
 (attained only by the zero and canonical classes).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
 from .errors import ConsistencyError, DescriptorError
+from .frozen import Frozen
 from .places import INFINITY, Divisor, Place, RationalFunction, ord_at
 from .zeta import CurveDescriptor, divisor_counts
 
 
-@dataclass(frozen=True)
-class ClassModel:
+class ClassModel(Frozen):
     desc: CurveDescriptor
     dims_table: tuple  # dims_table[j][i], j in 0..J-1, i in 0..2g-2; empty for g=0
 

@@ -132,6 +132,42 @@ def _squarefree_sieve(cells=FIELD_TABLE_CELLS + DISCRIMINANT_KERNEL_CELLS):
             f"({_cell_names(cells, 'deg')})"), True
 
 
+def discriminant_classes_by_full_walk(q, m):
+    """kernels.discriminant_classes without its reduction up to
+    Y -> mu*Y + kappa: every b of every normalized coprime triple, each
+    triple counted once, and each discriminant code split into its unit
+    and monic part by polynomial arithmetic.  The reference for the
+    reduced walk and its table-driven classification."""
+    K = GF(q)
+    hist, kernel = kernels.discriminant_histogram(q, m, reduced=False)
+    classes = Counter()
+    for code in range(1, len(hist)):  # code 0 is the zero discriminant
+        if hist[code]:
+            unit, f = poly.monic(K, poly.from_code(q, code))
+            s = poly.from_code(q, kernel[poly.to_code(q, f)])
+            classes[s, K.is_square(unit)] += hist[code]
+    return classes
+
+
+# (q, largest m) of the discriminant-class cells whose reduced walk is
+# compared with the full walk; q = 9, 25 and 27 are not prime
+DISCRIMINANT_REDUCTION_CELLS = ((3, 3), (5, 2), (7, 1), (9, 1), (25, 0), (27, 0))
+DEEP_DISCRIMINANT_REDUCTION_CELLS = ((3, 4),)
+
+
+def _discriminant_reduction(cells=DISCRIMINANT_REDUCTION_CELLS):
+    for q, m_max in cells:
+        for m in range(m_max + 1):
+            if kernels.discriminant_classes(q, m) != discriminant_classes_by_full_walk(q, m):
+                return f"reduced discriminant walk wrong at q={q} m={m}", False
+    return (f"reduced discriminant walk equals the full walk "
+            f"({_cell_names(cells, 'm')})"), True
+
+
+def _deep_discriminant_reduction():
+    return _discriminant_reduction(DEEP_DISCRIMINANT_REDUCTION_CELLS)
+
+
 def artin_schreier_by_scan(K, w_num, w_den) -> bool:
     """Whether z^2 + z = w_num/w_den has a solution z in F_Q(T), char 2,
     by scanning every candidate numerator: the reference for
@@ -492,7 +528,8 @@ def _hasse_weil_all():
 SUITES = {
     "algebra": [_field_axioms, _gcd_properties, _bitset_states,
                 _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
-                _squarefree_sieve, _point_count_table, _artin_schreier],
+                _squarefree_sieve, _point_count_table, _artin_schreier,
+                _discriminant_reduction],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small],
     "riemann_roch": [_class_model_identities, _genus0_sections],
@@ -520,7 +557,7 @@ def run_suite(suite: str, deep: bool = False):
     else:
         checks.extend(SUITES[suite])
     if deep:
-        checks.append(_deep_oracle)
+        checks += [_deep_oracle, _deep_discriminant_reduction]
     results = []
     for check in checks:
         detail, ok = check()

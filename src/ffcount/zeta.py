@@ -10,10 +10,10 @@ All values are exact (ints / Fractions); zeta is only ever evaluated at
 integer arguments s >= 2.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DescriptorError, RefusalError
+from .frozen import Frozen
 from .gf import prime_power
 from .poly import count_monic_irreducibles
 
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurveDescriptor:
+class CurveDescriptor(Frozen):
     """(q, genus, L-polynomial) with optional per-class dimension table.
 
     `class_dims`, when present, lists for each of the J divisor classes the
@@ -45,7 +44,7 @@ class CurveDescriptor:
     q: int
     g: int
     L: tuple
-    class_dims: tuple | None = field(default=None)
+    class_dims: tuple | None = None
 
     def __post_init__(self):
         q, g, L = self.q, self.g, self.L

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -259,6 +260,30 @@ def test_json_format(capsys):
     data = json.loads(out)
     assert data[0]["N_moebius"] == "24"
     assert data[0]["main_term"] == "24/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("fields", "--q", "3", "--degD-max", "3"),
+    ("count", "--q", "2", "--n", "2", "--m", "0", "--m-to", "3"),
+])
+def test_json_is_the_bytes_of_one_json_dumps(capsys, argv):
+    # the rows are written one at a time, as json.dumps(rows, indent=2)
+    # writes the CSV rows as dicts of strings
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == json.dumps(rows, indent=2) + "\n"
+
+
+def test_json_of_no_rows_and_escaped_cells():
+    from ffcount import cli
+
+    for rows in ([], [["a\"b", "\u00e9\n"]]):
+        buf = io.StringIO()
+        cli.emit(rows, ["x\\", "y"], "json", buf)
+        assert buf.getvalue() == json.dumps([dict(zip(["x\\", "y"], r)) for r in rows],
+                                            indent=2) + "\n"
 
 
 def test_byte_identical_reruns(capsys):

@@ -166,6 +166,12 @@ def test_discriminant_classes_match_naive_definition(q, m):
     assert discriminant_classes(q, m) == expect
 
 
+@pytest.mark.parametrize("cell", verify.DISCRIMINANT_REDUCTION_CELLS)
+def test_reduced_discriminant_walk_matches_full_walk(cell):
+    message, ok = verify._discriminant_reduction((cell,))
+    assert ok, message
+
+
 def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
     # 3^8 and 5^5 codes exceed the discriminant tables; the refusal must
     # come before any table is built, both from the library and from the
