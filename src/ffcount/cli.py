@@ -388,6 +388,9 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # bad input, not a refusal: checked before any subcommand runs
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError(f"--budget must be >= 0, not {args.budget}")
         return args.func(args)
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -18,9 +18,8 @@ summing per-field counts over the enumerated quadratic extensions.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 
-from . import kernels, poly
+from . import kernels
 from .errors import ConsistencyError, RefusalError
 from .frozen import Frozen
 from .gf import GF, prime_power
@@ -81,25 +80,6 @@ def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
         return 0
     check_budget(q ** (n * (m + 1)), budget, f"brute count q={q} n={n} m={m}")
     return kernels.count_coprime_vectors(q, n, m)
-
-
-def brute_count_unnormalized(q, n, m, budget=DEFAULT_BUDGET) -> int:
-    """All coprime vectors of height exactly m (no scalar normalization);
-    equals (q-1) times the projective count.  Kept as a cross-check."""
-    if m < 0:
-        return 0
-    check_budget(q ** (n * (m + 1)), budget, f"unnormalized count q={q} n={n} m={m}")
-    K = GF(q)
-    total = 0
-    polys = list(poly.enumerate_polys(K, m))
-    for vec in product(polys, repeat=n):
-        if all(not f for f in vec):
-            continue
-        if max(poly.deg(f) for f in vec) != m:
-            continue
-        if poly.gcd_many(K, vec) == poly.ONE:
-            total += 1
-    return total
 
 
 # -- Moebius inversion engine -------------------------------------------------
@@ -270,8 +250,9 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
 
     A field can contribute only when deg D <= 2m (its line generators have
     minimal-polynomial height m, whose discriminant has degree <= 2m and
-    squarefree part D), so the enumeration below is complete.  Heights with
-    m > 2 would draw in genus >= 2 fields, whose exact class data this
+    squarefree part D), so the enumeration below is complete, and its
+    q + q^2 + ... + q^(2m) monic D are checked against the budget.  Heights
+    with m > 2 would draw in genus >= 2 fields, whose exact class data this
     package does not compute; such requests are refused.
     """
     prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
@@ -286,6 +267,9 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
             f"m = {m} would require fields of genus up to {(2*m - 1)//2}; "
             "exact counting stops at genus 1 (m <= 2)"
         )
+    # the enumeration examines every monic D of degree 1..2m
+    check_budget(sum(q**d for d in range(1, 2 * m + 1)), budget,
+                 f"field enumeration q={q} m={m}")
     rows = []
     total = 0
     main_partial = Fraction(0)

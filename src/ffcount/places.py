@@ -5,12 +5,16 @@ one distinguished place at infinity of degree 1.  Divisors are finite
 integer combinations of places; the relative height of a nonzero
 coordinate vector is minus the degree of its divisor.  Everything is
 exact: valuations are ints (math.inf for the zero function), heights are
-ints.
+ints.  The genus-0 Riemann-Roch spaces L(a, 1), an explicit basis and a
+membership test by valuations, are the reference for the dimensions of
+the class models in `riemann_roch`.  No command loads this module: the
+counting engines work on coprime polynomial vectors.
 """
 
 import math
 
 from . import poly
+from .errors import ConsistencyError
 from .frozen import Frozen
 from .poly import ZERO, ONE
 
@@ -221,3 +225,55 @@ def enumerate_places(K, degree: int):
     if degree == 1:
         out.append(INFINITY)
     return out
+
+
+# -- explicit genus-0 sections ------------------------------------------------
+
+
+def genus0_section_basis(K, divisor: Divisor):
+    """Explicit basis of L(a, 1) = {f : div(f) >= -a} on F_q(T).
+
+    With den the product of positive finite parts and zreq the required
+    zero part, the space is spanned by zreq * T^i / den for
+    0 <= i <= deg(a); the count deg(a)+1 matches the genus-0 dimension.
+    """
+    den = poly.ONE
+    zreq = poly.ONE
+    n_inf = 0
+    for place, c in divisor.coeffs.items():
+        if place.is_infinite:
+            n_inf = c
+        elif c > 0:
+            den = poly.mul(K, den, poly.pow_(K, place.prime, c))
+        elif c < 0:
+            zreq = poly.mul(K, zreq, poly.pow_(K, place.prime, -c))
+    bound = poly.deg(den) + n_inf - poly.deg(zreq)
+    if divisor.degree() < 0:
+        return []
+    if bound != divisor.degree():
+        raise ConsistencyError(f"basis size {bound + 1} does not match degree {divisor.degree()}")
+    basis = []
+    for i in range(bound + 1):
+        t_i = tuple([0] * i + [1])
+        basis.append(RationalFunction(K, poly.mul(K, zreq, t_i), den))
+    return basis
+
+
+def section_space_contains(K, divisor: Divisor, f: RationalFunction) -> bool:
+    """Membership test for L(a, 1) by checking every relevant valuation."""
+    if f.is_zero():
+        return True
+    checked = set()
+    for place in list(divisor.coeffs) + [INFINITY]:
+        if place in checked:
+            continue
+        checked.add(place)
+        if ord_at(K, place, f) < -divisor[place]:
+            return False
+    if poly.deg(f.den) >= 1:
+        _, fac = poly.factor(K, f.den)
+        for p in fac:
+            place = Place(p)
+            if place not in checked and ord_at(K, place, f) < -divisor[place]:
+                return False
+    return True

@@ -308,14 +308,6 @@ def squarefree_part(K, f):
     return unit, s, h
 
 
-def is_square_poly(K, f) -> bool:
-    """Whether f is the square of a polynomial (zero counts as a square)."""
-    if not f:
-        return True
-    unit, s, _ = squarefree_part(K, f)
-    return s == ONE and K.is_square(unit)
-
-
 # -- quadratics over F_q[T]: irreducibility over F_{q^2}(T) -----------------
 
 

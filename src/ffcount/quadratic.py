@@ -39,7 +39,6 @@ __all__ = [
     "curve_point_counts",
     "build_descriptor",
     "min_generator_height_bound",
-    "same_field",
 ]
 
 
@@ -169,9 +168,3 @@ def enumerate_quadratic_fields(q: int, degD_max: int):
                 out.append(fdesc)
     return tuple(out)
 
-
-def same_field(K, D1, u1, D2, u2) -> bool:
-    """Whether sqrt(u1*D1) and sqrt(u2*D2) generate the same extension:
-    the product u1*u2*D1*D2 must be a square in F_q(T)."""
-    prod = poly.mul_scalar(K, poly.mul(K, D1, D2), K.mul(u1, u2))
-    return poly.is_square_poly(K, prod)

@@ -17,10 +17,8 @@ The Clifford bound caps table entries at floor((i+2)/2) in the window
 
 from fractions import Fraction
 
-from . import poly
-from .errors import ConsistencyError, DescriptorError
+from .errors import DescriptorError
 from .frozen import Frozen
-from .places import INFINITY, Divisor, Place, RationalFunction, ord_at
 from .zeta import CurveDescriptor, divisor_counts
 
 
@@ -162,54 +160,3 @@ def reflection_identity_check(model: ClassModel, i: int, n: int) -> bool:
     rhs = scale * lambda_sum(model, 2 * g - 2 - i, n)
     return lhs == rhs
 
-
-# -- explicit genus-0 sections ------------------------------------------------
-
-
-def genus0_section_basis(K, divisor: Divisor):
-    """Explicit basis of L(a, 1) = {f : div(f) >= -a} on F_q(T).
-
-    With den the product of positive finite parts and zreq the required
-    zero part, the space is spanned by zreq * T^i / den for
-    0 <= i <= deg(a); the count deg(a)+1 matches the genus-0 dimension.
-    """
-    den = poly.ONE
-    zreq = poly.ONE
-    n_inf = 0
-    for place, c in divisor.coeffs.items():
-        if place.is_infinite:
-            n_inf = c
-        elif c > 0:
-            den = poly.mul(K, den, poly.pow_(K, place.prime, c))
-        elif c < 0:
-            zreq = poly.mul(K, zreq, poly.pow_(K, place.prime, -c))
-    bound = poly.deg(den) + n_inf - poly.deg(zreq)
-    if divisor.degree() < 0:
-        return []
-    if bound != divisor.degree():
-        raise ConsistencyError(f"basis size {bound + 1} does not match degree {divisor.degree()}")
-    basis = []
-    for i in range(bound + 1):
-        t_i = tuple([0] * i + [1])
-        basis.append(RationalFunction(K, poly.mul(K, zreq, t_i), den))
-    return basis
-
-
-def section_space_contains(K, divisor: Divisor, f: RationalFunction) -> bool:
-    """Membership test for L(a, 1) by checking every relevant valuation."""
-    if f.is_zero():
-        return True
-    checked = set()
-    for place in list(divisor.coeffs) + [INFINITY]:
-        if place in checked:
-            continue
-        checked.add(place)
-        if ord_at(K, place, f) < -divisor[place]:
-            return False
-    if poly.deg(f.den) >= 1:
-        _, fac = poly.factor(K, f.den)
-        for p in fac:
-            place = Place(p)
-            if place not in checked and ord_at(K, place, f) < -divisor[place]:
-                return False
-    return True

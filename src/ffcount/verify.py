@@ -3,7 +3,10 @@
 Each check returns (detail, ok) with ok True or False, and run_suite
 reports (name, ok, detail) for each.  The battery covers the exact
 identities every module must satisfy; the full acceptance runs live in the
-test suite.
+test suite.  The naive recounts the checks compare against (the full
+discriminant walk, the unnormalized coprime vectors, the same-field test,
+the Artin-Schreier scan and the divisor enumeration) live here too, off the
+command path.
 """
 
 import itertools
@@ -20,7 +23,9 @@ from .places import (
     RationalFunction,
     divisor_of_vector,
     enumerate_places,
+    genus0_section_basis,
     height_relative,
+    section_space_contains,
     vector_to_coprime_polys,
 )
 
@@ -425,20 +430,41 @@ def _genus0_sections():
         for coeffs in ({}, {INFINITY: 2}, {Place(T): 1, INFINITY: 1},
                        {Place(T): 2, Place((1, 1)): -1}, {INFINITY: -1}):
             div = Divisor(coeffs)
-            basis = riemann_roch.genus0_section_basis(K, div)
+            basis = genus0_section_basis(K, div)
             if len(basis) != riemann_roch.class_dimension(model, 1, div.degree()):
                 return f"{len(basis)} basis sections for {coeffs} over F_{q}", False
-            if not all(riemann_roch.section_space_contains(K, div, f) for f in basis):
+            if not all(section_space_contains(K, div, f) for f in basis):
                 return f"a basis section of {coeffs} fails membership over F_{q}", False
             # over the basis denominator, the members are the q^l(a) elements of the span
             den = basis[0].den if basis else poly.ONE
             members = sum(
-                riemann_roch.section_space_contains(K, div, RationalFunction(K, num, den))
+                section_space_contains(K, div, RationalFunction(K, num, den))
                 for num in poly.enumerate_polys(K, poly.deg(den) + 3)
             )
             if members != q ** len(basis):
                 return f"{members} members of L({coeffs}) over F_{q}", False
     return "genus-0 section bases have l(a) = deg a + 1 members by valuations", True
+
+
+def brute_count_unnormalized(q, n, m, budget=counting.DEFAULT_BUDGET) -> int:
+    """All coprime vectors of height exactly m, with no scalar
+    normalization, by polynomial gcds: (q-1) times the projective count of
+    counting.brute_count_rational."""
+    if m < 0:
+        return 0
+    counting.check_budget(q ** (n * (m + 1)), budget,
+                          f"unnormalized count q={q} n={n} m={m}")
+    K = GF(q)
+    total = 0
+    polys = list(poly.enumerate_polys(K, m))
+    for vec in itertools.product(polys, repeat=n):
+        if all(not f for f in vec):
+            continue
+        if max(poly.deg(f) for f in vec) != m:
+            continue
+        if poly.gcd_many(K, vec) == poly.ONE:
+            total += 1
+    return total
 
 
 def _oracle_equivalence():
@@ -450,7 +476,7 @@ def _oracle_equivalence():
         if a != b:
             return f"oracle mismatch at q={q} n={n} m={m}: {a} vs {b}", False
         # every coprime vector, not one per scalar class, by polynomial gcds
-        if counting.brute_count_unnormalized(q, n, m) != (q - 1) * a:
+        if brute_count_unnormalized(q, n, m) != (q - 1) * a:
             return f"unnormalized count is not (q-1)*N at q={q} n={n} m={m}", False
     return "brute force equals Moebius inversion and the unnormalized count (sample grid)", True
 
@@ -495,11 +521,22 @@ def _twist_pairing():
     return "twist pairs have opposite traces (deg D <= 4)", True
 
 
+def same_field(K, D1, u1, D2, u2) -> bool:
+    """Whether sqrt(u1*D1) and sqrt(u2*D2) generate the same extension:
+    the product u1*u2*D1*D2 must be a square in F_q(T), which its
+    factorization decides (zero counts as a square)."""
+    prod = poly.mul_scalar(K, poly.mul(K, D1, D2), K.mul(u1, u2))
+    if not prod:
+        return True
+    unit, s, _ = poly.squarefree_part(K, prod)
+    return s == poly.ONE and K.is_square(unit)
+
+
 def _field_distinctness():
     K = GF(3)
     fields = quadratic.enumerate_quadratic_fields(3, 3)
     for f1, f2 in itertools.combinations(fields, 2):
-        if quadratic.same_field(K, f1.D, f1.u, f2.D, f2.u):
+        if same_field(K, f1.D, f1.u, f2.D, f2.u):
             return f"{f1.label()} and {f2.label()} coincide", False
     return "enumerated fields pairwise distinct (deg D <= 3)", True
 

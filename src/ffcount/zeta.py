@@ -87,20 +87,18 @@ def divisor_counts(desc: CurveDescriptor, l_max: int):
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     q, L = desc.q, desc.L
-    # multiply L by the two geometric series
-    s1 = [0] * (l_max + 1)
+    # a(l) = L_l + (q+1)*a(l-1) - q*a(l-2), from a * (1-t)(1-qt) = L
+    a = [0] * (l_max + 1)
     for l in range(l_max + 1):
-        s1[l] = sum(L[i] for i in range(0, min(l, len(L) - 1) + 1))
-    out = [0] * (l_max + 1)
-    qpow = 1
-    for k in range(l_max + 1):
-        for l in range(k, l_max + 1):
-            out[l] += qpow * s1[l - k]
-        qpow *= q
-    for l, a in enumerate(out):
-        if a < 0:
-            raise DescriptorError(f"descriptor yields negative divisor count a({l}) = {a}")
-    return out
+        acc = L[l] if l < len(L) else 0
+        if l >= 1:
+            acc += (q + 1) * a[l - 1]
+        if l >= 2:
+            acc -= q * a[l - 2]
+        if acc < 0:
+            raise DescriptorError(f"descriptor yields negative divisor count a({l}) = {acc}")
+        a[l] = acc
+    return a
 
 
 def moebius_sums(desc: CurveDescriptor, l_max: int):
@@ -164,12 +162,16 @@ def schanuel_constant(desc: CurveDescriptor, n: int) -> Fraction:
 # -- Euler product over the rational field ---------------------------------
 
 
-def euler_product_truncation(q: int, s: int, D: int, max_bits: int = 1 << 21) -> Fraction:
+# size limit of the exact partial Euler product, in bits of its factors
+EULER_MAX_BITS = 1 << 21
+
+
+def euler_product_truncation(q: int, s: int, D: int) -> Fraction:
     """Exact partial Euler product over all places of F_q(T) of degree <= D.
 
     The result is a single exact rational; its size grows like q^(D+1)
-    bits, so truncations beyond the `max_bits` guard are refused (at that
-    point only the enclosure bounds below remain computable).
+    bits, so truncations beyond EULER_MAX_BITS are refused (at that point
+    only the enclosure bounds below remain computable).
     """
     if s < 2:
         raise ValueError("s >= 2 required")
@@ -179,10 +181,11 @@ def euler_product_truncation(q: int, s: int, D: int, max_bits: int = 1 << 21) ->
         (count_monic_irreducibles(q, l) + (1 if l == 1 else 0)) * s * l
         for l in range(1, D + 1)
     ) * q.bit_length()
-    if bits > max_bits:
+    if bits > EULER_MAX_BITS:
         raise RefusalError(
-            f"exact Euler product at q={q}, D={D} needs ~{bits} bits; "
-            f"raise max_bits or use the enclosure bounds"
+            f"exact Euler product at q={q}, D={D} needs ~{bits} bits, above the "
+            f"limit of {EULER_MAX_BITS}; its gap to zeta stays certified by "
+            f"tail_bound (euler_truncation_bound), which needs no product"
         )
     num, den = 1, 1
     for l in range(1, D + 1):

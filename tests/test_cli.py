@@ -113,6 +113,16 @@ def test_assemble_refusal(capsys):
     assert code == 2 and "genus" in err
 
 
+def test_assemble_budget_refusal(capsys):
+    # the enumeration would examine 3 + 9 + 27 + 81 = 120 monic D
+    code, out, err = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "2",
+                         "--budget", "10")
+    assert (code, out) == (2, "") and err.startswith("refused: ") and "120" in err
+    code, out, _ = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "2",
+                       "--budget", "120")
+    assert code == 0 and out
+
+
 def test_fields_csv(capsys):
     code, out, _ = run(capsys, "fields", "--q", "3", "--degD-max", "1")
     assert code == 0
@@ -301,6 +311,14 @@ def test_euler_product_cli(capsys):
     assert row[3] == "64/27" and row[4] == "8/3"
 
 
+def test_euler_product_refusal_names_no_parameter(capsys):
+    # the size limit is a constant no command line can raise
+    code, out, err = run(capsys, "zeta", "--q", "2", "--g", "0", "--s", "2",
+                         "--euler-D", "40")
+    assert (code, out) == (2, "") and err.startswith("refused: ")
+    assert "max_bits" not in err and "raise" not in err and "tail_bound" in err
+
+
 def test_hasse_weil_cli(capsys):
     code, out, _ = run(capsys, "zeta", "--q", "3", "--g", "1", "--L", "1,0,3",
                        "--hasse-weil")
@@ -391,6 +409,11 @@ def test_bad_descriptor_exits_1(tmp_path, capsys):
     (("countd", "--d", "2", "--m", "-1"), "--m must be >= 0, not -1"),
     (("forms", "--brute", "--m", "-1"), "--m must be >= 0, not -1"),
     (("assemble", "--n", "2", "--m", "-1"), "--m must be >= 0, not -1"),
+    # so is a negative budget, before any refusal against it
+    (("count", "--n", "2", "--m", "1", "--budget", "-1"), "--budget must be >= 0, not -1"),
+    (("countd", "--d", "2", "--m", "1", "--budget", "-1"), "--budget must be >= 0, not -1"),
+    (("forms", "--brute", "--m", "1", "--budget", "-1"), "--budget must be >= 0, not -1"),
+    (("assemble", "--n", "2", "--m", "1", "--budget", "-1"), "--budget must be >= 0, not -1"),
 ])
 def test_out_of_range_input_exits_1(capsys, argv, message):
     q = () if "--q" in argv else ("--q", "3")  # --q 3 unless the case names one
@@ -408,11 +431,13 @@ def test_verify_suite_choices_without_importing_verify(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
-    # only `ffcount verify` loads the invariant battery
-    probe = "import sys, ffcount.cli; print('ffcount.verify' in sys.modules)"
+    # only `ffcount verify` loads the invariant battery and the places of
+    # F_q(T), its reference definitions
+    probe = ("import sys, ffcount.cli; "
+             "print(sorted({'ffcount.verify', 'ffcount.places'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_fields_checks_each_descriptor_once(capsys, monkeypatch):

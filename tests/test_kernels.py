@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffcount import kernels, poly, quadratic, verify
-from ffcount.counting import (brute_count_rational, brute_count_unnormalized,
-                              count_fixed_degree_points)
+from ffcount.counting import brute_count_rational, count_fixed_degree_points
 from ffcount.errors import RefusalError
 from ffcount.gf import GF
 from ffcount.kernels import discriminant_classes, divisor_sieve
@@ -119,8 +118,8 @@ def test_memo_and_literal_recursions_agree():
     # reaches the grouped inner levels, and q=4, 8 (codes added by XOR)
     # and q=9 are not prime
     for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 4, 2), (4, 3, 1),
-                    (3, 3, 2), (8, 2, 1), (9, 2, 1)):
-        assert brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
+                    (3, 3, 2), (5, 2, 1), (8, 2, 1), (9, 2, 1)):
+        assert verify.brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
 
 
 @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1)])

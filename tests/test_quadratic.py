@@ -14,8 +14,8 @@ from ffcount.quadratic import (
     curve_point_counts,
     enumerate_quadratic_fields,
     min_generator_height_bound,
-    same_field,
 )
+from ffcount.verify import same_field
 from ffcount.zeta import divisor_counts, hasse_weil_check
 
 K3 = GF(3)

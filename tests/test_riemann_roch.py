@@ -5,18 +5,23 @@ import pytest
 from ffcount import poly
 from ffcount.errors import DescriptorError
 from ffcount.gf import GF
-from ffcount.places import INFINITY, Divisor, Place, rf
+from ffcount.places import (
+    INFINITY,
+    Divisor,
+    Place,
+    genus0_section_basis,
+    rf,
+    section_space_contains,
+)
 from ffcount.quadratic import enumerate_quadratic_fields
 from ffcount.riemann_roch import (
     build_class_model,
     class_dimension,
     class_sum_identity_check,
     clifford_sum_check,
-    genus0_section_basis,
     l_dim,
     lambda_sum,
     reflection_identity_check,
-    section_space_contains,
 )
 from ffcount.zeta import CurveDescriptor, divisor_counts
 
