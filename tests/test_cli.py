@@ -422,9 +422,11 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
 
 
 def test_verify_suite_choices_without_importing_verify(capsys):
+    import os
     import subprocess
     import sys
 
+    import ffcount
     from ffcount import cli, verify
 
     assert cli.VERIFY_SUITES == tuple(verify.SUITES)
@@ -435,8 +437,10 @@ def test_verify_suite_choices_without_importing_verify(capsys):
     # F_q(T), its reference definitions
     probe = ("import sys, ffcount.cli; "
              "print(sorted({'ffcount.verify', 'ffcount.places'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(ffcount.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True).stdout
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "[]"
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffcount import verify
 from ffcount.counting import (
     brute_count_p1_over_field,
     brute_count_rational,
@@ -71,6 +72,11 @@ def test_genus0_exactness_from_height_two():
                 r = moebius_point_count(desc, n, m)
                 assert r.N == schanuel_constant(desc, n) * Fraction(q) ** (n * m)
                 assert all(v == 0 for v in r.error_parts().values())
+
+
+def test_unnormalized_is_q_minus_1_times_projective():
+    for q, n, m in ((2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1)):
+        assert verify.brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
 
 
 def test_error_decomposition_genus0():
