@@ -13,30 +13,33 @@ import io
 import operator
 import os
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from . import counting, forms, poly, quadratic, zeta
+# forms, quadratic, zeta, verify and json are imported by the commands
+# that use them, so that each command loads only the modules it runs
+from . import counting, poly
 from .errors import ConsistencyError, DescriptorError, RefusalError
 
 
 def _fmt(value):
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    # a Fraction exists only once fractions is loaded, and _fmt does not load it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return f"{value.numerator}/{value.denominator}"
     return str(value)
 
 
 def emit(rows, headers, fmt, out=None):
-    """Write rows as CSV or JSON.  A row is a dict keyed by header, whose
-    values _fmt formats, or a list of the formatted cells in header order."""
+    """Write rows, any iterable, as CSV or JSON, one row at a time.  A row
+    is a dict keyed by header, whose values _fmt formats, or a list of the
+    formatted cells in header order."""
     out = out or sys.stdout
-    table = [r if type(r) is list else [_fmt(r.get(h, "")) for h in headers] for r in rows]
+    table = (r if type(r) is list else [_fmt(r.get(h, "")) for h in headers] for r in rows)
     if fmt == "json":
         _write_json(table, headers, out)
         return
@@ -50,19 +53,20 @@ def _write_json(table, headers, out):
     in table], indent=2) and a newline, one row at a time.  Every cell is a
     string, quoted by json's C string encoder; json.dumps with an indent
     runs its pure-Python encoder and builds the whole text first."""
-    if not table:
-        out.write("[]\n")
-        return
+    from json.encoder import encode_basestring_ascii
+
     keys = [f"    {encode_basestring_ascii(h)}: " for h in headers]
-    opening = "[\n  {\n"
+    first = opening = "[\n  {\n"
     for cells in table:
         out.write(opening)
         out.write(",\n".join(map(operator.add, keys, map(encode_basestring_ascii, cells))))
         opening = "\n  },\n  {\n"
-    out.write("\n  }\n]\n")
+    out.write("[]\n" if opening is first else "\n  }\n]\n")
 
 
 def _descriptor_from_args(args):
+    from . import zeta
+
     if getattr(args, "descriptor", None):
         with open(args.descriptor, encoding="utf-8") as fh:
             return zeta.parse_descriptor(fh.read())
@@ -81,6 +85,8 @@ def cmd_zeta(args):
     if (args.s is None and not args.schanuel and args.divisors is None
             and args.moebius is None and not args.hasse_weil):
         raise ValueError("nothing to compute: pass --s, --schanuel, --divisors, ...")
+    from . import zeta
+
     desc = _descriptor_from_args(args)
     out = io.StringIO()  # copied to stdout once every value is computed
     if args.s is not None and args.euler_D is None:
@@ -139,7 +145,10 @@ def cmd_count(args):
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, not {args.workers}")
     rows = []
-    base = zeta.CurveDescriptor.rational(args.q)
+    if args.engine != "brute":
+        from .zeta import CurveDescriptor
+
+        base = CurveDescriptor.rational(args.q)
     for m in _heights(args):
         row = {"q": args.q, "n": args.n, "d": 1, "m": m}
         if args.engine in ("brute", "both"):
@@ -202,6 +211,8 @@ def cmd_assemble(args):
 
 
 def cmd_fields(args):
+    from . import quadratic, zeta
+
     # the enumeration checks q before any directory is made, and raises
     # ConsistencyError on a descriptor outside the Hasse-Weil window, so
     # every field it returns passes
@@ -209,27 +220,29 @@ def cmd_fields(args):
     if args.write_descriptors:  # a path that cannot be made fails before any output
         os.makedirs(args.write_descriptors, exist_ok=True)
     q = str(args.q)
-    # the columns from g on depend only on deg D and the point counts,
-    # which determine the descriptor; they are formatted once per pair
-    shared = {}
-    rows = []
-    for f in fields:
-        key = f.deg_D, f.point_counts
-        cells = shared.get(key)
-        if cells is None:
-            bound = quadratic.min_generator_height_bound(f)
-            cells = shared[key] = [
-                str(f.genus),
-                ";".join(map(str, f.descriptor.L)),
-                str(f.J),
-                ";".join(map(str, f.point_counts)),
-                _fmt(bound),
-                _fmt(2 * bound - f.genus),
-                "true",
-            ]
-        rows.append([q, str(key[0]), poly.format_poly(f.D), str(f.u), *cells])
-    emit(rows, ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
-                "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],
+
+    def rows():
+        # the columns from g on depend only on deg D and the point counts,
+        # which determine the descriptor; they are formatted once per pair
+        shared = {}
+        for f in fields:
+            key = f.deg_D, f.point_counts
+            cells = shared.get(key)
+            if cells is None:
+                bound = quadratic.min_generator_height_bound(f)
+                cells = shared[key] = [
+                    str(f.genus),
+                    ";".join(map(str, f.descriptor.L)),
+                    str(f.J),
+                    ";".join(map(str, f.point_counts)),
+                    _fmt(bound),
+                    _fmt(2 * bound - f.genus),
+                    "true",
+                ]
+            yield [q, str(key[0]), poly.format_poly(f.D), str(f.u), *cells]
+
+    emit(rows(), ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
+                  "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],
          args.format)
     if args.write_descriptors:
         for f in fields:
@@ -242,6 +255,8 @@ def cmd_fields(args):
 
 
 def cmd_forms(args):
+    from . import forms
+
     rows = []
     heights = _heights(args)
     if args.brute:  # refuse before either route enumerates anything

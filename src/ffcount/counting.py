@@ -16,22 +16,18 @@ through minimal polynomials (discriminant classification) and once by
 summing per-field counts over the enumerated quadratic extensions.
 """
 
+import functools
 from collections import Counter
-from fractions import Fraction
 
 from . import kernels
 from .errors import ConsistencyError, RefusalError
 from .frozen import Frozen
 from .gf import GF, prime_power
-from .quadratic import QuadraticFieldDesc, enumerate_quadratic_fields
-from .riemann_roch import ClassModel, build_class_model, lambda_sum
-from .zeta import (
-    CurveDescriptor,
-    divisor_counts,
-    moebius_sums,
-    schanuel_constant,
-    zeta_value,
-)
+
+# riemann_roch, zeta, quadratic and fractions are imported by the Moebius,
+# decomposition, assembly and Schanuel functions that use them, so that
+# the brute-force and table routes (count --engine brute, countd) load
+# none of them; annotations naming their types are strings
 
 DEFAULT_BUDGET = 10**8
 
@@ -47,10 +43,10 @@ class CountResult(Frozen):
     d: int
     m: int
     N: int
-    main_term: Fraction
-    err_unit_sum: Fraction
-    err_zeta_tail: Fraction
-    err_genus_window: Fraction
+    main_term: "Fraction"
+    err_unit_sum: "Fraction"
+    err_zeta_tail: "Fraction"
+    err_genus_window: "Fraction"
 
     def error_parts(self):
         return {
@@ -71,6 +67,24 @@ def check_budget(candidates: int, budget: int, what: str):
         )
 
 
+# At odd q the degree-2 counts walk the coefficient triples up to
+# Y -> mu*Y + kappa (kernels.discriminant_classes): about ncodes^3 /
+# (q (q-1)^2) steps for the ncodes = q^(m+1) codes of degree <= m, where
+# the candidates number ncodes^3.  A step costs 0.2-0.3 us (3.2e7 steps in
+# 5.7 s at q=3, m=5; 3.1e6 in 0.9 s at q=5, m=3, whole process) and counts
+# this many times against the budget: the default budget admits q=5 m=3,
+# q=11 m=2 and q=25 m=1, and refuses q=3 m=5 and q=7 m=3.
+WALK_STEP_COST = 10
+
+
+def check_walk_budget(q, m, budget, what):
+    """Refuse a walk of the degree-2 tables at odd q and height m whose
+    steps, weighted by WALK_STEP_COST, exceed the budget."""
+    ncodes = q ** (m + 1)
+    check_budget(WALK_STEP_COST * (ncodes**3 // (q * (q - 1) ** 2)), budget,
+                 f"{what} at cost {WALK_STEP_COST} per walk step")
+
+
 def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
     """Points of P^(n-1)(F_q(T)) of relative height exactly m, by exhaustive
     enumeration of normalized coprime polynomial vectors."""
@@ -85,14 +99,23 @@ def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
 # -- Moebius inversion engine -------------------------------------------------
 
 
-def moebius_point_count(model: ClassModel | CurveDescriptor, n: int, m: int) -> CountResult:
+@functools.lru_cache(maxsize=256)
+def moebius_point_count(model: "ClassModel | CurveDescriptor", n: int, m: int) -> CountResult:
     """Exact N with (q-1)N = sum_{l<=m} b(l) * Lambda(m-l), plus the split of
     (q-1)N into main term and the three correction sums.
 
     Lambda(i) is the class sum of lambda(a_j + i*a_0, n); above the genus
     window it collapses to J*(q^(n(i+1-g)) - 1), which is what turns the
     full sum into J*q^(n(m+1-g))/zeta(n) plus controlled corrections.
+
+    Cached per (model or descriptor, n, m): fields that share a descriptor
+    share their count, and the result is immutable.
     """
+    from fractions import Fraction
+
+    from .riemann_roch import build_class_model, lambda_sum
+    from .zeta import CurveDescriptor, moebius_sums, schanuel_constant, zeta_value
+
     if isinstance(model, CurveDescriptor):
         model = build_class_model(model)
     if n < 2:
@@ -139,13 +162,18 @@ def moebius_point_count(model: ClassModel | CurveDescriptor, n: int, m: int) -> 
     )
 
 
-def error_decomposition(result: CountResult, model: ClassModel) -> dict:
+def error_decomposition(result: CountResult, model: "ClassModel") -> dict:
     """Report the correction pieces of a Moebius count, the genus-window
     bound in its direct and reflected forms, and re-verify the assembly.
 
     Only defined for m >= 2g-1 (below that the closed divisor-count form
     does not cover the window).
     """
+    from fractions import Fraction
+
+    from .riemann_roch import lambda_sum
+    from .zeta import divisor_counts
+
     desc = model.desc
     q, g, J, n, m = desc.q, desc.g, desc.J, result.n, result.m
     if (result.q, result.g, result.J) != (q, g, J):
@@ -200,12 +228,16 @@ def count_fixed_degree_points(q, d, m, budget=DEFAULT_BUDGET) -> int:
         raise RefusalError("minimal-polynomial counting implemented for d <= 2 only")
     if m < 0:
         return 0
-    check_budget(q ** ((d + 1) * (m + 1)), budget, f"degree-2 count q={q} m={m}")
+    prime_power(q)  # ValueError for a q that is no field size, before the budget
+    if q % 2:
+        check_walk_budget(q, m, budget, f"degree-2 count q={q} m={m}")
+    else:  # every candidate triple is tested
+        check_budget(q ** ((d + 1) * (m + 1)), budget, f"degree-2 count q={q} m={m}")
     sep, insep = kernels.irreducible_triple_counts(q, m)
     return 2 * sep + insep
 
 
-def brute_count_p1_over_field(field: QuadraticFieldDesc, m, budget=DEFAULT_BUDGET) -> int:
+def brute_count_p1_over_field(field: "QuadraticFieldDesc", m, budget=DEFAULT_BUDGET) -> int:
     """P^1(K) points of relative height m over a quadratic extension K,
     counted without the zeta machinery: minimal polynomials whose
     discriminant square class matches the field (2 roots each), plus the
@@ -213,7 +245,7 @@ def brute_count_p1_over_field(field: QuadraticFieldDesc, m, budget=DEFAULT_BUDGE
     if m < 0:
         return 0
     q = field.q
-    check_budget(q ** (3 * (m + 1)), budget, f"field line count q={q} m={m}")
+    check_walk_budget(q, m, budget, f"field line count q={q} m={m}")
     # u*unit is a square exactly when both units are squares or neither is
     total = 2 * kernels.discriminant_classes(q, m)[field.D, GF(q).is_square(field.u)]
     if m % 2 == 0:
@@ -225,7 +257,7 @@ def brute_count_p1_over_field(field: QuadraticFieldDesc, m, budget=DEFAULT_BUDGE
 
 
 class FieldContribution(Frozen):
-    field: QuadraticFieldDesc
+    field: "QuadraticFieldDesc"
     N_line: int  # N_K(n, 1, m): all P^(n-1)(K) points of height m
     rational_correction: int
     contribution: int
@@ -237,7 +269,7 @@ class QuadraticAssembly(Frozen):
     m: int
     N: int
     per_field: tuple
-    main_term_partial: Fraction  # sum of S_K * q^(nm) over the enumerated fields
+    main_term_partial: "Fraction"  # sum of S_K * q^(nm) over the enumerated fields
 
     @property
     def fields_used(self) -> int:
@@ -255,6 +287,11 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     with m > 2 would draw in genus >= 2 fields, whose exact class data this
     package does not compute; such requests are refused.
     """
+    from fractions import Fraction
+
+    from .quadratic import enumerate_quadratic_fields
+    from .zeta import CurveDescriptor, schanuel_constant
+
     prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
     if q % 2 == 0:
         raise RefusalError("even q refused: quadratic extensions have no squarefree model")
@@ -278,12 +315,11 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
         if m % 2 == 0:
             corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N
         fields = enumerate_quadratic_fields(q, 2 * m)
-        # fields sharing a descriptor share their line count and Schanuel
-        # constant: each is computed once per descriptor
+        # fields sharing a descriptor share their line count (through the
+        # cache of moebius_point_count) and their Schanuel constant
         groups = Counter(field.descriptor for field in fields)
-        n_lines = {desc: moebius_point_count(build_class_model(desc), n, m).N for desc in groups}
         for field in fields:
-            n_line = n_lines[field.descriptor]
+            n_line = moebius_point_count(field.descriptor, n, m).N
             contrib = n_line - corr
             if contrib < 0:
                 raise ConsistencyError(f"negative contribution from {field.label()}")
@@ -301,6 +337,11 @@ def schanuel_sum_quadratic(q, n, degD_max):
     Convergence of the full sum requires n > 4 (= d + 2 for d = 2); smaller
     n is refused rather than summed blindly.
     """
+    from fractions import Fraction
+
+    from .quadratic import enumerate_quadratic_fields
+    from .zeta import schanuel_constant
+
     if n <= 4:
         raise RefusalError(f"sum over quadratic fields converges only for n > 4, got n={n}")
     # fields sharing a descriptor share their Schanuel constant

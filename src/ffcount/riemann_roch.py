@@ -26,6 +26,10 @@ class ClassModel(Frozen):
     desc: CurveDescriptor
     dims_table: tuple  # dims_table[j][i], j in 0..J-1, i in 0..2g-2; empty for g=0
 
+    def __post_init__(self):
+        # kept as a tuple of tuples, so that a model hashes
+        self.__dict__["dims_table"] = tuple(map(tuple, self.dims_table))
+
     @property
     def q(self):
         return self.desc.q

@@ -38,7 +38,9 @@ class CurveDescriptor(Frozen):
 
     `class_dims`, when present, lists for each of the J divisor classes the
     dimensions l(a, 1) in degrees 0 .. 2g-2; it is required for genus >= 2
-    and derivable for genus <= 1.
+    and derivable for genus <= 1.  L and class_dims may be given as any
+    sequences; they are kept as a tuple and a tuple of tuples, so that
+    equal descriptors are equal and hash alike.
     """
 
     q: int
@@ -47,7 +49,10 @@ class CurveDescriptor(Frozen):
     class_dims: tuple | None = None
 
     def __post_init__(self):
-        q, g, L = self.q, self.g, self.L
+        q, g = self.q, self.g
+        L = self.__dict__["L"] = tuple(self.L)
+        if self.class_dims is not None:
+            self.__dict__["class_dims"] = tuple(map(tuple, self.class_dims))
         try:
             prime_power(q)
         except ValueError as exc:

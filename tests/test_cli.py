@@ -421,12 +421,28 @@ def test_out_of_range_input_exits_1(capsys, argv, message):
     assert (code, out, err.strip()) == (1, "", f"error: {message}")
 
 
-def test_verify_suite_choices_without_importing_verify(capsys):
+def fresh_python(*args):
+    """stdout of a fresh interpreter run with this package's source first
+    on its path; no module of this process is shared with it."""
     import os
     import subprocess
     import sys
 
     import ffcount
+
+    src = os.path.dirname(os.path.dirname(ffcount.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+# modules that `import ffcount.cli` must not load: every command module
+# outside the count and table routes, and the standard modules behind them
+DEFERRED = ("ffcount.verify", "ffcount.places", "ffcount.quadratic", "ffcount.zeta",
+            "ffcount.riemann_roch", "ffcount.forms", "fractions", "decimal", "json")
+
+
+def test_verify_suite_choices_without_importing_verify(capsys):
     from ffcount import cli, verify
 
     assert cli.VERIFY_SUITES == tuple(verify.SUITES)
@@ -434,14 +450,45 @@ def test_verify_suite_choices_without_importing_verify(capsys):
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
     # only `ffcount verify` loads the invariant battery and the places of
-    # F_q(T), its reference definitions
+    # F_q(T), its reference definitions; the other command modules and
+    # fractions load with the commands that run them
     probe = ("import sys, ffcount.cli; "
-             "print(sorted({'ffcount.verify', 'ffcount.places'} & set(sys.modules)))")
-    src = os.path.dirname(os.path.dirname(ffcount.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == "[]"
+             f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))")
+    assert fresh_python("-c", probe).strip() == "[]"
+
+
+def test_start_up_loads_only_the_count_and_table_routes():
+    probe = ("import sys, ffcount.cli; "
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('ffcount'))))")
+    assert fresh_python("-c", probe).split() == [
+        "ffcount", "ffcount.cli", "ffcount.counting", "ffcount.errors", "ffcount.frozen",
+        "ffcount.gf", "ffcount.kernels", "ffcount.poly"]
+    # the package itself loads no submodule
+    probe = "import sys, ffcount; print([m for m in sys.modules if m.startswith('ffcount.')])"
+    assert fresh_python("-c", probe).strip() == "[]"
+    # countd runs on the tables alone: no Fraction is made
+    probe = ("import sys; from ffcount.cli import main; "
+             "main(['countd', '--q', '3', '--d', '2', '--m', '1']); "
+             "print('fractions' in sys.modules)")
+    assert fresh_python("-c", probe).splitlines() == ["q,n,d,m,N", "3,2,2,1,432", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    "zeta --q 2 --g 0 --s 2 --schanuel --n 3 --moebius 3",
+    "count --q 2 --n 2 --m 0 --m-to 3",
+    "countd --q 3 --d 2 --m 0 --m-to 2",
+    "assemble --q 3 --n 2 --m 2",
+    "fields --q 3 --degD-max 3 --format json",
+    "forms --q 3 --m 1 --brute",
+    "schanuel-sum --q 3 --n 6 --degD-max 3",
+    "verify --suite forms",
+])
+def test_each_command_in_a_fresh_interpreter(capsys, argv):
+    # a deferred import that works only because another test loaded its
+    # module first fails here
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0 and out
+    assert fresh_python("-m", "ffcount.cli", *argv.split()) == out
 
 
 def test_fields_checks_each_descriptor_once(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcount import verify
+from ffcount import kernels, verify
 from ffcount.counting import (
     brute_count_p1_over_field,
     brute_count_rational,
@@ -111,6 +111,34 @@ def test_degree2_examples():
     for d in (0, -1):
         with pytest.raises(ValueError, match=f"not {d}"):
             count_fixed_degree_points(3, d, 1)
+
+
+def test_degree2_budget_counts_walk_steps_at_odd_q(monkeypatch):
+    # the walk makes about q^(3(m+1)) / (q (q-1)^2) steps, each counted
+    # WALK_STEP_COST times; even q counts every candidate triple
+    monkeypatch.setattr(kernels, "irreducible_triple_counts", lambda q, m: (0, 0))
+    for q, m in ((5, 3), (11, 2), (25, 1), (3, 4)):
+        assert count_fixed_degree_points(q, 2, m) == 0
+    with pytest.raises(RefusalError, match="q=3 m=5 at cost 10 per walk step"):
+        count_fixed_degree_points(3, 2, 5)
+    assert count_fixed_degree_points(3, 2, 5, budget=10**9) == 0
+    assert count_fixed_degree_points(4, 2, 3) == 0  # 4^12 triples
+    with pytest.raises(RefusalError, match="needs 134217728 candidate tuples"):
+        count_fixed_degree_points(2, 2, 8)  # 2^27 triples
+    field = enumerate_quadratic_fields(3, 1)[0]
+    with pytest.raises(RefusalError, match="field line count q=3 m=5 at cost 10"):
+        brute_count_p1_over_field(field, 5)
+
+
+def test_moebius_counts_are_cached_per_descriptor():
+    info = moebius_point_count.cache_info()
+    assert info.maxsize is not None
+    moebius_point_count.cache_clear()
+    result = count_degree2_points_by_fields(3, 2, 2)
+    descriptors = {fc.field.descriptor for fc in result.per_field}
+    # one count per descriptor, and one for the rational correction at m/2
+    assert moebius_point_count.cache_info().misses == len(descriptors) + 1
+    assert moebius_point_count(R3, 2, 1) is moebius_point_count(CurveDescriptor(3, 0, [1]), 2, 1)
 
 
 def test_oracle_equivalence_q4():

@@ -1,0 +1,30 @@
+import importlib
+
+import pytest
+
+import ffcount
+
+
+def test_public_names_are_their_home_objects():
+    for name in ffcount.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"ffcount.{ffcount._HOMES[name]}")
+        assert getattr(ffcount, name) is getattr(home, name), name
+    assert ffcount.__version__ == "0.1.0"
+    assert set(ffcount.__all__) <= set(dir(ffcount))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from ffcount import *", namespace)
+    assert set(ffcount.__all__) <= set(namespace)
+    assert namespace["moebius_point_count"] is ffcount.counting.moebius_point_count
+
+
+def test_unknown_names_fall_back_to_submodules():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ffcount.no_such_name
+    from ffcount import counting  # a submodule, not a public name
+
+    assert counting.__name__ == "ffcount.counting"

@@ -174,6 +174,15 @@ def test_descriptor_file_errors():
         parse_descriptor("q = 6\ng = 0\nL_coeffs = 1\n")
 
 
+def test_sequences_in_a_descriptor_become_tuples():
+    # equal descriptors must hash alike: moebius_point_count caches on them
+    listed = CurveDescriptor(3, 1, [1, 0, 3], class_dims=[[1], [0], [0], [0]])
+    tupled = CurveDescriptor(3, 1, (1, 0, 3), class_dims=((1,), (0,), (0,), (0,)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.L == (1, 0, 3) and listed.class_dims == ((1,), (0,), (0,), (0,))
+    assert CurveDescriptor(3, 0, [1]) == R3
+
+
 def test_class_dims_descriptor_roundtrip():
     desc = CurveDescriptor(3, 1, (1, 0, 3), class_dims=((1,), (0,), (0,), (0,)))
     back = parse_descriptor(serialize_descriptor(desc))
