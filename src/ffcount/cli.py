@@ -213,39 +213,38 @@ def cmd_assemble(args):
 def cmd_fields(args):
     from . import quadratic, zeta
 
-    # the enumeration checks q before any directory is made, and raises
+    # the class view checks q before any directory is made, and raises
     # ConsistencyError on a descriptor outside the Hasse-Weil window, so
-    # every field it returns passes
-    fields = quadratic.enumerate_quadratic_fields(args.q, args.degD_max)
+    # every field passes
+    classes = quadratic.field_classes(args.q, args.degD_max)
     if args.write_descriptors:  # a path that cannot be made fails before any output
         os.makedirs(args.write_descriptors, exist_ok=True)
-    q = str(args.q)
+    q, (one, eps) = str(args.q), map(str, classes.twists)
 
     def rows():
-        # the columns from g on depend only on deg D and the point counts,
-        # which determine the descriptor; they are formatted once per pair
-        shared = {}
-        for f in fields:
-            key = f.deg_D, f.point_counts
-            cells = shared.get(key)
-            if cells is None:
-                bound = quadratic.min_generator_height_bound(f)
-                cells = shared[key] = [
-                    str(f.genus),
-                    ";".join(map(str, f.descriptor.L)),
-                    str(f.J),
-                    ";".join(map(str, f.point_counts)),
-                    _fmt(bound),
-                    _fmt(2 * bound - f.genus),
-                    "true",
-                ]
-            yield [q, str(key[0]), poly.format_poly(f.D), str(f.u), *cells]
+        for dc in classes.degrees:
+            # the columns from g on depend only on deg D and the point
+            # counts, which determine the descriptor; they are formatted
+            # once per pair
+            bound = quadratic.min_generator_height_bound(dc)
+            tail = [_fmt(bound), _fmt(2 * bound - dc.genus), "true"]
+            shared = {}
+            for c in set().union(*dc.counts):
+                desc = classes.descriptors[c]
+                shared[c] = [str(dc.genus), ";".join(map(str, desc.L)), str(desc.J),
+                             ";".join(map(str, c)), *tail]
+            head = [q, str(dc.deg_D)]
+            format_D = quadratic.monic_formatter(args.q, dc.deg_D)
+            for code, plain, twisted in zip(dc.codes, *dc.counts):
+                D = format_D(code)
+                yield [*head, D, one, *shared[plain]]
+                yield [*head, D, eps, *shared[twisted]]
 
     emit(rows(), ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
                   "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],
          args.format)
     if args.write_descriptors:
-        for f in fields:
+        for f in quadratic.enumerate_quadratic_fields(args.q, args.degD_max):
             code = poly.to_code(f.q, f.D)
             path = os.path.join(args.write_descriptors, f"q{f.q}_D{code}_u{f.u}.desc")
             with open(path, "w", encoding="utf-8") as fh:
@@ -324,7 +323,8 @@ def build_parser():
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
-                       help="candidate-tuple budget for exhaustive engines")
+                       help="work budget of the exhaustive engines, in the unit "
+                            "each refusal names")
 
     p = sub.add_parser("zeta", help="zeta values, divisor sequences, Schanuel constants")
     p.add_argument("--q", type=int, default=None)

@@ -59,10 +59,12 @@ class CountResult(Frozen):
 # -- brute-force oracle -------------------------------------------------------
 
 
-def check_budget(candidates: int, budget: int, what: str):
+def check_budget(candidates: int, budget: int, what: str, unit: str = "candidate tuples"):
+    """Refuse a run of what whose work, candidates of the named unit,
+    exceeds the budget."""
     if candidates > budget:
         raise RefusalError(
-            f"{what} needs {candidates} candidate tuples > budget {budget}; "
+            f"{what} needs {candidates} {unit} > budget {budget}; "
             f"raise the budget explicitly to proceed"
         )
 
@@ -82,7 +84,7 @@ def check_walk_budget(q, m, budget, what):
     steps, weighted by WALK_STEP_COST, exceed the budget."""
     ncodes = q ** (m + 1)
     check_budget(WALK_STEP_COST * (ncodes**3 // (q * (q - 1) ** 2)), budget,
-                 f"{what} at cost {WALK_STEP_COST} per walk step")
+                 f"{what} at cost {WALK_STEP_COST} per walk step", "weighted walk steps")
 
 
 def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
@@ -306,7 +308,7 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
         )
     # the enumeration examines every monic D of degree 1..2m
     check_budget(sum(q**d for d in range(1, 2 * m + 1)), budget,
-                 f"field enumeration q={q} m={m}")
+                 f"field enumeration q={q} m={m}", "monic D")
     rows = []
     total = 0
     main_partial = Fraction(0)
@@ -339,16 +341,21 @@ def schanuel_sum_quadratic(q, n, degD_max):
     """
     from fractions import Fraction
 
-    from .quadratic import enumerate_quadratic_fields
+    from .quadratic import field_classes
     from .zeta import schanuel_constant
 
     if n <= 4:
         raise RefusalError(f"sum over quadratic fields converges only for n > 4, got n={n}")
-    # fields sharing a descriptor share their Schanuel constant
-    groups = Counter((f.deg_D, f.descriptor) for f in enumerate_quadratic_fields(q, degD_max))
+    classes = field_classes(q, degD_max)
     increments = {}
-    for (d, desc), k in groups.items():
-        increments[d] = increments.get(d, Fraction(0)) + k * schanuel_constant(desc, n)
+    for dc in classes.degrees:
+        # fields with equal point counts share their descriptor, hence
+        # their Schanuel constant
+        groups = Counter()
+        for counts in dc.counts:  # one tuple per twist
+            groups.update(counts)
+        increments[dc.deg_D] = sum((k * schanuel_constant(classes.descriptors[c], n)
+                                    for c, k in groups.items()), Fraction(0))
     total = sum(increments.values(), Fraction(0))
     degs = sorted(increments)
     ratios = {

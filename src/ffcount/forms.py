@@ -182,4 +182,5 @@ def check_oracle_budget(q, m, budget):
     """Refuse an oracle run at height m whose q^(3(m+1)) candidate triples,
     weighted by ORACLE_TRIPLE_COST, exceed the budget."""
     check_budget(ORACLE_TRIPLE_COST * q ** (3 * (m + 1)), budget,
-                 f"form oracle q={q} m={m} at cost {ORACLE_TRIPLE_COST} per triple")
+                 f"form oracle q={q} m={m} at cost {ORACLE_TRIPLE_COST} per triple",
+                 "weighted oracle triples")

@@ -47,8 +47,14 @@ discriminant classes read it at degree 2m, and the quadratic-field
 enumeration reads it for the squarefree D, together with the point counts
 of y^2 = u*D(x) over F_{q^r}: one character sum over the values D(x) per
 code, built digit by digit as the code-sum tables are, gives both twists,
-the twist u entering only through its character chi_r(u).  These tables
-are built per call and not kept.
+the twist u entering only through its character chi_r(u).  The sum runs
+over one x per orbit of the Frobenius x -> x^q, weighted by the orbit's
+size: D has coefficients in F_q, so D(x^q) = D(x)^q has the character of
+D(x).  The extensions share their tables: F_{q^s} lies in F_{q^r} for
+s | r, as the orbits whose size divides s, so the counts N_1..N_g of a
+genus come from the tables of the r > g/2 alone, each s read off one of
+them with the character of F_{q^s}.  These tables are built per call and
+not kept.
 """
 
 import functools
@@ -278,32 +284,96 @@ def point_count_table(K, d, r):
     With chi the quadratic character of F_{q^r} (chi(0) = 0), an affine x
     gives 1 + chi(u)*chi(D(x)) points, and infinity gives 1 for odd d and
     1 + chi(u) for even d, so N_r(u) = q^r + 1 + chi(u)*(S + [d even])
-    with one character sum S = sum over x of chi(D(x)) per code; the twist
-    reads chi(eps) off F_{q^r}.  The low parts are evaluated at every x
-    of F_{q^r} digit by digit, by Horner's rule
-    low[code][x] = c0 + x * low[code // q][x] over the field tables, the q
-    codes of one parent from one row of products x * low[parent][x], and
-    D(x) = x^d + low[code][x].
+    with one character sum S = sum over x of chi(D(x)) per code
+    (_orbit_sums); eps is a non-square of F_q, so chi(eps) = (-1)^r.
+    """
+    return list(zip(*_point_counts(K.q, d, r, _orbit_sums(K, d, r, [r])[0])))
+
+
+def point_count_tables(K, d, r_max):
+    """(plain, twisted): lists over the low-part codes of the monic D of
+    degree d of the tuples (N_1, ..., N_r_max) of y^2 = D(x) and of
+    y^2 = eps*D(x), the columns of point_count_table for r = 1..r_max.
+
+    F_{q^s} lies in F_{q^r} for every s | r, so only the r > r_max // 2,
+    which divide no larger r' <= r_max, get a table, and each s is read
+    off the largest of them that it divides.
+    """
+    if r_max == 0:
+        return [()] * K.q**d, [()] * K.q**d
+    sums = {}
+    for r in range(r_max, r_max // 2, -1):
+        subs = [s for s in range(1, r + 1) if r % s == 0 and s not in sums]
+        sums.update(zip(subs, _orbit_sums(K, d, r, subs)))
+    plain, twisted = zip(*(_point_counts(K.q, d, s, sums[s]) for s in range(1, r_max + 1)))
+    return list(zip(*plain)), list(zip(*twisted))
+
+
+def _point_counts(q, d, r, sums):
+    """(N_r(1), N_r(eps)) as two lists, from the character sums S over
+    F_{q^r} of the codes (point_count_table)."""
+    base = q**r + 1 + (1 - d % 2)  # infinity's [d even] enters as S does
+    plain = [base + t for t in sums]
+    if r % 2 == 0:  # eps is a square in F_{q^r}
+        return plain, plain
+    return plain, [2 * (q**r + 1) - n for n in plain]
+
+
+def _frobenius_orbits(Kr, q):
+    """(reps, sizes): the least element of each orbit of x -> x^q in Kr
+    and the orbit's size, ordered by size, then by rep."""
+    frob = [Kr.pow(x, q) for x in Kr.elements()]
+    seen = bytearray(Kr.q)
+    orbits = []
+    for x in Kr.elements():
+        size, y = 0, x
+        while not seen[y]:
+            seen[y] = 1
+            size, y = size + 1, frob[y]
+        if size:
+            orbits.append((size, x))
+    orbits.sort()
+    return [x for _, x in orbits], [size for size, _ in orbits]
+
+
+def _orbit_sums(K, d, r, subs):
+    """For each s in subs, all dividing r, the list over the low-part codes
+    of the monic D of degree d of S_s = sum over x in F_{q^s} of
+    chi_s(D(x)), chi_s the quadratic character of F_{q^s}, chi_s(0) = 0.
+
+    D has coefficients in F_q, so chi_s(D(x^q)) = chi_s(D(x)^q) =
+    chi_s(D(x)): S_s sums over one x per orbit of x -> x^q, weighted by
+    the orbit's size, and F_{q^s} is the union of the orbits in F_{q^r}
+    whose size divides s.  chi_s on F_{q^s} is y -> y^((q^s - 1) / 2),
+    not chi_r, whose restriction is chi_s^(r/s), trivial when r/s is even.
+    The low parts are evaluated at every rep x digit by digit, by Horner's
+    rule low[code][x] = c0 + x * low[code // q][x] over the field tables,
+    the q codes of one parent from one row of products x * low[parent][x],
+    and D(x) = x^d + low[code][x].
     """
     q = K.q
     Kr, emb = constant_extension(K, r)
     add, mul = Kr._add, Kr._mul
+    reps, sizes = _frobenius_orbits(Kr, q)
+    rows = [mul[x] for x in reps]
     plus = [add[emb[c0]] for c0 in range(q)]  # plus[c0][v] = c0 + v
-    low = [[emb[c0]] * Kr.q for c0 in range(q)]  # the constants
+    low = [[emb[c0]] * len(reps) for c0 in range(q)]  # the constants
     for parent in range(1, q ** (d - 1)):
-        products = list(map(list.__getitem__, mul, low[parent]))
+        products = list(map(list.__getitem__, rows, low[parent]))
         low += [list(map(row.__getitem__, products)) for row in plus]
-    values = Kr.elements()
-    chi = [1 if Kr.is_square(v) else -1 for v in values]
-    chi[0] = 0
-    # per x, chi(x^d + v) for every value v of the low part
-    by_value = [[chi[v] for v in add[Kr.pow(x, d)]] for x in values]
-    base, even = Kr.q + 1, 1 - d % 2
-    twist = chi[emb[K.non_square_unit()]]
     out = []
-    for row in low:
-        t = sum(map(list.__getitem__, by_value, row)) + even
-        out.append((base + t, base + twist * t))
+    for s in subs:
+        half = (q**s - 1) // 2
+        chi = [0] + [1 if Kr.pow(v, half) == 1 else -1 for v in range(1, Kr.q)]
+        # per rep x of an orbit inside F_{q^s}, size * chi_s(x^d + v) for
+        # every value v of the low part; the reps are ordered by orbit
+        # size, so the sum stops after the last orbit inside, and a larger
+        # orbit before it weighs 0
+        last = max(j for j, size in enumerate(sizes) if s % size == 0)
+        zero = [0] * Kr.q
+        by_value = [[size * chi[v] for v in add[Kr.pow(x, d)]] if s % size == 0 else zero
+                    for x, size in zip(reps[: last + 1], sizes)]
+        out.append([sum(map(list.__getitem__, by_value, row)) for row in low])
     return out
 
 

@@ -12,12 +12,21 @@ monic D (D = T^d + the polynomial of the code), through two tables from
 `kernels`: the squarefree kernel, a sieve over p^2 * c for each monic
 irreducible p that maps every monic code up to the largest degree to its
 squarefree part, so that the squarefree D are its fixed points; and the
-point counts N_r of both twists for every code, from one character sum
-over a Horner table of the values D(x) over F_{q^r}.  No D is factored and no curve is counted point by point;
-`poly.squarefree_part` and `curve_point_counts` are the naive definitions
-the tables are checked against (`ffcount verify --suite algebra`).  Fields
-with equal point counts share one descriptor, built and Hasse-Weil checked
-once.
+point counts N_1..N_g of both twists for every code, from character sums
+over a Horner table of the values D(x) at one x per Frobenius orbit of
+the largest extensions F_{q^r}, which contain the smaller ones.  No D is
+factored and no curve is counted point by point; `poly.squarefree_part`
+and `curve_point_counts` are the naive definitions the tables are checked
+against (`ffcount verify --suite algebra`).
+
+The field layer works on count classes.  field_classes keeps, per degree,
+the codes of the squarefree D and the counts tuple of each (code, twist);
+fields with equal point counts share one descriptor, built and Hasse-Weil
+checked once.  The Schanuel sum counts the counts tuples of each degree,
+and `ffcount fields` writes its rows from the classes, each D formatted by
+one concatenation of two digit tables (monic_formatter).  Only
+enumerate_quadratic_fields builds one QuadraticFieldDesc per field, for
+the callers that read fields one by one.
 
 Characteristic 2 is refused here: quadratic extensions are then of
 Artin-Schreier or inseparable type and have no squarefree-D normal form.
@@ -25,7 +34,10 @@ The minimal-polynomial counters elsewhere still cover char-2 counting.
 """
 
 import functools
+import operator
 from fractions import Fraction
+from itertools import chain, compress
+from types import MappingProxyType
 
 from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
@@ -35,7 +47,11 @@ from .zeta import CurveDescriptor, hasse_weil_check
 
 __all__ = [
     "QuadraticFieldDesc",
+    "DegreeClasses",
+    "FieldClasses",
+    "field_classes",
     "enumerate_quadratic_fields",
+    "monic_formatter",
     "curve_point_counts",
     "build_descriptor",
     "min_generator_height_bound",
@@ -64,9 +80,10 @@ class QuadraticFieldDesc(Frozen):
         return f"q{self.q}_D[{poly.format_poly(self.D)}]_u{self.u}"
 
 
-def min_generator_height_bound(field: QuadraticFieldDesc) -> Fraction:
+def min_generator_height_bound(field) -> Fraction:
     """Upper bound deg(D)/2 for the least absolute height of a generator of
-    the projective line over the field: sqrt(u*D) has that height."""
+    the projective line over the field: sqrt(u*D) has that height.  field
+    is a QuadraticFieldDesc, or the DegreeClasses of its degree."""
     return Fraction(field.deg_D, 2)
 
 
@@ -124,13 +141,38 @@ def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
     return CurveDescriptor(q, g, tuple(c))
 
 
-@functools.lru_cache(maxsize=8)
-def enumerate_quadratic_fields(q: int, degD_max: int):
-    """All quadratic extensions with 1 <= deg D <= degD_max, deterministic order.
+class DegreeClasses(Frozen):
+    """The fields of one degree of D by count classes: the low codes of
+    the squarefree monic D = T^deg_D + f_code, in increasing order, and
+    counts[i][j], the point counts N_1..N_genus of y^2 = u*D(x) for the
+    j-th code and the i-th twist u."""
 
-    Emits QuadraticFieldDesc sorted by (deg D, code of D, u).  Every
-    distinct descriptor must pass the Hasse-Weil window, or ConsistencyError
-    is raised (a counting bug would surface here).
+    deg_D: int
+    genus: int
+    codes: tuple
+    counts: tuple
+
+
+class FieldClasses(Frozen):
+    """The class view of the fields with 1 <= deg D <= degD_max: the
+    twists (1, eps), one DegreeClasses per degree, and the descriptor of
+    each counts tuple, in one read-only mapping for every degree: counts
+    tuples of different genera differ in length."""
+
+    twists: tuple
+    degrees: tuple
+    descriptors: MappingProxyType
+
+
+@functools.lru_cache(maxsize=8)
+def field_classes(q: int, degD_max: int) -> FieldClasses:
+    """The fields with 1 <= deg D <= degD_max as count classes, cached;
+    every part of the view is immutable, so its callers share it.
+
+    Each distinct counts tuple gets its descriptor once, in the order
+    (deg D, code of D, u) of its first field, and must pass the Hasse-Weil
+    window, or ConsistencyError names that field (a counting bug would
+    surface here).
     """
     prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
     if q % 2 == 0:
@@ -138,33 +180,70 @@ def enumerate_quadratic_fields(q: int, degD_max: int):
     if degD_max < 1:
         raise ValueError("degD_max must be >= 1")
     K = GF(q)
-    eps = K.non_square_unit()
+    twists = (1, K.non_square_unit())
     kernel = kernels.squarefree_kernel(K, degD_max)
-    out = []
-    # counts -> descriptor, built and checked once: the genus is len(counts),
-    # so degrees of one genus share the dict
     descriptors = {}
+    degrees = []
     for d in range(1, degD_max + 1):
         g = (d - 1) // 2
-        tables = [kernels.point_count_table(K, d, r) for r in range(1, g + 1)]
         lead = q**d  # the code of T^d
-        for code in range(lead):
-            if kernel[lead + code] != lead + code:  # D is not squarefree
+        # the squarefree D are the fixed points of the kernel
+        codes = tuple(compress(range(lead), map(operator.eq, kernel[lead : 2 * lead],
+                                                 range(lead, 2 * lead))))
+        counts = tuple(tuple(map(table.__getitem__, codes))
+                       for table in kernels.point_count_tables(K, d, g))
+        # the counts tuples in the order of their first field
+        for c in dict.fromkeys(chain.from_iterable(zip(*counts))):
+            if c in descriptors:
                 continue
+            desc = descriptors[c] = build_descriptor(q, g, c)
+            report = hasse_weil_check(desc)
+            if not report["ok"]:
+                code, u = next((code, u) for code, pair in zip(codes, zip(*counts))
+                               for u, counted in zip(twists, pair) if counted == c)
+                field = QuadraticFieldDesc(q, poly.from_code(q, code, pad=d) + (1,), u, g, c, desc)
+                raise ConsistencyError(f"{field.label()} failed Hasse-Weil: {report['failures']}")
+        degrees.append(DegreeClasses(d, g, codes, counts))
+    return FieldClasses(twists, tuple(degrees), MappingProxyType(descriptors))
+
+
+@functools.lru_cache(maxsize=8)
+def enumerate_quadratic_fields(q: int, degD_max: int):
+    """All quadratic extensions with 1 <= deg D <= degD_max, deterministic order.
+
+    Emits QuadraticFieldDesc sorted by (deg D, code of D, u), one record per
+    field of field_classes, which has checked every descriptor.
+    """
+    classes = field_classes(q, degD_max)
+    descriptors, (one, eps) = classes.descriptors, classes.twists
+    out = []
+    for dc in classes.degrees:
+        d, g = dc.deg_D, dc.genus
+        for code, plain, twisted in zip(dc.codes, *dc.counts):
             D = poly.from_code(q, code, pad=d) + (1,)
-            for i, u in enumerate((1, eps)):
-                counts = tuple(t[code][i] for t in tables)
-                desc = descriptors.get(counts)
-                first = desc is None
-                if first:
-                    desc = descriptors[counts] = build_descriptor(q, g, counts)
-                fdesc = QuadraticFieldDesc(q, D, u, g, counts, desc)
-                if first:
-                    report = hasse_weil_check(desc)
-                    if not report["ok"]:
-                        raise ConsistencyError(
-                            f"{fdesc.label()} failed Hasse-Weil: {report['failures']}"
-                        )
-                out.append(fdesc)
+            out.append(QuadraticFieldDesc(q, D, one, g, plain, descriptors[plain]))
+            out.append(QuadraticFieldDesc(q, D, eps, g, twisted, descriptors[twisted]))
     return tuple(out)
 
+
+def monic_formatter(q: int, d: int):
+    """format_poly(T^d + f_code) as a function of the code < q^d: one
+    concatenation of a string of its high digits (T^d and the terms of
+    degree d//2 .. d-1) and one of its low digits, from two tables built
+    of format_poly's own terms."""
+    # terms[i][c]: "+" and the term c*T^i, or "" for c = 0
+    terms = [[""] + ["+" + poly.format_poly((0,) * i + (c,)) for c in range(1, q)]
+             for i in range(d)]
+
+    def strings(head, lo, hi):
+        """head and the terms of the digits lo .. hi-1, for the codes of
+        those digits, the most significant digit first."""
+        out = [head]
+        for i in range(hi - 1, lo - 1, -1):
+            out = [s + t for s in out for t in terms[i]]
+        return out
+
+    split = q ** (d // 2)
+    high = strings(poly.format_poly((0,) * d + (1,)), d // 2, d)
+    low = strings("", 0, d // 2)
+    return lambda code: high[code // split] + low[code % split]

@@ -246,15 +246,27 @@ def _point_count_table(cells=FIELD_TABLE_CELLS):
         for d in range(1, d_max + 1):
             # r up to the genus, and r = 1 at genus 0 too
             r_max = max((d - 1) // 2, 1)
-            tables = [kernels.point_count_table(K, d, r) for r in range(1, r_max + 1)]
+            tables = kernels.point_count_tables(K, d, r_max)
+            top = kernels.point_count_table(K, d, r_max)
             for code, D in enumerate(poly.enumerate_monic(K, d)):
-                for i, u in enumerate((1, eps)):
-                    counts = tuple(t[code][i] for t in tables)
+                for u, table, last in zip((1, eps), tables, top[code]):
+                    counts = table[code]
                     if counts != quadratic.curve_point_counts(K, u, D, r_max):
-                        return (f"point-count table wrong at q={q} D={poly.format_poly(D)} "
+                        return (f"point-count tables wrong at q={q} D={poly.format_poly(D)} "
                                 f"u={u}: {counts}"), False
+                    if last != counts[-1]:
+                        return (f"point-count table of r={r_max} wrong at q={q} "
+                                f"D={poly.format_poly(D)} u={u}: {last}"), False
     return (f"point-count tables equal curve_point_counts on every monic D "
             f"({_cell_names(cells, 'deg D')})"), True
+
+
+# genus 3, where the table of r = 3 supplies s = 1 and 3, and r = 2 its own
+DEEP_FIELD_TABLE_CELLS = ((3, 7),)
+
+
+def _deep_point_count_table():
+    return _point_count_table(DEEP_FIELD_TABLE_CELLS)
 
 
 def _irreducible_counts():
@@ -594,7 +606,7 @@ def run_suite(suite: str, deep: bool = False):
     else:
         checks.extend(SUITES[suite])
     if deep:
-        checks += [_deep_oracle, _deep_discriminant_reduction]
+        checks += [_deep_oracle, _deep_discriminant_reduction, _deep_point_count_table]
     results = []
     for check in checks:
         detail, ok = check()

@@ -108,6 +108,23 @@ def test_assemble_per_field(capsys):
     assert len(out.splitlines()) == 1 + 18
 
 
+@pytest.mark.parametrize("argv, needs", [
+    # coprime vectors: each candidate is a tuple of n codes
+    ("count --q 3 --n 4 --m 4 --engine brute", "needs 3486784401 candidate tuples"),
+    # even q tests every coefficient triple
+    ("countd --q 2 --d 2 --m 8", "needs 134217728 candidate tuples"),
+    # odd q walks the reduced triples, 10 per step
+    ("countd --q 3 --d 2 --m 5",
+     "at cost 10 per walk step needs 322850400 weighted walk steps"),
+    ("forms --q 3 --m 4 --brute", "at cost 100 per triple needs 1434890700 weighted oracle triples"),
+    ("assemble --q 3 --n 2 --m 2 --budget 10", "needs 120 monic D"),
+])
+def test_budget_refusals_name_their_unit(capsys, argv, needs):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "") and err.startswith("refused: ")
+    assert f"{needs} > budget" in err
+
+
 def test_assemble_refusal(capsys):
     code, _, err = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "3")
     assert code == 2 and "genus" in err
@@ -505,6 +522,7 @@ def test_fields_checks_each_descriptor_once(capsys, monkeypatch):
 
     monkeypatch.setattr(zeta, "hasse_weil_check", counting_check)
     monkeypatch.setattr(quadratic, "hasse_weil_check", counting_check)
+    quadratic.field_classes.cache_clear()  # the descriptors are built here
     quadratic.enumerate_quadratic_fields.cache_clear()
     code, out, _ = run(capsys, "fields", "--q", "3", "--degD-max", "4")
     fields = quadratic.enumerate_quadratic_fields(3, 4)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -277,9 +278,15 @@ def test_schanuel_sum_quadratic():
 
 @pytest.mark.parametrize("q, degD_max", [(3, 6), (5, 4)])
 def test_grouped_schanuel_sum_equals_per_field_sum(q, degD_max):
+    fields = enumerate_quadratic_fields(q, degD_max)
     per_degree = {}
-    for f in enumerate_quadratic_fields(q, degD_max):
+    for f in fields:
         per_degree[f.deg_D] = per_degree.get(f.deg_D, 0) + schanuel_constant(f.descriptor, 6)
+    # the records grouped by (deg D, descriptor), as the sum was once formed
+    grouped = {}
+    for (d, desc), k in Counter((f.deg_D, f.descriptor) for f in fields).items():
+        grouped[d] = grouped.get(d, Fraction(0)) + k * schanuel_constant(desc, 6)
     total, report = schanuel_sum_quadratic(q, 6, degD_max)
-    assert report["increments"] == per_degree
+    assert report["increments"] == per_degree == grouped
+    assert list(report["increments"]) == sorted(grouped)
     assert total == sum(per_degree.values())

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from ffcount.quadratic import (
     build_descriptor,
     curve_point_counts,
     enumerate_quadratic_fields,
+    field_classes,
     min_generator_height_bound,
+    monic_formatter,
 )
 from ffcount.verify import same_field
 from ffcount.zeta import divisor_counts, hasse_weil_check
@@ -23,16 +26,40 @@ T3T = (0, 2, 0, 1)  # T^3 - T
 
 
 def test_hasse_weil_failure_raises(monkeypatch):
-    def bad_table(K, d, r):
-        return [(4 * K.q**r + 1,) * 2] * K.q**d
+    # N_r = 4 q^r + 1 for every code and both twists, far outside the window
+    def bad_tables(K, d, r_max):
+        counts = tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))
+        return [counts] * K.q**d, [counts] * K.q**d
 
-    monkeypatch.setattr(kernels, "point_count_table", bad_table)
+    monkeypatch.setattr(kernels, "point_count_tables", bad_tables)
+    field_classes.cache_clear()
     enumerate_quadratic_fields.cache_clear()
     try:
-        with pytest.raises(ConsistencyError, match="Hasse-Weil"):
+        # the message names the first field of genus 1: T^3 + c is a cube
+        # in characteristic 3, so the first squarefree D is T^3 + T
+        with pytest.raises(ConsistencyError, match=r"q3_D\[T\^3\+T\]_u1 failed Hasse-Weil"):
             enumerate_quadratic_fields(3, 3)
     finally:
+        field_classes.cache_clear()
         enumerate_quadratic_fields.cache_clear()
+
+
+def test_hasse_weil_failure_names_a_twisted_field(monkeypatch):
+    # only the twist eps = 2 is counted wrong: the first failing field is
+    # the first squarefree D of genus 1 with u = 2
+    real = kernels.point_count_tables
+
+    def bad_twists(K, d, r_max):
+        plain, _ = real(K, d, r_max)
+        return plain, [tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))] * K.q**d
+
+    monkeypatch.setattr(kernels, "point_count_tables", bad_twists)
+    field_classes.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match=r"q5_D\[T\^3\+1\]_u2 failed Hasse-Weil"):
+            field_classes(5, 5)
+    finally:
+        field_classes.cache_clear()
 
 
 def test_enumeration_small():
@@ -170,9 +197,7 @@ def test_field_tables_match_naive_definitions(cell):
 @functools.cache
 def _field_tables(q, d):
     K = GF(q)
-    r_max = max((d - 1) // 2, 1)
-    tables = [kernels.point_count_table(K, d, r) for r in range(1, r_max + 1)]
-    return kernels.squarefree_kernel(K, d), tables
+    return kernels.squarefree_kernel(K, d), kernels.point_count_tables(K, d, max((d - 1) // 2, 1))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -186,8 +211,39 @@ def test_field_tables_sample_at_the_largest_cells(cell, low, twist):
     u = K.non_square_unit() if twist else 1
     kernel, tables = _field_tables(q, d)
     assert kernel[q**d + code] == poly.to_code(q, poly.squarefree_part(K, D)[1])
-    counts = tuple(t[code][twist] for t in tables)
-    assert counts == curve_point_counts(K, u, D, len(tables))
+    counts = tables[twist][code]
+    assert counts == curve_point_counts(K, u, D, len(counts))
+
+
+def test_genus4_tables_read_every_s_off_the_largest_r():
+    # at genus 4 only r = 3 and r = 4 get a table: r = 4 supplies s = 1, 2
+    # and 4, whose characters differ from the restriction of chi_4 at
+    # s = 1 and 2, and r = 3 supplies s = 3
+    K, d = GF(3), 9
+    plain, twisted = kernels.point_count_tables(K, d, 4)
+    rng = random.Random(20)
+    for code in rng.sample(range(3**d), 12):
+        D = poly.from_code(3, code, pad=d) + (1,)
+        assert plain[code] == curve_point_counts(K, 1, D, 4), code
+        assert twisted[code] == curve_point_counts(K, 2, D, 4), code
+
+
+def test_orbit_table_over_a_non_prime_field():
+    # every code at q = 9, d = 3, r = 2: Frobenius x -> x^9 on F_81
+    K = GF(9)
+    eps = K.non_square_unit()
+    table = kernels.point_count_table(K, 3, 2)
+    for code, D in enumerate(poly.enumerate_monic(K, 3)):
+        expected = tuple(curve_point_counts(K, u, D, 2)[1] for u in (1, eps))
+        assert table[code] == expected, D
+
+
+@pytest.mark.parametrize("q, d_max", [(3, 7), (5, 5), (7, 4), (9, 3)])
+def test_monic_formatter_equals_format_poly(q, d_max):
+    for d in range(1, d_max + 1):
+        format_D = monic_formatter(q, d)
+        for code, D in enumerate(poly.enumerate_monic(GF(q), d)):
+            assert format_D(code) == poly.format_poly(D)
 
 
 @pytest.mark.parametrize("q, degD_max", [(3, 6), (5, 5)])
