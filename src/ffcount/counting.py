@@ -17,11 +17,10 @@ summing per-field counts over the enumerated quadratic extensions.
 """
 
 import functools
-from collections import Counter
+from collections import Counter, namedtuple
 
 from . import kernels
 from .errors import ConsistencyError, RefusalError
-from .frozen import Frozen
 from .gf import GF, prime_power
 
 # riemann_roch, zeta, quadratic and fractions are imported by the Moebius,
@@ -32,21 +31,12 @@ from .gf import GF, prime_power
 DEFAULT_BUDGET = 10**8
 
 
-class CountResult(Frozen):
+class CountResult(namedtuple("CountResult", "q g J n d m N main_term err_unit_sum "
+                                             "err_zeta_tail err_genus_window")):
     """Exact count plus its decomposition N = main + unit_sum + zeta_tail +
     genus_window (an algebraic identity, not an estimate)."""
 
-    q: int
-    g: int
-    J: int
-    n: int
-    d: int
-    m: int
-    N: int
-    main_term: "Fraction"
-    err_unit_sum: "Fraction"
-    err_zeta_tail: "Fraction"
-    err_genus_window: "Fraction"
+    __slots__ = ()
 
     def error_parts(self):
         return {
@@ -233,9 +223,12 @@ def count_fixed_degree_points(q, d, m, budget=DEFAULT_BUDGET) -> int:
     prime_power(q)  # ValueError for a q that is no field size, before the budget
     if q % 2:
         check_walk_budget(q, m, budget, f"degree-2 count q={q} m={m}")
-    else:  # every candidate triple is tested
-        check_budget(q ** ((d + 1) * (m + 1)), budget, f"degree-2 count q={q} m={m}")
-    sep, insep = kernels.irreducible_triple_counts(q, m)
+        # the discriminant classes of the irreducible quadratics: deg s >= 1
+        return 2 * sum(n for (s, _), n in kernels.discriminant_classes(q, m).items()
+                       if len(s) > 1)
+    # every candidate triple is tested
+    check_budget(q ** ((d + 1) * (m + 1)), budget, f"degree-2 count q={q} m={m}")
+    sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     return 2 * sep + insep
 
 
@@ -258,20 +251,19 @@ def brute_count_p1_over_field(field: "QuadraticFieldDesc", m, budget=DEFAULT_BUD
 # -- assembly over quadratic fields (d = 2) -----------------------------------
 
 
-class FieldContribution(Frozen):
-    field: "QuadraticFieldDesc"
-    N_line: int  # N_K(n, 1, m): all P^(n-1)(K) points of height m
-    rational_correction: int
-    contribution: int
+FieldContribution = namedtuple("FieldContribution",
+                               "field N_line rational_correction contribution")
+FieldContribution.__doc__ = """One field's share of an assembly.
+
+N_line is N_K(n, 1, m), all P^(n-1)(K) points of height m; contribution,
+N_line - rational_correction, leaves out those defined over F_q(T)."""
 
 
-class QuadraticAssembly(Frozen):
-    q: int
-    n: int
-    m: int
-    N: int
-    per_field: tuple
-    main_term_partial: "Fraction"  # sum of S_K * q^(nm) over the enumerated fields
+class QuadraticAssembly(namedtuple("QuadraticAssembly", "q n m N per_field main_term_partial")):
+    """N(n, 2, m) summed over the fields of per_field, and
+    main_term_partial, the sum of S_K * q^(nm) over the enumerated fields."""
+
+    __slots__ = ()
 
     @property
     def fields_used(self) -> int:

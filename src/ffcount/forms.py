@@ -26,12 +26,12 @@ decomposability is automatic and the factor field is read off the
 discriminant.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
 from .counting import DEFAULT_BUDGET, check_budget, count_fixed_degree_points
 from .errors import ConsistencyError, RefusalError
-from .frozen import Frozen
 from .gf import GF
 
 # The oracle spends 4-60 us on each candidate triple (the most at odd q,
@@ -44,16 +44,14 @@ from .gf import GF
 ORACLE_TRIPLE_COST = 100
 
 
-class FormTable(Frozen):
+class FormTable(namedtuple("FormTable", "p n d m counts frobenius", defaults=(None,))):
     """Counts N(n, d', m) for the divisors d' of d needed by the relations,
-    plus N(n, d/p, m/p) when frobenius_height() says form_count needs it."""
+    plus N(n, d/p, m/p) when frobenius_height() says form_count needs it.
 
-    p: int  # characteristic
-    n: int
-    d: int
-    m: int
-    counts: dict  # d' -> N(n, d', m)
-    frobenius: int | None = None  # N(n, d/p, m/p): Frobenius images to subtract
+    p is the characteristic, counts maps d' -> N(n, d', m), and frobenius
+    is N(n, d/p, m/p), the Frobenius images to subtract, or None."""
+
+    __slots__ = ()
 
     def count(self, d_prime: int) -> int:
         if d_prime not in self.counts:

@@ -275,10 +275,11 @@ def squarefree_kernel(K, top, add=None):
     return kernel
 
 
-def point_count_table(K, d, r):
-    """List over the low-part codes of the monic D of degree d of the pairs
-    (N_r(1), N_r(eps)), eps = K.non_square_unit(): the points of
-    y^2 = u*D(x) over F_{q^r}, those at infinity included, as
+def point_count_tables(K, d, r_max):
+    """(plain, twisted): lists over the low-part codes of the monic D of
+    degree d of the tuples (N_1, ..., N_r_max) of y^2 = D(x) and of
+    y^2 = eps*D(x), eps = K.non_square_unit(), where N_r counts the points
+    over F_{q^r}, those at infinity included, as
     quadratic.curve_point_counts counts them.
 
     With chi the quadratic character of F_{q^r} (chi(0) = 0), an affine x
@@ -286,14 +287,6 @@ def point_count_table(K, d, r):
     1 + chi(u) for even d, so N_r(u) = q^r + 1 + chi(u)*(S + [d even])
     with one character sum S = sum over x of chi(D(x)) per code
     (_orbit_sums); eps is a non-square of F_q, so chi(eps) = (-1)^r.
-    """
-    return list(zip(*_point_counts(K.q, d, r, _orbit_sums(K, d, r, [r])[0])))
-
-
-def point_count_tables(K, d, r_max):
-    """(plain, twisted): lists over the low-part codes of the monic D of
-    degree d of the tuples (N_1, ..., N_r_max) of y^2 = D(x) and of
-    y^2 = eps*D(x), the columns of point_count_table for r = 1..r_max.
 
     F_{q^s} lies in F_{q^r} for every s | r, so only the r > r_max // 2,
     which divide no larger r' <= r_max, get a table, and each s is read
@@ -311,7 +304,7 @@ def point_count_tables(K, d, r_max):
 
 def _point_counts(q, d, r, sums):
     """(N_r(1), N_r(eps)) as two lists, from the character sums S over
-    F_{q^r} of the codes (point_count_table)."""
+    F_{q^r} of the codes (point_count_tables)."""
     base = q**r + 1 + (1 - d % 2)  # infinity's [d even] enters as S does
     plain = [base + t for t in sums]
     if r % 2 == 0:  # eps is a square in F_{q^r}
@@ -546,29 +539,22 @@ def _reduced_b(q, m, k):
                           if b // q**k % q == 0], q ** (m + 1))
 
 
-def irreducible_triple_counts(q, m):
+@functools.lru_cache(maxsize=8)
+def classify_triples_by_polys(K, m):
     """(sep, insep): normalized triples (a monic, b, c) with gcd 1 and max
     degree exactly m whose quadratic a*Y^2 + b*Y + c is irreducible over
     F_q(T) and keeps the constant field, split into separable ones and the
-    inseparable ones (characteristic 2 with b = 0).  For odd q these are
-    the discriminant classes with deg s >= 1."""
-    if q % 2:
-        return sum(n for (s, _), n in discriminant_classes(q, m).items() if len(s) > 1), 0
-    return classify_triples_by_polys(GF(q), m)
-
-
-@functools.lru_cache(maxsize=8)
-def classify_triples_by_polys(K, m):
-    """irreducible_triple_counts by polynomial arithmetic on each triple,
-    for any constant field K, over q^(3(m+1)) candidate triples, cached
-    per (K, m).  Each coprime triple takes one
+    inseparable ones (characteristic 2 with b = 0), by polynomial
+    arithmetic on each triple, for any constant field K, over q^(3(m+1))
+    candidate triples, cached per (K, m).  Each coprime triple takes one
     poly.quadratic_stays_irreducible test.  At odd q a triple costs
     9-60 us, mostly factoring its discriminant once in
     poly.squarefree_part (0.7 s at q=3, m=2; 111 s at q=5, m=2).  In
     characteristic 2 the Artin-Schreier tests are linear algebra over F_2
     and a triple costs 4-27 us (1.0 s at q=8, m=1; 2.6 s at q=4, m=2;
-    0.9 s at q=2, m=4).  It reads no squarefree_kernel, so at odd q it is
-    a reference independent of discriminant_classes."""
+    0.9 s at q=2, m=4).  It reads no squarefree_kernel, so at odd q, where
+    sep counts the discriminant classes with deg s >= 1, it is a reference
+    independent of discriminant_classes."""
     sep = insep = 0
     all_polys = list(poly.enumerate_polys(K, m))
     monics = [f for f in all_polys if f and f[-1] == 1]

@@ -12,19 +12,19 @@ counting engines work on coprime polynomial vectors.
 """
 
 import math
+from collections import namedtuple
 
 from . import poly
 from .errors import ConsistencyError
-from .frozen import Frozen
 from .poly import ZERO, ONE
 
 INF = math.inf
 
 
-class Place(Frozen):
+class Place(namedtuple("Place", "prime")):
     """A place of F_q(T): a monic irreducible polynomial, or infinity (prime=None)."""
 
-    prime: tuple | None
+    __slots__ = ()
 
     @property
     def is_infinite(self) -> bool:

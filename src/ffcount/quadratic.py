@@ -35,13 +35,13 @@ The minimal-polynomial counters elsewhere still cover char-2 counting.
 
 import functools
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, compress
 from types import MappingProxyType
 
 from . import kernels, poly
 from .errors import ConsistencyError, RefusalError
-from .frozen import Frozen
 from .gf import GF, FiniteField, constant_extension, prime_power
 from .zeta import CurveDescriptor, hasse_weil_check
 
@@ -58,15 +58,12 @@ __all__ = [
 ]
 
 
-class QuadraticFieldDesc(Frozen):
-    """One quadratic extension: squarefree monic D, twist unit u, derived data."""
+class QuadraticFieldDesc(namedtuple("QuadraticFieldDesc", "q D u genus point_counts descriptor")):
+    """One quadratic extension: squarefree monic D, twist unit u, derived data.
 
-    q: int
-    D: tuple
-    u: int
-    genus: int
-    point_counts: tuple  # N_r over F_{q^r}, r = 1..genus
-    descriptor: CurveDescriptor
+    point_counts holds N_r over F_{q^r}, r = 1..genus."""
+
+    __slots__ = ()
 
     @property
     def deg_D(self) -> int:
@@ -92,7 +89,7 @@ def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
 
     Infinity contributes 1 point for odd deg D (ramified) and 2 or 0 for
     even deg D according to whether the leading unit u is a square in
-    F_{q^r}.  This is the reference for kernels.point_count_table.
+    F_{q^r}.  This is the reference for kernels.point_count_tables.
     """
     out = []
     for r in range(1, r_max + 1):
@@ -141,27 +138,17 @@ def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
     return CurveDescriptor(q, g, tuple(c))
 
 
-class DegreeClasses(Frozen):
-    """The fields of one degree of D by count classes: the low codes of
-    the squarefree monic D = T^deg_D + f_code, in increasing order, and
-    counts[i][j], the point counts N_1..N_genus of y^2 = u*D(x) for the
-    j-th code and the i-th twist u."""
+DegreeClasses = namedtuple("DegreeClasses", "deg_D genus codes counts")
+DegreeClasses.__doc__ = """The fields of one degree of D by count classes: the low codes of
+the squarefree monic D = T^deg_D + f_code, in increasing order, and
+counts[i][j], the point counts N_1..N_genus of y^2 = u*D(x) for the
+j-th code and the i-th twist u."""
 
-    deg_D: int
-    genus: int
-    codes: tuple
-    counts: tuple
-
-
-class FieldClasses(Frozen):
-    """The class view of the fields with 1 <= deg D <= degD_max: the
-    twists (1, eps), one DegreeClasses per degree, and the descriptor of
-    each counts tuple, in one read-only mapping for every degree: counts
-    tuples of different genera differ in length."""
-
-    twists: tuple
-    degrees: tuple
-    descriptors: MappingProxyType
+FieldClasses = namedtuple("FieldClasses", "twists degrees descriptors")
+FieldClasses.__doc__ = """The class view of the fields with 1 <= deg D <= degD_max: the
+twists (1, eps), one DegreeClasses per degree, and the descriptor of
+each counts tuple, in one read-only mapping for every degree: counts
+tuples of different genera differ in length."""
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,20 +15,22 @@ The Clifford bound caps table entries at floor((i+2)/2) in the window
 (attained only by the zero and canonical classes).
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DescriptorError
-from .frozen import Frozen
 from .zeta import CurveDescriptor, divisor_counts
 
 
-class ClassModel(Frozen):
-    desc: CurveDescriptor
-    dims_table: tuple  # dims_table[j][i], j in 0..J-1, i in 0..2g-2; empty for g=0
+class ClassModel(namedtuple("ClassModel", "desc dims_table")):
+    """The descriptor of a curve and its dims_table[j][i] = l(a_j + i*a_0, 1)
+    for j in 0..J-1, i in 0..2g-2 (one empty row for g = 0)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, desc, dims_table):
         # kept as a tuple of tuples, so that a model hashes
-        self.__dict__["dims_table"] = tuple(map(tuple, self.dims_table))
+        return super().__new__(cls, desc, tuple(map(tuple, dims_table)))
 
     @property
     def q(self):
@@ -99,13 +101,6 @@ def class_dimension(model: ClassModel, j: int, i: int) -> int:
     if i >= 2 * model.g - 1:
         return i + 1 - model.g
     return model.dims_table[j - 1][i]
-
-
-def l_dim(model: ClassModel, j: int, i: int, n: int) -> int:
-    """l(a, n) = n * l(a, 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n * class_dimension(model, j, i)
 
 
 def lambda_sum(model: ClassModel, i: int, n: int) -> int:

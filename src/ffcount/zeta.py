@@ -10,10 +10,10 @@ All values are exact (ints / Fractions); zeta is only ever evaluated at
 integer arguments s >= 2.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConsistencyError, DescriptorError, RefusalError
-from .frozen import Frozen
 from .gf import prime_power
 from .poly import count_monic_irreducibles
 
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class CurveDescriptor(Frozen):
+class CurveDescriptor(namedtuple("CurveDescriptor", "q g L class_dims")):
     """(q, genus, L-polynomial) with optional per-class dimension table.
 
     `class_dims`, when present, lists for each of the J divisor classes the
@@ -43,16 +43,12 @@ class CurveDescriptor(Frozen):
     equal descriptors are equal and hash alike.
     """
 
-    q: int
-    g: int
-    L: tuple
-    class_dims: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        q, g = self.q, self.g
-        L = self.__dict__["L"] = tuple(self.L)
-        if self.class_dims is not None:
-            self.__dict__["class_dims"] = tuple(map(tuple, self.class_dims))
+    def __new__(cls, q, g, L, class_dims=None):
+        L = tuple(L)
+        if class_dims is not None:
+            class_dims = tuple(map(tuple, class_dims))
         try:
             prime_power(q)
         except ValueError as exc:
@@ -69,10 +65,12 @@ class CurveDescriptor(Frozen):
                     f"functional equation fails at coefficient {2*g - i}: "
                     f"expected {q ** (g - i) * L[i]}, got {L[2*g - i]}"
                 )
-        if self.J < 1:
-            raise DescriptorError(f"class number L(1) = {self.J} must be >= 1")
+        J = sum(L)
+        if J < 1:
+            raise DescriptorError(f"class number L(1) = {J} must be >= 1")
         # Weil bounds are diagnosed by hasse_weil_check, not at construction,
         # so that out-of-window descriptors can be built and reported on.
+        return super().__new__(cls, q, g, L, class_dims)
 
     @property
     def J(self) -> int:

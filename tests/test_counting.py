@@ -117,7 +117,8 @@ def test_degree2_examples():
 def test_degree2_budget_counts_walk_steps_at_odd_q(monkeypatch):
     # the walk makes about q^(3(m+1)) / (q (q-1)^2) steps, each counted
     # WALK_STEP_COST times; even q counts every candidate triple
-    monkeypatch.setattr(kernels, "irreducible_triple_counts", lambda q, m: (0, 0))
+    monkeypatch.setattr(kernels, "discriminant_classes", lambda q, m: {})
+    monkeypatch.setattr(kernels, "classify_triples_by_polys", lambda K, m: (0, 0))
     for q, m in ((5, 3), (11, 2), (25, 1), (3, 4)):
         assert count_fixed_degree_points(q, 2, m) == 0
     with pytest.raises(RefusalError, match="q=3 m=5 at cost 10 per walk step"):
@@ -189,6 +190,20 @@ def test_degree2_routes_agree_at_q9():
         assert brute_count_p1_over_field(f, 1) == moebius_point_count(f.descriptor, 2, 1).N, (
             f.label()
         )
+
+
+# N(2, 2, m) at more odd q, prime and not, from the discriminant walk and
+# from the per-field Moebius sum, which agreed when these were recorded
+DEGREE2_CELLS = {(5, 2): 864000, (7, 1): 32928, (7, 2): 12644352, (11, 1): 319440,
+                 (13, 1): 738192, (25, 1): 19500000, (27, 1): 28658448}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(cell=st.sampled_from(sorted(DEGREE2_CELLS)))
+def test_degree2_routes_agree_at_more_q(cell):
+    q, m = cell
+    walk = count_fixed_degree_points(q, 2, m)
+    assert walk == count_degree2_points_by_fields(q, 2, m).N == DEGREE2_CELLS[cell]
 
 
 @st.composite

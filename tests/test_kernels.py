@@ -128,7 +128,7 @@ def test_polynomial_loop_matches_discriminant_tables(q, m):
     # discriminant-class count on odd q
     sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     assert insep == 0
-    assert (sep, insep) == kernels.irreducible_triple_counts(q, m)
+    assert 2 * sep == count_fixed_degree_points(q, 2, m)
 
 
 @pytest.mark.parametrize("q, m, counts", [

@@ -19,7 +19,6 @@ from ffcount.riemann_roch import (
     class_dimension,
     class_sum_identity_check,
     clifford_sum_check,
-    l_dim,
     lambda_sum,
     reflection_identity_check,
 )
@@ -32,27 +31,27 @@ E1 = build_class_model(CurveDescriptor(3, 1, (1, 0, 3)))
 
 
 def test_dimension_formulas():
-    # negative degree: 0
-    assert l_dim(R2, 1, -1, 5) == 0
+    # l(a, n) = n * l(a, 1) for n-tuples; negative degree: 0
+    assert 5 * class_dimension(R2, 1, -1) == 0
     # genus 0: l = n (i+1)
-    assert l_dim(R2, 1, 2, 3) == 9
+    assert 3 * class_dimension(R2, 1, 2) == 9
     # genus 1 at degree 0: only the zero class has sections
-    assert l_dim(E1, 1, 0, 2) == 2
+    assert 2 * class_dimension(E1, 1, 0) == 2
     for j in (2, 3, 4):
-        assert l_dim(E1, j, 0, 2) == 0
+        assert class_dimension(E1, j, 0) == 0
     with pytest.raises(ValueError):
-        l_dim(E1, 5, 0, 1)
-    with pytest.raises(ValueError):
-        l_dim(E1, 1, 0, 0)
+        class_dimension(E1, 5, 0)
 
 
 def test_l_scales_linearly_in_n():
+    # lambda_sum counts the nonzero n-tuples of the spaces L(a_j + i*a_0),
+    # of dimension n * l(a_j + i*a_0, 1), below, in and above the window
     for model in (R2, E1):
-        for j in range(1, model.J + 1):
-            for i in range(-1, 5):
-                base = l_dim(model, j, i, 1)
-                for n in (2, 3, 4):
-                    assert l_dim(model, j, i, n) == n * base
+        for i in range(-1, 5):
+            for n in (1, 2, 3, 4):
+                assert lambda_sum(model, i, n) == sum(
+                    model.q ** (n * class_dimension(model, j, i)) - 1
+                    for j in range(1, model.J + 1))
 
 
 def test_lambda_sum_values():
