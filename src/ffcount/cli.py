@@ -182,19 +182,18 @@ def cmd_assemble(args):
     result = counting.count_degree2_points_by_fields(args.q, args.n, _height(args.m),
                                                      budget=args.budget)
     if args.per_field:
-        rows = [
-            {
-                "deg_D": fc.field.deg_D,
-                "D": poly.format_poly(fc.field.D),
-                "u": fc.field.u,
-                "g": fc.field.genus,
-                "J": fc.field.J,
-                "N_line": fc.N_line,
-                "rational_correction": fc.rational_correction,
-                "contribution": fc.contribution,
-            }
-            for fc in result.per_field
-        ]
+        from .quadratic import enumerate_quadratic_fields
+
+        # the assembly sums over count classes; each field's row reads the
+        # line count of its descriptor from the cache of moebius_point_count
+        corr = result.rational_correction
+        fields = enumerate_quadratic_fields(result.q, 2 * result.m) if result.fields_used else ()
+        rows = []
+        for f in fields:
+            n_line = counting.moebius_point_count(f.descriptor, result.n, result.m).N
+            rows.append({"deg_D": f.deg_D, "D": poly.format_poly(f.D), "u": f.u, "g": f.genus,
+                         "J": f.J, "N_line": n_line, "rational_correction": corr,
+                         "contribution": n_line - corr})
         emit(rows, ["deg_D", "D", "u", "g", "J", "N_line", "rational_correction",
                     "contribution"], args.format)
         return 0

@@ -13,7 +13,8 @@ Two independent routes produce every headline number:
 The two must agree wherever both run; that equality is the package's core
 acceptance property.  Degree-2 points are additionally counted twice: once
 through minimal polynomials (discriminant classification) and once by
-summing per-field counts over the enumerated quadratic extensions.
+summing line counts over the quadratic extensions, one count class at a
+time.
 """
 
 import functools
@@ -92,29 +93,28 @@ def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def moebius_point_count(model: "ClassModel | CurveDescriptor", n: int, m: int) -> CountResult:
+def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     """Exact N with (q-1)N = sum_{l<=m} b(l) * Lambda(m-l), plus the split of
     (q-1)N into main term and the three correction sums.
 
-    Lambda(i) is the class sum of lambda(a_j + i*a_0, n); above the genus
-    window it collapses to J*(q^(n(i+1-g)) - 1), which is what turns the
-    full sum into J*q^(n(m+1-g))/zeta(n) plus controlled corrections.
+    Lambda(i) is the class sum of lambda(a_j + i*a_0, n) over the class
+    model of desc; above the genus window it collapses to
+    J*(q^(n(i+1-g)) - 1), which is what turns the full sum into
+    J*q^(n(m+1-g))/zeta(n) plus controlled corrections.
 
-    Cached per (model or descriptor, n, m): fields that share a descriptor
-    share their count, and the result is immutable.
+    Cached per (descriptor, n, m): fields that share a descriptor share
+    their count, and the result is immutable.
     """
     from fractions import Fraction
 
     from .riemann_roch import build_class_model, lambda_sum
-    from .zeta import CurveDescriptor, moebius_sums, schanuel_constant, zeta_value
+    from .zeta import moebius_sums, schanuel_constant, zeta_value
 
-    if isinstance(model, CurveDescriptor):
-        model = build_class_model(model)
     if n < 2:
         raise ValueError("n must be >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    desc = model.desc
+    model = build_class_model(desc)
     q, g, J = desc.q, desc.g, desc.J
     b = moebius_sums(desc, m)
     pre = sum(b[l] * lambda_sum(model, m - l, n) for l in range(m + 1))
@@ -154,24 +154,24 @@ def moebius_point_count(model: "ClassModel | CurveDescriptor", n: int, m: int) -
     )
 
 
-def error_decomposition(result: CountResult, model: "ClassModel") -> dict:
-    """Report the correction pieces of a Moebius count, the genus-window
-    bound in its direct and reflected forms, and re-verify the assembly.
+def error_decomposition(desc: "CurveDescriptor", n: int, m: int) -> dict:
+    """Report the correction pieces of the Moebius count of desc at (n, m),
+    the genus-window bound in its direct and reflected forms, and re-verify
+    the assembly.
 
     Only defined for m >= 2g-1 (below that the closed divisor-count form
     does not cover the window).
     """
     from fractions import Fraction
 
-    from .riemann_roch import lambda_sum
+    from .riemann_roch import build_class_model, lambda_sum
     from .zeta import divisor_counts
 
-    desc = model.desc
-    q, g, J, n, m = desc.q, desc.g, desc.J, result.n, result.m
-    if (result.q, result.g, result.J) != (q, g, J):
-        raise ValueError("result was produced by a different class model")
+    q, g, J = desc.q, desc.g, desc.J
     if m < 2 * g - 1:
         raise RefusalError(f"decomposition defined for m >= 2g-1 = {2*g-1}, got {m}")
+    result = moebius_point_count(desc, n, m)
+    model = build_class_model(desc)
     qn = Fraction(q) ** n
     a = divisor_counts(desc, m)
     direct = Fraction(0)
@@ -251,23 +251,11 @@ def brute_count_p1_over_field(field: "QuadraticFieldDesc", m, budget=DEFAULT_BUD
 # -- assembly over quadratic fields (d = 2) -----------------------------------
 
 
-FieldContribution = namedtuple("FieldContribution",
-                               "field N_line rational_correction contribution")
-FieldContribution.__doc__ = """One field's share of an assembly.
-
-N_line is N_K(n, 1, m), all P^(n-1)(K) points of height m; contribution,
-N_line - rational_correction, leaves out those defined over F_q(T)."""
-
-
-class QuadraticAssembly(namedtuple("QuadraticAssembly", "q n m N per_field main_term_partial")):
-    """N(n, 2, m) summed over the fields of per_field, and
-    main_term_partial, the sum of S_K * q^(nm) over the enumerated fields."""
-
-    __slots__ = ()
-
-    @property
-    def fields_used(self) -> int:
-        return len(self.per_field)
+QuadraticAssembly = namedtuple("QuadraticAssembly",
+                               "q n m N fields_used rational_correction main_term_partial")
+QuadraticAssembly.__doc__ = """N(n, 2, m) summed over the fields_used quadratic extensions, each
+contributing its line count N_K(n, 1, m) less rational_correction, and
+main_term_partial, the sum of S_K * q^(nm) over those fields."""
 
 
 def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticAssembly:
@@ -280,10 +268,14 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     q + q^2 + ... + q^(2m) monic D are checked against the budget.  Heights
     with m > 2 would draw in genus >= 2 fields, whose exact class data this
     package does not compute; such requests are refused.
+
+    The sum runs over count classes (quadratic.field_classes): the fields
+    with equal point counts share one descriptor, one line count and one
+    Schanuel constant, each weighted by the number of those fields.
     """
     from fractions import Fraction
 
-    from .quadratic import enumerate_quadratic_fields
+    from .quadratic import field_classes
     from .zeta import CurveDescriptor, schanuel_constant
 
     prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
@@ -291,8 +283,8 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
         raise RefusalError("even q refused: quadratic extensions have no squarefree model")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if m < 0:
-        return QuadraticAssembly(q, n, m, 0, (), Fraction(0))
+    if m < 1:  # no field has deg D <= 2m
+        return QuadraticAssembly(q, n, m, 0, 0, 0, Fraction(0))
     if m > 2:
         raise RefusalError(
             f"m = {m} would require fields of genus up to {(2*m - 1)//2}; "
@@ -301,27 +293,27 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     # the enumeration examines every monic D of degree 1..2m
     check_budget(sum(q**d for d in range(1, 2 * m + 1)), budget,
                  f"field enumeration q={q} m={m}", "monic D")
-    rows = []
+    corr = 0
+    if m % 2 == 0:
+        corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N
+    classes = field_classes(q, 2 * m)
+    groups = Counter()
+    for dc in classes.degrees:
+        for counts in dc.counts:  # one tuple per twist
+            groups.update(counts)
     total = 0
-    main_partial = Fraction(0)
-    if m >= 1:
-        corr = 0
-        if m % 2 == 0:
-            corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N
-        fields = enumerate_quadratic_fields(q, 2 * m)
-        # fields sharing a descriptor share their line count (through the
-        # cache of moebius_point_count) and their Schanuel constant
-        groups = Counter(field.descriptor for field in fields)
-        for field in fields:
-            n_line = moebius_point_count(field.descriptor, n, m).N
-            contrib = n_line - corr
-            if contrib < 0:
-                raise ConsistencyError(f"negative contribution from {field.label()}")
-            rows.append(FieldContribution(field, n_line, corr, contrib))
-            total += contrib
-        schanuel = sum(k * schanuel_constant(desc, n) for desc, k in groups.items())
-        main_partial = schanuel * Fraction(q) ** (n * m)
-    return QuadraticAssembly(q, n, m, total, tuple(rows), main_partial)
+    schanuel = Fraction(0)
+    for c, k in groups.items():
+        desc = classes.descriptors[c]
+        contrib = moebius_point_count(desc, n, m).N - corr
+        if contrib < 0:
+            raise ConsistencyError(
+                f"negative contribution from the fields of genus {desc.g} "
+                f"with point counts {c}")
+        total += k * contrib
+        schanuel += k * schanuel_constant(desc, n)
+    return QuadraticAssembly(q, n, m, total, sum(groups.values()), corr,
+                             schanuel * Fraction(q) ** (n * m))
 
 
 def schanuel_sum_quadratic(q, n, degD_max):

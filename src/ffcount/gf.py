@@ -187,13 +187,13 @@ def prime_power(q: int):
     return p, e
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def GF(q: int) -> FiniteField:
     """Field with q elements (q a prime power), with a fixed default modulus."""
     return FiniteField(*prime_power(q))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def constant_extension(K: FiniteField, r: int):
     """(F_{q^r}, code map of the embedding of K = F_q into it); K itself
     with the identity map at r = 1."""

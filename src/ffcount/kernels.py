@@ -62,6 +62,7 @@ import operator
 from array import array
 from collections import Counter
 from itertools import compress, cycle
+from types import MappingProxyType
 
 from . import poly
 from .errors import RefusalError
@@ -413,13 +414,14 @@ def count_coprime_vectors(q, n, m):
 
 
 @functools.lru_cache(maxsize=8)
-def discriminant_classes(q: int, m: int) -> Counter:
+def discriminant_classes(q: int, m: int) -> MappingProxyType:
     """Counter {(s, unit_is_square): triples} over the normalized triples
     (a monic nonzero, b, c) with max degree exactly m and gcd 1 whose
     discriminant b^2 - 4ac is nonzero, keyed by its squarefree monic part
     s (poly.squarefree_part) and whether its unit is a square.  Odd q only;
     characteristic 2 goes through classify_triples_by_polys.  The cached
-    Counter is shared by every caller, who must not change it.
+    Counter is shared by every caller, so it is returned read-only, as a
+    MappingProxyType, through which a missing key still reads 0.
 
     The substitutions Y -> mu*Y + kappa (mu a unit, kappa a constant) send
     (a, b, c) to (a, (b + 2 kappa a)/mu, (c + kappa b + kappa^2 a)/mu^2),
@@ -460,7 +462,7 @@ def discriminant_classes(q: int, m: int) -> Counter:
         for square, counts in zip((False, True), by_kernel):
             if counts[s]:
                 classes[f, square] = counts[s]
-    return classes
+    return MappingProxyType(classes)
 
 
 def discriminant_histogram(q, m, reduced):

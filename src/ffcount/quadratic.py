@@ -22,11 +22,11 @@ against (`ffcount verify --suite algebra`).
 The field layer works on count classes.  field_classes keeps, per degree,
 the codes of the squarefree D and the counts tuple of each (code, twist);
 fields with equal point counts share one descriptor, built and Hasse-Weil
-checked once.  The Schanuel sum counts the counts tuples of each degree,
-and `ffcount fields` writes its rows from the classes, each D formatted by
-one concatenation of two digit tables (monic_formatter).  Only
-enumerate_quadratic_fields builds one QuadraticFieldDesc per field, for
-the callers that read fields one by one.
+checked once.  The Schanuel sum and the degree-2 assembly count the
+counts tuples, and `ffcount fields` writes its rows from the classes, each
+D formatted by one concatenation of two digit tables (monic_formatter).
+Only enumerate_quadratic_fields builds one QuadraticFieldDesc per field,
+for the callers that read fields one by one.
 
 Characteristic 2 is refused here: quadratic extensions are then of
 Artin-Schreier or inseparable type and have no squarefree-D normal form.

@@ -490,17 +490,15 @@ def _oracle_equivalence():
 
 
 def _error_decomposition():
-    models = [riemann_roch.build_class_model(zeta.CurveDescriptor.rational(q)) for q in (2, 3)]
-    for f in quadratic.enumerate_quadratic_fields(3, 3):
-        if f.genus == 1:
-            models.append(riemann_roch.build_class_model(f.descriptor))
-    for model in models:
+    descs = [zeta.CurveDescriptor.rational(q) for q in (2, 3)]
+    descs += [f.descriptor for f in quadratic.enumerate_quadratic_fields(3, 3) if f.genus == 1]
+    for desc in descs:
         for n in (2, 3):
-            for m in range(max(2 * model.g - 1, 0), 4):
+            for m in range(max(2 * desc.g - 1, 0), 4):
                 try:
-                    counting.error_decomposition(counting.moebius_point_count(model, n, m), model)
+                    counting.error_decomposition(desc, n, m)
                 except ConsistencyError as exc:
-                    return f"{exc} for {model.desc} n={n} m={m}", False
+                    return f"{exc} for {desc} n={n} m={m}", False
     return "error pieces reassemble, window bound direct = reflected (g <= 1, m <= 3)", True
 
 

@@ -95,10 +95,9 @@ def test_genus1_engine_vs_minimal_polynomial_oracle():
     field = [f for f in enumerate_quadratic_fields(3, 3)
              if f.D == (0, 2, 0, 1) and f.u == 1][0]
     assert field.J == 4
-    model = build_class_model(field.descriptor)
     values = {}
     for m in (1, 2, 3):
-        inv = moebius_point_count(model, 2, m).N
+        inv = moebius_point_count(field.descriptor, 2, m).N
         brute = brute_count_p1_over_field(field, m, budget=BUDGET)
         assert inv == brute, (m, inv, brute)
         values[m] = inv

@@ -108,6 +108,20 @@ def test_assemble_per_field(capsys):
     assert len(out.splitlines()) == 1 + 18
 
 
+def test_assemble_per_field_contributions_sum_to_N(capsys):
+    code, out, _ = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "2")
+    assert code == 0
+    N = int(out.splitlines()[1].split(",")[4])
+    code, out, _ = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "2", "--per-field")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 162 and {r["rational_correction"] for r in rows} == {"24"}
+    assert sum(int(r["contribution"]) for r in rows) == N
+    # no field has deg D <= 0: no rows at m = 0
+    code, out, _ = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "0", "--per-field")
+    assert (code, out) == (0, "deg_D,D,u,g,J,N_line,rational_correction,contribution\n")
+
+
 @pytest.mark.parametrize("argv, needs", [
     # coprime vectors: each candidate is a tuple of n codes
     ("count --q 3 --n 4 --m 4 --engine brute", "needs 3486784401 candidate tuples"),

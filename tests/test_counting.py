@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ffcount import kernels, verify
 from ffcount.counting import (
+    QuadraticAssembly,
     brute_count_p1_over_field,
     brute_count_rational,
     count_degree2_points_by_fields,
@@ -17,11 +18,25 @@ from ffcount.counting import (
 )
 from ffcount.errors import RefusalError
 from ffcount.quadratic import enumerate_quadratic_fields
-from ffcount.riemann_roch import build_class_model
 from ffcount.zeta import CurveDescriptor, schanuel_constant
 
 R2 = CurveDescriptor.rational(2)
 R3 = CurveDescriptor.rational(3)
+
+
+def per_field_assembly(q, n, m):
+    """count_degree2_points_by_fields summed one field at a time, the
+    reference for its sums over count classes: each field contributes its
+    line count less [m even] * N(n, 1, m/2), and no contribution is
+    negative."""
+    if m < 1:
+        return QuadraticAssembly(q, n, m, 0, 0, 0, Fraction(0))
+    corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N if m % 2 == 0 else 0
+    fields = enumerate_quadratic_fields(q, 2 * m)
+    contributions = [moebius_point_count(f.descriptor, n, m).N - corr for f in fields]
+    assert min(contributions) >= 0
+    main = sum(schanuel_constant(f.descriptor, n) for f in fields) * Fraction(q) ** (n * m)
+    return QuadraticAssembly(q, n, m, sum(contributions), len(fields), corr, main)
 
 
 def test_brute_count_examples():
@@ -81,22 +96,20 @@ def test_unnormalized_is_q_minus_1_times_projective():
 
 
 def test_error_decomposition_genus0():
-    r = moebius_point_count(R2, 2, 3)
-    rep = error_decomposition(r, build_class_model(R2))
+    rep = error_decomposition(R2, 2, 3)
     assert rep["window_bound_direct"] == 0
     assert rep["pieces"]["genus_window"] == 0
 
 
 def test_error_decomposition_genus1():
     f = [f for f in enumerate_quadratic_fields(3, 3) if f.genus == 1][0]
-    model = build_class_model(f.descriptor)
     for m in (1, 2, 3):
-        r = moebius_point_count(model, 2, m)
-        rep = error_decomposition(r, model)
+        r = moebius_point_count(f.descriptor, 2, m)
+        rep = error_decomposition(f.descriptor, 2, m)
         assert rep["window_bound_direct"] == rep["window_bound_reflected"]
         assert sum(rep["pieces"].values()) == (f.q - 1) * (r.N - r.main_term)
     with pytest.raises(RefusalError):
-        error_decomposition(moebius_point_count(model, 2, 0), model)
+        error_decomposition(f.descriptor, 2, 0)
 
 
 def test_degree2_examples():
@@ -136,8 +149,8 @@ def test_moebius_counts_are_cached_per_descriptor():
     info = moebius_point_count.cache_info()
     assert info.maxsize is not None
     moebius_point_count.cache_clear()
-    result = count_degree2_points_by_fields(3, 2, 2)
-    descriptors = {fc.field.descriptor for fc in result.per_field}
+    count_degree2_points_by_fields(3, 2, 2)
+    descriptors = {f.descriptor for f in enumerate_quadratic_fields(3, 4)}
     # one count per descriptor, and one for the rational correction at m/2
     assert moebius_point_count.cache_info().misses == len(descriptors) + 1
     assert moebius_point_count(R3, 2, 1) is moebius_point_count(CurveDescriptor(3, 0, [1]), 2, 1)
@@ -165,21 +178,16 @@ def test_assembly_matches_minimal_polynomials():
         assert asm.N == count_fixed_degree_points(3, 2, m)
     asm = count_degree2_points_by_fields(3, 2, 1)
     assert asm.fields_used == 18
-    assert all(fc.contribution >= 0 for fc in asm.per_field)
+    assert asm == per_field_assembly(3, 2, 1)
 
 
 def test_grouped_assembly_rows_equal_per_field_moebius():
-    # the assembly computes one line count per descriptor; every row must
-    # still carry the count of its own field's descriptor
+    # the assembly computes one line count per count class, weighted by
+    # its fields; the sums must equal those over the fields one by one
     asm = count_degree2_points_by_fields(3, 2, 2)
-    corr = moebius_point_count(R3, 2, 1).N
     assert asm.fields_used == len(enumerate_quadratic_fields(3, 4))
-    for fc in asm.per_field:
-        assert fc.N_line == moebius_point_count(fc.field.descriptor, 2, 2).N, fc.field.label()
-        assert (fc.rational_correction, fc.contribution) == (corr, fc.N_line - corr)
-    main = sum(schanuel_constant(fc.field.descriptor, 2) for fc in asm.per_field) * 3**4
-    assert asm.main_term_partial == main
-    assert asm.N == sum(fc.contribution for fc in asm.per_field)
+    assert asm.rational_correction == moebius_point_count(R3, 2, 1).N
+    assert asm == per_field_assembly(3, 2, 2)
 
 
 def test_degree2_routes_agree_at_q9():
@@ -219,6 +227,20 @@ def test_field_brute_count_equals_moebius(field, m):
     assert brute_count_p1_over_field(field, m) == moebius_point_count(field.descriptor, 2, m).N
 
 
+# (q, m) of the class-sum test: m = 2 draws in genus 1 at deg D = 3, 4,
+# and stops at q = 7, whose 4802 fields take about 0.15 s one by one
+# (q = 9 has 13122)
+ASSEMBLY_CELLS = ([(q, m) for q in (3, 5, 7, 9, 11, 13, 25, 27) for m in (0, 1)]
+                  + [(q, 2) for q in (3, 5, 7)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(cell=st.sampled_from(ASSEMBLY_CELLS), n=st.integers(2, 6))
+def test_class_sums_equal_per_field_sums(cell, n):
+    q, m = cell
+    assert count_degree2_points_by_fields(q, n, m) == per_field_assembly(q, n, m)
+
+
 def test_assembly_refusals():
     with pytest.raises(RefusalError):
         count_degree2_points_by_fields(3, 2, 3)
@@ -229,18 +251,16 @@ def test_assembly_refusals():
 
 def test_line_counts_over_genus1_field():
     f = [f for f in enumerate_quadratic_fields(3, 3) if f.D == (0, 2, 0, 1) and f.u == 1][0]
-    model = build_class_model(f.descriptor)
     expected = {0: 4, 1: 0, 2: 96, 3: 864}
     for m, want in expected.items():
-        assert moebius_point_count(model, 2, m).N == want
+        assert moebius_point_count(f.descriptor, 2, m).N == want
         assert brute_count_p1_over_field(f, m) == want
 
 
 def test_line_counts_over_genus0_twist():
     f = [f for f in enumerate_quadratic_fields(3, 1) if f.u == 2][0]
-    model = build_class_model(f.descriptor)
     for m in (0, 1, 2):
-        assert brute_count_p1_over_field(f, m) == moebius_point_count(model, 2, m).N
+        assert brute_count_p1_over_field(f, m) == moebius_point_count(f.descriptor, 2, m).N
 
 
 def test_line_counts_over_even_degree_fields():
@@ -249,35 +269,24 @@ def test_line_counts_over_even_degree_fields():
     deg2 = [f for f in fields if f.deg_D == 2][:2]
     deg4 = [f for f in fields if f.deg_D == 4]
     for f in deg2 + [deg4[0], deg4[-1]]:
-        model = build_class_model(f.descriptor)
         for m in (1, 2, 3):
-            assert brute_count_p1_over_field(f, m) == moebius_point_count(model, 2, m).N, (
+            assert brute_count_p1_over_field(f, m) == moebius_point_count(f.descriptor, 2, m).N, (
                 f.label(), m,
             )
 
 
-def test_genus2_field_with_synthetic_class_table():
+def test_genus2_field_with_synthetic_class_table(genus2_field):
     # the per-class table pins only multisets per degree; points and the
     # canonical class determine them for a hyperelliptic genus-2 curve
-    from ffcount.zeta import divisor_counts
-
-    f = [f for f in enumerate_quadratic_fields(3, 5) if f.genus == 2][0]
-    a = divisor_counts(f.descriptor, 2)
-    J = f.J
-    col0 = [1] + [0] * (J - 1)
-    col1 = [1] * a[1] + [0] * (J - a[1])
-    col2 = [2] + [1] * (J - 1)
-    table = tuple((col0[j], col1[j], col2[j]) for j in range(J))
-    desc = CurveDescriptor(f.q, 2, f.descriptor.L, class_dims=table)
-    model = build_class_model(desc)
+    f, desc = genus2_field
     for m in (0, 1, 2, 3):
-        assert moebius_point_count(model, 2, m).N == brute_count_p1_over_field(f, m)
+        assert moebius_point_count(desc, 2, m).N == brute_count_p1_over_field(f, m)
     # decomposition kicks in at m >= 2g-1 = 3, with negative-exponent
     # reflection terms exercised by the genus window
-    rep = error_decomposition(moebius_point_count(model, 2, 3), model)
+    rep = error_decomposition(desc, 2, 3)
     assert rep["window_bound_direct"] == rep["window_bound_reflected"]
     with pytest.raises(RefusalError):
-        error_decomposition(moebius_point_count(model, 2, 2), model)
+        error_decomposition(desc, 2, 2)
 
 
 def test_schanuel_sum_quadratic():

@@ -165,6 +165,16 @@ def test_discriminant_classes_match_naive_definition(q, m):
     assert discriminant_classes(q, m) == expect
 
 
+def test_discriminant_classes_are_read_only():
+    # every caller shares the cached classes: none may change them, and a
+    # class that cannot occur (deg s = 3 > 2m) still reads 0
+    classes = discriminant_classes(3, 1)
+    key = next(iter(classes))
+    with pytest.raises(TypeError):
+        classes[key] = 0
+    assert classes[(1, 0, 0, 1), True] == 0 and discriminant_classes(3, 1)[key] > 0
+
+
 @pytest.mark.parametrize("cell", verify.DISCRIMINANT_REDUCTION_CELLS)
 def test_reduced_discriminant_walk_matches_full_walk(cell):
     message, ok = verify._discriminant_reduction((cell,))

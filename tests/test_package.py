@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 
 import pytest
 
@@ -28,3 +29,15 @@ def test_unknown_names_fall_back_to_submodules():
     from ffcount import counting  # a submodule, not a public name
 
     assert counting.__name__ == "ffcount.counting"
+
+
+def test_every_cache_is_bounded():
+    # a long-lived process must not grow a cache without limit
+    cached = {}
+    for info in pkgutil.iter_modules(ffcount.__path__):
+        module = importlib.import_module(f"ffcount.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                cached[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert {"gf.GF", "gf.constant_extension", "counting.moebius_point_count"} <= set(cached)
+    assert all(size is not None for size in cached.values()), cached

@@ -39,14 +39,14 @@ def test_fields_by_position_keyword_and_default():
         CurveDescriptor(3, 1, (1, 2, 3), genus=1)
 
 
-def test_post_init_validates():
+def test_new_validates():
     with pytest.raises(DescriptorError):
         CurveDescriptor(4, 0, (2,))
     with pytest.raises(DescriptorError):
         CurveDescriptor(q=4, g=0, L=(2,))
 
 
-def test_equality_and_hash_by_class_and_fields():
+def test_equality_and_hash_by_fields():
     assert Place(None) == INFINITY and Place((1, 1)) != Place((2, 1))
     a, b = CurveDescriptor(3, 1, (1, 2, 3)), CurveDescriptor(3, 1, (1, 2, 3))
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1

@@ -124,24 +124,9 @@ def test_clifford_and_reflection_all_enumerated_genus1():
                 assert reflection_identity_check(model, i, n)
 
 
-def _genus2_table(desc):
-    """Multiset-valid class table for a hyperelliptic genus-2 descriptor:
-    degree 0 has one principal class; degree 1 has a(1) point classes;
-    degree 2 = canonical degree has the canonical class (dim 2) and J-1
-    classes of dimension 1."""
-    J = desc.J
-    a = divisor_counts(desc, 2)
-    col0 = [1] + [0] * (J - 1)
-    col1 = [1] * a[1] + [0] * (J - a[1])
-    col2 = [2] + [1] * (J - 1)
-    return tuple((col0[j], col1[j], col2[j]) for j in range(J))
-
-
-def test_genus2_external_table_accepted_and_validated():
-    fields = [f for f in enumerate_quadratic_fields(3, 5) if f.genus == 2]
-    f = fields[0]
+def test_genus2_external_table_accepted_and_validated(genus2_field):
+    f, desc = genus2_field
     assert f.J >= divisor_counts(f.descriptor, 1)[1]  # point classes embed
-    desc = CurveDescriptor(f.q, 2, f.descriptor.L, class_dims=_genus2_table(f.descriptor))
     model = build_class_model(desc)
     assert class_sum_identity_check(model, 6)
     for i in (0, 1, 2):
@@ -150,10 +135,9 @@ def test_genus2_external_table_accepted_and_validated():
             assert clifford_sum_check(model, i, n)
 
 
-def test_genus2_table_rejections():
-    fields = [f for f in enumerate_quadratic_fields(3, 5) if f.genus == 2]
-    desc = fields[0].descriptor
-    good = _genus2_table(desc)
+def test_genus2_table_rejections(genus2_field):
+    desc = genus2_field[0].descriptor
+    good = genus2_field[1].class_dims
     with pytest.raises(DescriptorError):
         build_class_model(CurveDescriptor(desc.q, 2, desc.L))  # table missing
     # Clifford violation
