@@ -14,10 +14,10 @@ import operator
 import os
 import sys
 
-# forms, quadratic, zeta, verify and json are imported by the commands
-# that use them, so that each command loads only the modules it runs
-from . import counting, poly
-from .errors import ConsistencyError, DescriptorError, RefusalError
+# every computing module, and json, is imported by the commands that use
+# it, so that `import ffcount.cli` compiles the parser alone and each
+# command loads only the modules it runs
+from .errors import DEFAULT_BUDGET, ConsistencyError, DescriptorError, RefusalError
 
 
 def _fmt(value):
@@ -144,6 +144,8 @@ def cmd_count(args):
     # --workers is still accepted, but the count runs in one process
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, not {args.workers}")
+    from . import counting
+
     rows = []
     if args.engine != "brute":
         from .zeta import CurveDescriptor
@@ -170,6 +172,8 @@ def cmd_count(args):
 
 
 def cmd_countd(args):
+    from . import counting
+
     rows = []
     for m in _heights(args):
         N = counting.count_fixed_degree_points(args.q, args.d, m, budget=args.budget)
@@ -179,6 +183,8 @@ def cmd_countd(args):
 
 
 def cmd_assemble(args):
+    from . import counting, poly
+
     result = counting.count_degree2_points_by_fields(args.q, args.n, _height(args.m),
                                                      budget=args.budget)
     if args.per_field:
@@ -210,11 +216,12 @@ def cmd_assemble(args):
 
 
 def cmd_fields(args):
-    from . import quadratic, zeta
+    from . import poly, quadratic, zeta
 
-    # the class view checks q before any directory is made, and raises
-    # ConsistencyError on a descriptor outside the Hasse-Weil window, so
-    # every field passes
+    # q and the budget are checked before any directory is made; the class
+    # view raises ConsistencyError on a descriptor outside the Hasse-Weil
+    # window, so every field passes
+    quadratic.check_enumeration_budget(args.q, args.degD_max, args.budget)
     classes = quadratic.field_classes(args.q, args.degD_max)
     if args.write_descriptors:  # a path that cannot be made fails before any output
         os.makedirs(args.write_descriptors, exist_ok=True)
@@ -279,7 +286,10 @@ def cmd_forms(args):
 
 
 def cmd_schanuel_sum(args):
-    total, report = counting.schanuel_sum_quadratic(args.q, args.n, args.degD_max)
+    from . import counting
+
+    total, report = counting.schanuel_sum_quadratic(args.q, args.n, args.degD_max,
+                                                    budget=args.budget)
     rows = []
     for d in sorted(report["increments"]):
         rows.append({
@@ -321,7 +331,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="work budget of the exhaustive engines, in the unit "
                             "each refusal names")
 
@@ -371,7 +381,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--degD-max", type=int, required=True)
     p.add_argument("--write-descriptors", type=str, default=None, metavar="DIR")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_common(p)
     p.set_defaults(func=cmd_fields)
 
     p = sub.add_parser("forms", help="decomposable-form counts and relations (n = 2)")
@@ -387,7 +397,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degD-max", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    add_common(p)
     p.set_defaults(func=cmd_schanuel_sum)
 
     p = sub.add_parser("verify", help="run the invariant battery")

@@ -21,15 +21,15 @@ import functools
 from collections import Counter, namedtuple
 
 from . import kernels
-from .errors import ConsistencyError, RefusalError
+from .errors import DEFAULT_BUDGET, ConsistencyError, RefusalError, check_budget
 from .gf import GF, prime_power
 
 # riemann_roch, zeta, quadratic and fractions are imported by the Moebius,
 # decomposition, assembly and Schanuel functions that use them, so that
 # the brute-force and table routes (count --engine brute, countd) load
-# none of them; annotations naming their types are strings
-
-DEFAULT_BUDGET = 10**8
+# none of them; annotations naming their types are strings.  DEFAULT_BUDGET
+# and check_budget live in errors, which the parser reads without loading
+# this module, and are bound here for forms, verify and the library.
 
 
 class CountResult(namedtuple("CountResult", "q g J n d m N main_term err_unit_sum "
@@ -48,16 +48,6 @@ class CountResult(namedtuple("CountResult", "q g J n d m N main_term err_unit_su
 
 
 # -- brute-force oracle -------------------------------------------------------
-
-
-def check_budget(candidates: int, budget: int, what: str, unit: str = "candidate tuples"):
-    """Refuse a run of what whose work, candidates of the named unit,
-    exceeds the budget."""
-    if candidates > budget:
-        raise RefusalError(
-            f"{what} needs {candidates} {unit} > budget {budget}; "
-            f"raise the budget explicitly to proceed"
-        )
 
 
 # At odd q the degree-2 counts walk the coefficient triples up to
@@ -316,20 +306,22 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
                              schanuel * Fraction(q) ** (n * m))
 
 
-def schanuel_sum_quadratic(q, n, degD_max):
+def schanuel_sum_quadratic(q, n, degD_max, budget=DEFAULT_BUDGET):
     """Partial sum of S_K(n, 1) over the enumerated quadratic extensions
     with deg D <= degD_max, exact, with a per-degree increment report.
 
     Convergence of the full sum requires n > 4 (= d + 2 for d = 2); smaller
-    n is refused rather than summed blindly.
+    n is refused rather than summed blindly, and so is an enumeration over
+    the budget (quadratic.check_enumeration_budget).
     """
     from fractions import Fraction
 
-    from .quadratic import field_classes
+    from .quadratic import check_enumeration_budget, field_classes
     from .zeta import schanuel_constant
 
     if n <= 4:
         raise RefusalError(f"sum over quadratic fields converges only for n > 4, got n={n}")
+    check_enumeration_budget(q, degD_max, budget)
     classes = field_classes(q, degD_max)
     increments = {}
     for dc in classes.degrees:

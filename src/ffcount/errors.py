@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work budget that
+the exhaustive engines check before they enumerate."""
+
+# the default of every --budget, in the unit each refusal names
+DEFAULT_BUDGET = 10**8
 
 
 class RefusalError(Exception):
@@ -16,3 +20,13 @@ class ConsistencyError(Exception):
 
 class DescriptorError(ValueError):
     """Invalid curve descriptor data (bad invariants or file syntax)."""
+
+
+def check_budget(candidates: int, budget: int, what: str, unit: str = "candidate tuples"):
+    """Refuse a run of what whose work, candidates of the named unit,
+    exceeds the budget."""
+    if candidates > budget:
+        raise RefusalError(
+            f"{what} needs {candidates} {unit} > budget {budget}; "
+            f"raise the budget explicitly to proceed"
+        )

@@ -34,6 +34,7 @@ The minimal-polynomial counters elsewhere still cover char-2 counting.
 """
 
 import functools
+import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -41,7 +42,7 @@ from itertools import chain, compress
 from types import MappingProxyType
 
 from . import kernels, poly
-from .errors import ConsistencyError, RefusalError
+from .errors import ConsistencyError, RefusalError, check_budget
 from .gf import GF, FiniteField, constant_extension, prime_power
 from .zeta import CurveDescriptor, hasse_weil_check
 
@@ -50,6 +51,7 @@ __all__ = [
     "DegreeClasses",
     "FieldClasses",
     "field_classes",
+    "check_enumeration_budget",
     "enumerate_quadratic_fields",
     "monic_formatter",
     "curve_point_counts",
@@ -151,21 +153,60 @@ each counts tuple, in one read-only mapping for every degree: counts
 tuples of different genera differ in length."""
 
 
+def _check_field_parameters(q, degD_max):
+    prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
+    if q % 2 == 0:
+        raise RefusalError("even q refused: no squarefree-D model in characteristic 2")
+    if degD_max < 1:
+        raise ValueError("degD_max must be >= 1")
+
+
+def frobenius_orbit_count(q: int, r: int) -> int:
+    """Orbits of x -> x^q on F_{q^r}: (1/r) * sum over s | r of
+    phi(r/s) * q^s."""
+    phi = [sum(math.gcd(k, n) == 1 for k in range(1, n + 1)) for n in range(r + 1)]
+    return sum(phi[r // s] * q**s for s in range(1, r + 1) if r % s == 0) // r
+
+
+# The enumeration's work is the Horner tables of kernels.point_count_tables:
+# per degree d of D, of genus g, one entry per code of the q^d low parts
+# and per Frobenius orbit rep of F_{q^r}, for each r with g/2 < r <= g.
+# An entry costs 0.4-0.7 us, whole process (2.9e6 entries in 1.9 s at q=3,
+# deg D <= 10; 5.0e6 in 2.1 s at q=5, deg D <= 7; 1.8e7 in 7.9 s and
+# 127 MiB at q=3, deg D <= 11), about twice a walk step of the degree-2
+# tables, so it counts twice counting.WALK_STEP_COST against the budget:
+# the default budget admits q=3 deg D <= 10, q=5 deg D <= 7, q=7
+# deg D <= 6 and q=9 deg D <= 5, and refuses q=3 deg D <= 11 and q=11
+# deg D <= 5.
+HORNER_ENTRY_COST = 20
+
+
+def check_enumeration_budget(q: int, degD_max: int, budget: int):
+    """Check q and degD_max as field_classes does, then refuse an
+    enumeration up to degD_max whose Horner entries, weighted by
+    HORNER_ENTRY_COST, exceed the budget."""
+    _check_field_parameters(q, degD_max)
+    entries = 0
+    for d in range(1, degD_max + 1):
+        g = (d - 1) // 2
+        entries += q**d * sum(frobenius_orbit_count(q, r) for r in range(g, g // 2, -1))
+    check_budget(HORNER_ENTRY_COST * entries, budget,
+                 f"field enumeration q={q} deg D <= {degD_max} at cost {HORNER_ENTRY_COST} "
+                 "per Horner entry", "weighted Horner row entries")
+
+
 @functools.lru_cache(maxsize=8)
 def field_classes(q: int, degD_max: int) -> FieldClasses:
     """The fields with 1 <= deg D <= degD_max as count classes, cached;
-    every part of the view is immutable, so its callers share it.
+    every part of the view is immutable, so its callers share it.  It
+    checks no budget: check_enumeration_budget is its callers' to run.
 
     Each distinct counts tuple gets its descriptor once, in the order
     (deg D, code of D, u) of its first field, and must pass the Hasse-Weil
     window, or ConsistencyError names that field (a counting bug would
     surface here).
     """
-    prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
-    if q % 2 == 0:
-        raise RefusalError("even q refused: no squarefree-D model in characteristic 2")
-    if degD_max < 1:
-        raise ValueError("degD_max must be >= 1")
+    _check_field_parameters(q, degD_max)
     K = GF(q)
     twists = (1, K.non_square_unit())
     kernel = kernels.squarefree_kernel(K, degD_max)

@@ -294,6 +294,28 @@ def test_schanuel_sum_cli(capsys):
     assert out.splitlines()[-1].startswith("total,")
 
 
+def test_field_enumeration_budget(capsys, monkeypatch):
+    # q=3, deg D <= 11 builds 18145134 Horner entries (about 8 s and
+    # 127 MiB): both commands refuse it before any table is built
+    monkeypatch.setattr(kernels, "point_count_tables", None)
+    for command in (["fields"], ["schanuel-sum", "--n", "6"]):
+        code, out, err = run(capsys, *command, "--q", "3", "--degD-max", "11")
+        assert (code, out) == (2, "")
+        assert err == ("refused: field enumeration q=3 deg D <= 11 at cost 20 per Horner "
+                       "entry needs 362902680 weighted Horner row entries > budget "
+                       "100000000; raise the budget explicitly to proceed\n")
+    monkeypatch.undo()
+    # deg D <= 4: 324 entries
+    for command in (["fields"], ["schanuel-sum", "--n", "6"]):
+        argv = [*command, "--q", "3", "--degD-max", "4", "--budget"]
+        code, out, err = run(capsys, *argv, "6479")
+        assert (code, out) == (2, "") and "needs 6480 weighted Horner row entries" in err
+        code, out, _ = run(capsys, *argv, "6480")
+        assert code == 0 and out
+        code, out, err = run(capsys, *argv, "-1")
+        assert (code, out, err) == (1, "", "error: --budget must be >= 0, not -1\n")
+
+
 def test_json_format(capsys):
     code, out, _ = run(capsys, "count", "--q", "2", "--n", "2", "--m", "2",
                        "--engine", "moebius", "--format", "json")
@@ -467,10 +489,11 @@ def fresh_python(*args):
                           check=True, env={**os.environ, "PYTHONPATH": path}).stdout
 
 
-# modules that `import ffcount.cli` must not load: every command module
-# outside the count and table routes, and the standard modules behind them
+# modules that `import ffcount.cli` must not load: every module that
+# computes, and the standard modules behind them
 DEFERRED = ("ffcount.verify", "ffcount.places", "ffcount.quadratic", "ffcount.zeta",
-            "ffcount.riemann_roch", "ffcount.forms", "fractions", "decimal", "json")
+            "ffcount.riemann_roch", "ffcount.forms", "ffcount.counting", "ffcount.kernels",
+            "ffcount.poly", "ffcount.gf", "fractions", "decimal", "json")
 
 
 def test_verify_suite_choices_without_importing_verify(capsys):
@@ -488,12 +511,10 @@ def test_verify_suite_choices_without_importing_verify(capsys):
     assert fresh_python("-c", probe).strip() == "[]"
 
 
-def test_start_up_loads_only_the_count_and_table_routes():
+def test_start_up_loads_only_the_parser():
     probe = ("import sys, ffcount.cli; "
              "print(' '.join(sorted(m for m in sys.modules if m.startswith('ffcount'))))")
-    assert fresh_python("-c", probe).split() == [
-        "ffcount", "ffcount.cli", "ffcount.counting", "ffcount.errors", "ffcount.gf",
-        "ffcount.kernels", "ffcount.poly"]
+    assert fresh_python("-c", probe).split() == ["ffcount", "ffcount.cli", "ffcount.errors"]
     # the package itself loads no submodule
     probe = "import sys, ffcount; print([m for m in sys.modules if m.startswith('ffcount.')])"
     assert fresh_python("-c", probe).strip() == "[]"
@@ -502,6 +523,34 @@ def test_start_up_loads_only_the_count_and_table_routes():
              "main(['countd', '--q', '3', '--d', '2', '--m', '1']); "
              "print('fractions' in sys.modules)")
     assert fresh_python("-c", probe).splitlines() == ["q,n,d,m,N", "3,2,2,1,432", "False"]
+
+
+# the modules each command loads besides ffcount, cli and errors, fractions
+# among them when it makes a Fraction: the table of README, Start-up
+@pytest.mark.parametrize("argv, loads", [
+    ("zeta --q 2 --g 0 --s 2", "zeta gf poly fractions"),
+    ("countd --q 3 --d 2 --m 1", "counting kernels gf poly"),
+    ("count --q 2 --n 2 --m 1 --engine brute", "counting kernels gf poly"),
+    ("count --q 2 --n 2 --m 1", "counting kernels gf poly zeta riemann_roch fractions"),
+    ("assemble --q 3 --n 2 --m 1",
+     "counting kernels gf poly zeta riemann_roch fractions quadratic"),
+    ("fields --q 3 --degD-max 3", "quadratic kernels gf poly zeta fractions"),
+    ("schanuel-sum --q 3 --n 6 --degD-max 3", "quadratic kernels gf poly zeta fractions counting"),
+    ("forms --q 3 --m 1", "forms counting kernels gf poly fractions"),
+    ("verify --suite forms",
+     "verify places forms counting kernels gf poly quadratic zeta riemann_roch fractions"),
+])
+def test_each_command_loads_its_own_modules(argv, loads):
+    probe = ("import contextlib, io, sys; from ffcount.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()): main(sys.argv[1:])\n"
+             "print(' '.join(m.removeprefix('ffcount.') for m in sys.modules\n"
+             "               if m.startswith('ffcount.') or m == 'fractions'))")
+    assert sorted(fresh_python("-c", probe, *argv.split()).split()) == sorted(
+        ["cli", "errors", *loads.split()])
+    # the command's --help exits 0 (fresh_python checks the status)
+    command = argv.split()[0]
+    assert fresh_python("-m", "ffcount.cli", command, "--help").startswith(
+        f"usage: ffcount {command} ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from ffcount import kernels, poly, verify
 from ffcount.errors import ConsistencyError, RefusalError
-from ffcount.gf import GF
+from ffcount.gf import GF, constant_extension
 from ffcount.quadratic import (
+    HORNER_ENTRY_COST,
     build_descriptor,
+    check_enumeration_budget,
     curve_point_counts,
     enumerate_quadratic_fields,
     field_classes,
+    frobenius_orbit_count,
     min_generator_height_bound,
     monic_formatter,
 )
@@ -261,3 +264,30 @@ def test_twisted_point_counts(q, degD_max):
                 assert n1 + n_eps == 2 * q**r + 2, (D, r)
             else:
                 assert n1 == n_eps, (D, r)
+
+
+@pytest.mark.parametrize("q, r", [(2, 6), (3, 1), (3, 4), (5, 3), (7, 2), (9, 2)])
+def test_frobenius_orbit_count_matches_the_orbits(q, r):
+    Kr, _ = constant_extension(GF(q), r)
+    assert frobenius_orbit_count(q, r) == len(kernels._frobenius_orbits(Kr, q)[0])
+
+
+@pytest.mark.parametrize("q, degD_max", [(3, 7), (5, 5), (9, 3)])
+def test_enumeration_budget_counts_the_horner_entries(monkeypatch, q, degD_max):
+    # the budget charges each entry of the Horner tables the enumeration
+    # builds: q^d rows of one entry per Frobenius orbit rep
+    entries = []
+    real = kernels._orbit_sums
+
+    def counted(K, d, r, subs):
+        Kr, _ = constant_extension(K, r)
+        entries.append(K.q**d * len(kernels._frobenius_orbits(Kr, K.q)[0]))
+        return real(K, d, r, subs)
+
+    monkeypatch.setattr(kernels, "_orbit_sums", counted)
+    field_classes.__wrapped__(q, degD_max)  # past the cache, so that every table is built
+    cost = HORNER_ENTRY_COST * sum(entries)
+    check_enumeration_budget(q, degD_max, cost)
+    with pytest.raises(RefusalError, match=f"needs {cost} weighted Horner row entries > "
+                                           f"budget {cost - 1};"):
+        check_enumeration_budget(q, degD_max, cost - 1)
