@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcount import kernels, poly, verify
+from ffcount import kernels, poly, quadratic, verify
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
 from ffcount.errors import RefusalError
 from ffcount.gf import GF
@@ -103,6 +103,13 @@ def test_one_state_count_per_brute_count(monkeypatch):
         monkeypatch.setattr(kernels.DivisorSieve, name, wrapped)
     assert brute_count_rational(2, 3, 8, budget=10**9) == 88080384
     assert seen and max(seen.values()) == 1
+
+
+def test_long_lived_caches_are_bounded():
+    for cached in (kernels.divisor_sieve, kernels.discriminant_classes,
+                   kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
+                   poly.monic_irreducibles, poly._artin_schreier_image):
+        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 def test_memo_and_literal_recursions_agree():
