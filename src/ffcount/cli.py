@@ -3,8 +3,8 @@ CSV/JSON-emitting subcommand.
 
 All numeric output is exact (integers, or rationals as "p/q" strings);
 floats appear only in columns whose names say so.  Identical invocations
-produce byte-identical output.  Refusals (budgets, coverage limits) exit
-with status 2 and a reason on stderr; other errors exit 1.
+produce byte-identical output.  Refusals (budgets, coverage limits, lack
+of memory) exit with status 2 and a reason on stderr; other errors exit 1.
 """
 
 import argparse
@@ -260,12 +260,12 @@ def cmd_fields(args):
 
 
 def cmd_forms(args):
-    from . import forms
+    from . import counting, forms
 
     rows = []
     heights = _heights(args)
     if args.brute:  # refuse before either route enumerates anything
-        forms.check_oracle_budget(args.q, heights[-1], args.budget)
+        counting.check_oracle_budget(args.q, heights[-1], args.budget)
     for m in heights:
         table = forms.form_table(args.q, args.d, m, args.budget)
         row = {"q": args.q, "n": 2, "d": args.d, "m": m, "p": table.p,
@@ -416,8 +416,8 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 0) < 0:
             raise ValueError(f"--budget must be >= 0, not {args.budget}")
         return args.func(args)
-    except RefusalError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+    except (RefusalError, MemoryError) as exc:  # MemoryError carries no message
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DescriptorError, ConsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,6 +68,20 @@ def check_walk_budget(q, m, budget, what):
                  f"{what} at cost {WALK_STEP_COST} per walk step", "weighted walk steps")
 
 
+# kernels.classify_triples_by_polys, run by countd and forms at even q and by
+# forms --brute at every q, spends 4-60 us a triple.  The default budget
+# admits q=2 m=5, q=3 m=3, q=4 m=2, q=8 m=1; refuses q=2 m=6, q=4 m=3, q=5 m=2.
+ORACLE_TRIPLE_COST = 100
+
+
+def check_oracle_budget(q, m, budget):
+    """Refuse a run of the polynomial triple loop at height m whose
+    q^(3(m+1)) triples, weighted by ORACLE_TRIPLE_COST, exceed the budget."""
+    check_budget(ORACLE_TRIPLE_COST * q ** (3 * (m + 1)), budget,
+                 f"polynomial triple loop q={q} m={m} at cost {ORACLE_TRIPLE_COST} per triple",
+                 "weighted oracle triples")
+
+
 def brute_count_rational(q, n, m, budget=DEFAULT_BUDGET) -> int:
     """Points of P^(n-1)(F_q(T)) of relative height exactly m, by exhaustive
     enumeration of normalized coprime polynomial vectors."""
@@ -216,8 +230,7 @@ def count_fixed_degree_points(q, d, m, budget=DEFAULT_BUDGET) -> int:
         # the discriminant classes of the irreducible quadratics: deg s >= 1
         return 2 * sum(n for (s, _), n in kernels.discriminant_classes(q, m).items()
                        if len(s) > 1)
-    # every candidate triple is tested
-    check_budget(q ** ((d + 1) * (m + 1)), budget, f"degree-2 count q={q} m={m}")
+    check_oracle_budget(q, m, budget)
     sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     return 2 * sep + insep
 
@@ -254,10 +267,10 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
 
     A field can contribute only when deg D <= 2m (its line generators have
     minimal-polynomial height m, whose discriminant has degree <= 2m and
-    squarefree part D), so the enumeration below is complete, and its
-    q + q^2 + ... + q^(2m) monic D are checked against the budget.  Heights
-    with m > 2 would draw in genus >= 2 fields, whose exact class data this
-    package does not compute; such requests are refused.
+    squarefree part D), so the enumeration up to deg D <= 2m, budgeted by
+    quadratic.check_enumeration_budget, is complete.  Heights with m > 2
+    would draw in genus >= 2 fields, whose exact class data this package
+    does not compute; such requests are refused.
 
     The sum runs over count classes (quadratic.field_classes): the fields
     with equal point counts share one descriptor, one line count and one
@@ -265,7 +278,7 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     """
     from fractions import Fraction
 
-    from .quadratic import field_classes
+    from .quadratic import check_enumeration_budget, field_classes
     from .zeta import CurveDescriptor, schanuel_constant
 
     prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
@@ -280,9 +293,7 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
             f"m = {m} would require fields of genus up to {(2*m - 1)//2}; "
             "exact counting stops at genus 1 (m <= 2)"
         )
-    # the enumeration examines every monic D of degree 1..2m
-    check_budget(sum(q**d for d in range(1, 2 * m + 1)), budget,
-                 f"field enumeration q={q} m={m}", "monic D")
+    check_enumeration_budget(q, 2 * m, budget)
     corr = 0
     if m % 2 == 0:
         corr = moebius_point_count(CurveDescriptor.rational(q), n, m // 2).N

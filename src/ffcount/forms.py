@@ -30,18 +30,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import kernels
-from .counting import DEFAULT_BUDGET, check_budget, count_fixed_degree_points
+from .counting import DEFAULT_BUDGET, check_oracle_budget, count_fixed_degree_points
 from .errors import ConsistencyError, RefusalError
 from .gf import GF
-
-# The oracle spends 4-60 us on each candidate triple (the most at odd q,
-# where it factors each discriminant once).  The table routes the budget
-# is sized for spend about 0.01 us a candidate (discriminant_classes at
-# q=5, m=2: 14-21 ms for 5^9 candidates, walked up to Y -> mu*Y + kappa),
-# so the oracle costs 400-6000 times as much.  Each triple counts 100
-# times against the budget: the refusals this sets are the ones the tests
-# pin.
-ORACLE_TRIPLE_COST = 100
 
 
 class FormTable(namedtuple("FormTable", "p n d m counts frobenius", defaults=(None,))):
@@ -160,9 +151,8 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
 
     The forms are classified by polynomial arithmetic on each triple
     (kernels.classify_triples_by_polys, one irreducibility test over
-    F_{q^2}(T) at 4-60 us per triple, so each triple weighs
-    ORACLE_TRIPLE_COST candidates against the budget), which at odd q
-    is independent of the discriminant tables behind
+    F_{q^2}(T) per triple, priced by counting.check_oracle_budget), which
+    at odd q is independent of the discriminant tables behind
     count_fixed_degree_points.  Characteristic 2 has no second route yet:
     there both sides read the same cached loop, so only the inseparable
     term of the relation is checked.
@@ -175,10 +165,3 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     sep, insep = kernels.classify_triples_by_polys(GF(q), m)
     return sep + insep
 
-
-def check_oracle_budget(q, m, budget):
-    """Refuse an oracle run at height m whose q^(3(m+1)) candidate triples,
-    weighted by ORACLE_TRIPLE_COST, exceed the budget."""
-    check_budget(ORACLE_TRIPLE_COST * q ** (3 * (m + 1)), budget,
-                 f"form oracle q={q} m={m} at cost {ORACLE_TRIPLE_COST} per triple",
-                 "weighted oracle triples")

@@ -124,10 +124,18 @@ def _code_adder(K, size):
     into a high and a low part, each added by one code_sums lookup."""
     if K.p == 2:
         return operator.xor
+    low, high = code_sum_split(K.q, size)
+    return _split_add(code_sums(K, low), code_sums(K, high), low, high)
+
+
+def code_sum_split(q, size):
+    """(low, high): at odd q, _code_adder adds the codes below size through
+    code_sums tables of low^2 and high^2 entries; low is the least power
+    of q whose square is >= size, and high = size // low."""
     low = 1
     while low * low < size:
-        low *= K.q
-    return _split_add(code_sums(K, low), code_sums(K, size // low), low, size // low)
+        low *= q
+    return low, size // low
 
 
 def _split_add(low_sums, high_sums, low, high):

@@ -157,20 +157,15 @@ def discriminant_classes_by_full_walk(q, m):
 # (q, largest m) of the discriminant-class cells whose reduced walk is
 # compared with the full walk; q = 9, 25 and 27 are not prime
 DISCRIMINANT_REDUCTION_CELLS = ((3, 3), (5, 2), (7, 1), (9, 1), (25, 0), (27, 0))
-DEEP_DISCRIMINANT_REDUCTION_CELLS = ((3, 4),)
 
 
-def _discriminant_reduction(cells=DISCRIMINANT_REDUCTION_CELLS):
-    for q, m_max in cells:
+def _discriminant_reduction(cells=DISCRIMINANT_REDUCTION_CELLS, deep=()):
+    for q, m_max in cells + deep:
         for m in range(m_max + 1):
             if kernels.discriminant_classes(q, m) != discriminant_classes_by_full_walk(q, m):
                 return f"reduced discriminant walk wrong at q={q} m={m}", False
     return (f"reduced discriminant walk equals the full walk "
-            f"({_cell_names(cells, 'm')})"), True
-
-
-def _deep_discriminant_reduction():
-    return _discriminant_reduction(DEEP_DISCRIMINANT_REDUCTION_CELLS)
+            f"({_cell_names(cells + deep, 'm')})"), True
 
 
 def artin_schreier_by_scan(K, w_num, w_den) -> bool:
@@ -239,8 +234,8 @@ def _artin_schreier(cells=ARTIN_SCHREIER_CELLS):
             f"w = w_num/w_den, {solvable} solvable ({_cell_names(cells, 'deg')})"), True
 
 
-def _point_count_table(cells=FIELD_TABLE_CELLS):
-    for q, d_max in cells:
+def _point_count_table(cells=FIELD_TABLE_CELLS, deep=()):
+    for q, d_max in cells + deep:
         K = GF(q)
         eps = K.non_square_unit()
         for d in range(1, d_max + 1):
@@ -254,15 +249,7 @@ def _point_count_table(cells=FIELD_TABLE_CELLS):
                         return (f"point-count tables wrong at q={q} D={poly.format_poly(D)} "
                                 f"u={u}: {counts}"), False
     return (f"point-count tables equal curve_point_counts on every monic D "
-            f"({_cell_names(cells, 'deg D')})"), True
-
-
-# genus 3, where the table of r = 3 supplies s = 1 and 3, and r = 2 its own
-DEEP_FIELD_TABLE_CELLS = ((3, 7),)
-
-
-def _deep_point_count_table():
-    return _point_count_table(DEEP_FIELD_TABLE_CELLS)
+            f"({_cell_names(cells + deep, 'deg D')})"), True
 
 
 def _irreducible_counts():
@@ -475,18 +462,19 @@ def brute_count_unnormalized(q, n, m, budget=counting.DEFAULT_BUDGET) -> int:
     return total
 
 
-def _oracle_equivalence():
-    cells = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1), (2, 4, 1)]
-    for q, n, m in cells:
+def _oracle_equivalence(cells=((2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1), (2, 4, 1)), deep=()):
+    for q, n, m in cells + deep:
         desc = zeta.CurveDescriptor.rational(q)
         a = counting.brute_count_rational(q, n, m)
         b = counting.moebius_point_count(desc, n, m).N
         if a != b:
             return f"oracle mismatch at q={q} n={n} m={m}: {a} vs {b}", False
-        # every coprime vector, not one per scalar class, by polynomial gcds
-        if brute_count_unnormalized(q, n, m) != (q - 1) * a:
+        # every coprime vector, not one per scalar class, by polynomial
+        # gcds, on the fast cells only
+        if (q, n, m) in cells and brute_count_unnormalized(q, n, m) != (q - 1) * a:
             return f"unnormalized count is not (q-1)*N at q={q} n={n} m={m}", False
-    return "brute force equals Moebius inversion and the unnormalized count (sample grid)", True
+    return (f"brute force equals Moebius inversion ({len(cells + deep)} cells) and "
+            f"the unnormalized count ({len(cells)} cells)"), True
 
 
 def _error_decomposition():
@@ -581,28 +569,20 @@ SUITES = {
     "forms": [_forms_relations],
 }
 
-DEEP_CELLS = [(3, 4, 2), (2, 4, 3), (3, 3, 3)]
-
-
-def _deep_oracle():
-    for q, n, m in DEEP_CELLS:
-        desc = zeta.CurveDescriptor.rational(q)
-        if counting.brute_count_rational(q, n, m) != counting.moebius_point_count(desc, n, m).N:
-            return f"deep oracle mismatch at q={q} n={n} m={m}", False
-    return "deep oracle equivalence cells", True
+# the cells that --deep adds to the checks of its suite; the point-count
+# tables at genus 3, where the table of r = 3 supplies s = 1 and 3, and
+# r = 2 its own
+DEEP_CELLS = {
+    _oracle_equivalence: ((3, 4, 2), (2, 4, 3), (3, 3, 3)),
+    _discriminant_reduction: ((3, 4),),
+    _point_count_table: ((3, 7),),
+}
 
 
 def run_suite(suite: str, deep: bool = False):
-    checks = []
-    if suite == "all":
-        for group in SUITES.values():
-            checks.extend(group)
-    else:
-        checks.extend(SUITES[suite])
-    if deep:
-        checks += [_deep_oracle, _deep_discriminant_reduction, _deep_point_count_table]
+    groups = SUITES.values() if suite == "all" else [SUITES[suite]]
     results = []
-    for check in checks:
-        detail, ok = check()
+    for check in itertools.chain.from_iterable(groups):
+        detail, ok = check(deep=DEEP_CELLS[check]) if deep and check in DEEP_CELLS else check()
         results.append((check.__name__.lstrip("_"), ok, detail))
     return results

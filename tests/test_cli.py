@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ffcount import forms, kernels
+from ffcount import forms, kernels, verify
 from ffcount.cli import main
 
 
@@ -125,13 +125,14 @@ def test_assemble_per_field_contributions_sum_to_N(capsys):
 @pytest.mark.parametrize("argv, needs", [
     # coprime vectors: each candidate is a tuple of n codes
     ("count --q 3 --n 4 --m 4 --engine brute", "needs 3486784401 candidate tuples"),
-    # even q tests every coefficient triple
-    ("countd --q 2 --d 2 --m 8", "needs 134217728 candidate tuples"),
+    # even q tests every coefficient triple, 100 per triple as the oracle
+    ("countd --q 2 --d 2 --m 8",
+     "at cost 100 per triple needs 13421772800 weighted oracle triples"),
     # odd q walks the reduced triples, 10 per step
     ("countd --q 3 --d 2 --m 5",
      "at cost 10 per walk step needs 322850400 weighted walk steps"),
     ("forms --q 3 --m 4 --brute", "at cost 100 per triple needs 1434890700 weighted oracle triples"),
-    ("assemble --q 3 --n 2 --m 2 --budget 10", "needs 120 monic D"),
+    ("assemble --q 3 --n 2 --m 2 --budget 10", "needs 6480 weighted Horner row entries"),
 ])
 def test_budget_refusals_name_their_unit(capsys, argv, needs):
     code, out, err = run(capsys, *argv.split())
@@ -145,12 +146,12 @@ def test_assemble_refusal(capsys):
 
 
 def test_assemble_budget_refusal(capsys):
-    # the enumeration would examine 3 + 9 + 27 + 81 = 120 monic D
+    # the enumeration up to deg D <= 4 builds 324 Horner entries, 6480 weighted
     code, out, err = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "2",
                          "--budget", "10")
-    assert (code, out) == (2, "") and err.startswith("refused: ") and "120" in err
+    assert (code, out) == (2, "") and err.startswith("refused: ") and "6480" in err
     code, out, _ = run(capsys, "assemble", "--q", "3", "--n", "2", "--m", "2",
-                       "--budget", "120")
+                       "--budget", "6480")
     assert code == 0 and out
 
 
@@ -314,6 +315,111 @@ def test_field_enumeration_budget(capsys, monkeypatch):
         assert code == 0 and out
         code, out, err = run(capsys, *argv, "-1")
         assert (code, out, err) == (1, "", "error: --budget must be >= 0, not -1\n")
+
+
+@pytest.mark.parametrize("q, m", [(2, 6), (2, 7), (4, 3), (8, 2), (16, 1)])
+def test_triple_loop_has_one_price(monkeypatch, capsys, q, m):
+    # countd and forms --brute run the same polynomial triple loop, and
+    # refuse it with the same line before it starts
+    def no_loop(*args):
+        raise AssertionError("triples classified before the refusal")
+
+    monkeypatch.setattr(kernels, "classify_triples_by_polys", no_loop)
+    code, out, countd_err = run(capsys, "countd", "--q", str(q), "--d", "2", "--m", str(m))
+    assert (code, out) == (2, "")
+    code, out, forms_err = run(capsys, "forms", "--q", str(q), "--m", str(m), "--brute")
+    assert (code, out) == (2, "")
+    assert countd_err == forms_err
+    assert f"needs {100 * q ** (3 * (m + 1))} weighted oracle triples" in countd_err
+
+
+@pytest.mark.parametrize("q, m, budget, unit", [
+    (3, 2, "6479", "weighted Horner row entries"),  # admitted at 6480
+    (23, 2, "100000000", "weighted Horner row entries"),
+    (19, 2, "100000000", "weighted table entries"),  # code-sum tables of q^6 + q^4 entries
+    (101, 1, "100000000", "weighted table entries"),  # genus 0: no Horner entry
+    (1009, 1, "100000000", "weighted table entries"),  # a kernel of 1009^3 entries
+])
+def test_field_enumeration_has_one_price(monkeypatch, capsys, q, m, budget, unit):
+    # assemble and fields build the same enumeration, and refuse it with the
+    # same line before any of its tables is built
+    def no_table(*args):
+        raise AssertionError("table built before the refusal")
+
+    for name in ("squarefree_kernel", "point_count_tables", "code_sums"):
+        monkeypatch.setattr(kernels, name, no_table)
+    code, out, assemble_err = run(capsys, "assemble", "--q", str(q), "--n", "2",
+                                  "--m", str(m), "--budget", budget)
+    assert (code, out) == (2, "")
+    code, out, fields_err = run(capsys, "fields", "--q", str(q), "--degD-max", str(2 * m),
+                                "--budget", budget)
+    assert (code, out) == (2, "")
+    assert assemble_err == fields_err
+    assert fields_err.startswith("refused: ") and f" {unit} > budget {budget};" in fields_err
+
+
+def test_memory_error_is_a_refusal(monkeypatch, capsys):
+    # a table too large for the process ends in one refusal line, exit 2
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(kernels, "count_coprime_vectors", out_of_memory)
+    code, out, err = run(capsys, "count", "--q", "3", "--n", "2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("refused: out of memory") and err.count("\n") == 1
+
+
+def test_verify_deep_widens_the_chosen_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "places", "--deep")
+    names = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert code == 0 and names == ["principal_divisor_degree:", "height_two_ways:"]
+
+
+def test_verify_all_deep_covers_every_deep_cell(monkeypatch, capsys):
+    # the cells each check of `--suite all` reaches, with and without
+    # --deep; the checks without deep cells are stubbed, and the table
+    # sides of the walk and point-count checks are cheap fakes that agree
+    from ffcount import counting, quadratic
+
+    seen = set()
+
+    def stub():
+        return "stub", True
+
+    def walk(q, m):
+        seen.add(("walk", q, m))
+        return {}
+
+    def tables(K, d, r_max):
+        seen.add(("tables", K.q, d))
+        return [()] * K.q**d, [()] * K.q**d
+
+    real_brute = counting.brute_count_rational
+
+    def brute(*cell):
+        seen.add(("oracle", *cell))
+        return real_brute(*cell)
+
+    nchecks = sum(map(len, verify.SUITES.values()))
+    monkeypatch.setattr(verify, "SUITES", {
+        name: [check if check in verify.DEEP_CELLS else stub for check in group]
+        for name, group in verify.SUITES.items()})
+    monkeypatch.setattr(verify, "discriminant_classes_by_full_walk", walk)
+    monkeypatch.setattr(kernels, "discriminant_classes", lambda q, m: {})
+    monkeypatch.setattr(kernels, "point_count_tables", tables)
+    monkeypatch.setattr(quadratic, "curve_point_counts", lambda K, u, D, r_max: ())
+    monkeypatch.setattr(counting, "brute_count_rational", brute)
+    reached = {}
+    for argv in ([], ["--deep"]):
+        seen.clear()
+        code, out, _ = run(capsys, "verify", "--suite", "all", *argv)
+        assert code == 0 and out.endswith(f"-- {nchecks} passed, 0 failed\n")
+        reached[bool(argv)] = set(seen)
+    deep_only = {("oracle", *cell) for cell in verify.DEEP_CELLS[verify._oracle_equivalence]}
+    assert reached[True] - reached[False] == deep_only | {("walk", 3, 4), ("tables", 3, 7)}
+    # the walk at q=3 m<=4 and the tables at q=3 deg D<=7, every cell below them too
+    assert {("walk", 3, m) for m in range(5)} <= reached[True]
+    assert {("tables", 3, d) for d in range(1, 8)} <= reached[True]
 
 
 def test_json_format(capsys):

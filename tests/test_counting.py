@@ -129,7 +129,8 @@ def test_degree2_examples():
 
 def test_degree2_budget_counts_walk_steps_at_odd_q(monkeypatch):
     # the walk makes about q^(3(m+1)) / (q (q-1)^2) steps, each counted
-    # WALK_STEP_COST times; even q counts every candidate triple
+    # WALK_STEP_COST times; even q prices its candidate triples as the form
+    # oracle does, ORACLE_TRIPLE_COST each
     monkeypatch.setattr(kernels, "discriminant_classes", lambda q, m: {})
     monkeypatch.setattr(kernels, "classify_triples_by_polys", lambda K, m: (0, 0))
     for q, m in ((5, 3), (11, 2), (25, 1), (3, 4)):
@@ -137,8 +138,10 @@ def test_degree2_budget_counts_walk_steps_at_odd_q(monkeypatch):
     with pytest.raises(RefusalError, match="q=3 m=5 at cost 10 per walk step"):
         count_fixed_degree_points(3, 2, 5)
     assert count_fixed_degree_points(3, 2, 5, budget=10**9) == 0
-    assert count_fixed_degree_points(4, 2, 3) == 0  # 4^12 triples
-    with pytest.raises(RefusalError, match="needs 134217728 candidate tuples"):
+    assert count_fixed_degree_points(4, 2, 2) == 0  # 4^9 triples
+    with pytest.raises(RefusalError, match="needs 1677721600 weighted oracle triples"):
+        count_fixed_degree_points(4, 2, 3)  # 4^12 triples
+    with pytest.raises(RefusalError, match="needs 13421772800 weighted oracle triples"):
         count_fixed_degree_points(2, 2, 8)  # 2^27 triples
     field = enumerate_quadratic_fields(3, 1)[0]
     with pytest.raises(RefusalError, match="field line count q=3 m=5 at cost 10"):

@@ -105,6 +105,23 @@ def test_one_state_count_per_brute_count(monkeypatch):
     assert seen and max(seen.values()) == 1
 
 
+@pytest.mark.parametrize("q, size", [(3, 3**5), (5, 5**4), (9, 9**3), (27, 27**2)])
+def test_code_sum_split_sizes_the_tables_it_builds(monkeypatch, q, size):
+    # the enumeration budget prices these tables without building them
+    built = []
+    real = kernels.code_sums
+
+    def counted(K, n):
+        table = real(K, n)
+        built.append(len(table))
+        return table
+
+    monkeypatch.setattr(kernels, "code_sums", counted)
+    kernels._code_adder(GF(q), size)
+    low, high = kernels.code_sum_split(q, size)
+    assert built == [low * low, high * high]
+
+
 def test_long_lived_caches_are_bounded():
     for cached in (kernels.divisor_sieve, kernels.discriminant_classes,
                    kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,

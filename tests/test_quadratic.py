@@ -272,6 +272,17 @@ def test_frobenius_orbit_count_matches_the_orbits(q, r):
     assert frobenius_orbit_count(q, r) == len(kernels._frobenius_orbits(Kr, q)[0])
 
 
+def test_enumeration_budget_prices_each_table_alone():
+    # deg D <= 2 builds no Horner table, but code-sum tables of q^4 + q^2
+    # entries, and deg D <= 4 ones of q^6 + q^4; each table is checked on
+    # its own, so q=5, deg D <= 7 (99450000 weighted Horner entries) passes
+    for q, degD_max in ((73, 2), (17, 4), (5, 7), (3, 10)):
+        check_enumeration_budget(q, degD_max, 10**8)
+    for q, degD_max in ((79, 2), (19, 4)):
+        with pytest.raises(RefusalError, match="at cost 3 per code-sum entry"):
+            check_enumeration_budget(q, degD_max, 10**8)
+
+
 @pytest.mark.parametrize("q, degD_max", [(3, 7), (5, 5), (9, 3)])
 def test_enumeration_budget_counts_the_horner_entries(monkeypatch, q, degD_max):
     # the budget charges each entry of the Horner tables the enumeration
