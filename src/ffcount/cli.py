@@ -132,12 +132,12 @@ def _height(m):
 
 
 def _heights(args):
-    """range(--m, --m-to + 1); --m-to defaults to --m and may not be below it."""
+    """--m-to down to --m, the largest price first; --m-to defaults to --m, not below it."""
     m = _height(args.m)
     m_to = m if args.m_to is None else args.m_to
     if m_to < m:
         raise ValueError(f"--m-to {m_to} is below --m {m}")
-    return range(m, m_to + 1)
+    return range(m_to, m - 1, -1)
 
 
 def cmd_count(args):
@@ -165,7 +165,7 @@ def cmd_count(args):
         if args.engine == "both":
             row["match"] = row["N_brute"] == row["N_moebius"]
         rows.append(row)
-    emit(rows, COUNT_HEADERS, args.format)
+    emit(rows[::-1], COUNT_HEADERS, args.format)
     if args.engine == "both" and not all(r["match"] for r in rows):
         return 1
     return 0
@@ -178,7 +178,7 @@ def cmd_countd(args):
     for m in _heights(args):
         N = counting.count_fixed_degree_points(args.q, args.d, m, budget=args.budget)
         rows.append({"q": args.q, "n": 2, "d": args.d, "m": m, "N": N})
-    emit(rows, ["q", "n", "d", "m", "N"], args.format)
+    emit(rows[::-1], ["q", "n", "d", "m", "N"], args.format)
     return 0
 
 
@@ -260,28 +260,26 @@ def cmd_fields(args):
 
 
 def cmd_forms(args):
-    from . import counting, forms
+    from . import forms
 
     rows = []
-    heights = _heights(args)
-    if args.brute:  # refuse before either route enumerates anything
-        counting.check_oracle_budget(args.q, heights[-1], args.budget)
-    for m in heights:
+    for m in _heights(args):
+        # the oracle first: it costs more than the table's routes
+        brute = forms.brute_force_forms(args.q, 2, args.d, m, args.budget) if args.brute else ""
         table = forms.form_table(args.q, args.d, m, args.budget)
         row = {"q": args.q, "n": 2, "d": args.d, "m": m, "p": table.p,
                "N_counts": ";".join(f"{k}:{v}" for k, v in sorted(table.counts.items())),
-               "NF": "", "brute_NF": "", "match": "",
+               "NF": "", "brute_NF": brute, "match": "",
                "identity_ok": forms.form_count_identity_check(table)}
         try:
             row["NF"] = forms.form_count(table)
         except ConsistencyError as exc:
             row["NF"] = f"non-integral ({exc})"
         if args.brute:
-            row["brute_NF"] = forms.brute_force_forms(args.q, 2, args.d, m, budget=args.budget)
-            row["match"] = row["NF"] == row["brute_NF"]
+            row["match"] = row["NF"] == brute
         rows.append(row)
-    emit(rows, ["q", "n", "d", "m", "p", "N_counts", "NF", "brute_NF", "match",
-                "identity_ok"], args.format)
+    emit(rows[::-1], ["q", "n", "d", "m", "p", "N_counts", "NF", "brute_NF", "match",
+                      "identity_ok"], args.format)
     return 1 if any(r["match"] is False or isinstance(r["NF"], str) for r in rows) else 0
 
 
@@ -410,6 +408,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values may pass 4300 digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         # bad input, not a refusal: checked before any subcommand runs

@@ -61,11 +61,13 @@ WALK_STEP_COST = 10
 
 
 def check_walk_budget(q, m, budget, what):
-    """Refuse a walk of the degree-2 tables at odd q and height m whose
-    steps, weighted by WALK_STEP_COST, exceed the budget."""
+    """Refuse a walk of the degree-2 tables at odd q and height m whose steps,
+    weighted by WALK_STEP_COST, or whose tables, those of the field
+    enumeration at deg D <= 2m (kernels.check_table_budget), exceed the budget."""
     ncodes = q ** (m + 1)
     check_budget(WALK_STEP_COST * (ncodes**3 // (q * (q - 1) ** 2)), budget,
                  f"{what} at cost {WALK_STEP_COST} per walk step", "weighted walk steps")
+    kernels.check_table_budget(q, 2 * m, budget, what)
 
 
 # kernels.classify_triples_by_polys, run by countd and forms at even q and by
@@ -321,7 +323,7 @@ def schanuel_sum_quadratic(q, n, degD_max, budget=DEFAULT_BUDGET):
     """Partial sum of S_K(n, 1) over the enumerated quadratic extensions
     with deg D <= degD_max, exact, with a per-degree increment report.
 
-    Convergence of the full sum requires n > 4 (= d + 2 for d = 2); smaller
+    Convergence of the full sum requires n > 3 (= d + 1 for d = 2); smaller
     n is refused rather than summed blindly, and so is an enumeration over
     the budget (quadratic.check_enumeration_budget).
     """
@@ -330,8 +332,8 @@ def schanuel_sum_quadratic(q, n, degD_max, budget=DEFAULT_BUDGET):
     from .quadratic import check_enumeration_budget, field_classes
     from .zeta import schanuel_constant
 
-    if n <= 4:
-        raise RefusalError(f"sum over quadratic fields converges only for n > 4, got n={n}")
+    if n <= 3:
+        raise RefusalError(f"sum over quadratic fields converges only for n > 3, got n={n}")
     check_enumeration_budget(q, degD_max, budget)
     classes = field_classes(q, degD_max)
     increments = {}

@@ -157,6 +157,8 @@ def brute_force_forms(q, n, d, m, budget=DEFAULT_BUDGET) -> int:
     there both sides read the same cached loop, so only the inseparable
     term of the relation is checked.
     """
+    if d < 1:
+        raise ValueError(f"degree d must be >= 1, not {d}")
     if (n, d) != (2, 2):
         raise RefusalError("form oracle implemented for n = d = 2 only")
     if m < 0:

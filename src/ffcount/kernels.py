@@ -65,19 +65,13 @@ from itertools import compress, cycle
 from types import MappingProxyType
 
 from . import poly
-from .errors import RefusalError
+from .errors import check_budget
 from .gf import GF, constant_extension
 from .poly import code_sums, each_repeated, scaled_codes
 
 # There is a single pure-Python lane; the benchmark harness still reads
 # this flag to label its records.
 USING_COMPILED = False
-
-# discriminant_classes refuses above this many codes: its code-sum table is
-# a Python list of ncodes^2 pointers to ncodes shared ints (about 50 MB at
-# 2500 codes), and its walk over the reduced triples grows like
-# ncodes^3 / (q (q-1)^2): 27.7 million steps at q=3, m=5.
-DISCRIMINANT_TABLE_MAX_CODES = 2500
 
 
 def multiples(q, scaled, count, add, monic=False):
@@ -136,6 +130,24 @@ def code_sum_split(q, size):
     while low * low < size:
         low *= q
     return low, size // low
+
+
+# The field enumeration at deg D <= top and the walk at height m = top/2
+# build squarefree_kernel(K, top) and its code-sum tables, q^4 + q^2 entries
+# at top = 2.  A code-sum entry costs 0.07-0.09 us, a third of a walk step
+# (1.04e8 in 9 s and 814 MiB at q=101, top = 2), a kernel entry 0.03-0.25 us:
+# the default budget admits top = 2 up to q=73 and top = 4 up to q=17.
+TABLE_ENTRY_COST = 3
+
+
+def check_table_budget(q, top, budget, what):
+    """Refuse squarefree_kernel at top, or the code-sum tables of its
+    addition at odd q, if TABLE_ENTRY_COST times its entries exceed budget."""
+    low, high = code_sum_split(q, q ** (top + 1))
+    for table, entries in (("squarefree-kernel", q ** (top + 1)), ("code-sum", low**2 + high**2)):
+        check_budget(TABLE_ENTRY_COST * entries, budget,
+                     f"{what} at cost {TABLE_ENTRY_COST} per {table} entry",
+                     "weighted table entries")
 
 
 def _split_add(low_sums, high_sums, low, high):
@@ -445,7 +457,8 @@ def discriminant_classes(q: int, m: int) -> MappingProxyType:
     q^k + code(u^-1 * low), read from a digitwise scaling table, whose
     squarefree part squarefree_kernel at degree 2m gives.  The counts are
     collected by kernel code, and each distinct s becomes a polynomial
-    once.  Nothing is factored.
+    once.  Nothing is factored, and no budget is checked: the callers run
+    counting.check_walk_budget, which prices the steps and the tables.
     """
     hist, kernel = discriminant_histogram(q, m, reduced=True)
     K = GF(q)
@@ -487,13 +500,11 @@ def discriminant_histogram(q, m, reduced):
     """
     if q % 2 == 0:
         raise ValueError("discriminant classes need odd q")
-    if q ** (m + 1) > DISCRIMINANT_TABLE_MAX_CODES:
-        raise RefusalError(f"degree {m} too large for the discriminant tables at q={q}")
     K = GF(q)
     sieve = divisor_sieve(q, m)
-    ncodes, nhigh = sieve.ncodes, sieve.top
-    # a code below q^(2m+1) splits as high * ncodes + low with high < q^m,
-    # and codes add digitwise in K, so a sum is two lookups in these tables
+    # a code below q^(2m+1) is high * ncodes + low, as check_table_budget
+    # prices it; codes add digitwise in K, so a sum is two lookups in these tables
+    ncodes, nhigh = code_sum_split(q, q ** (2 * m + 1))
     low_sums, high_sums = code_sums(K, ncodes), code_sums(K, nhigh)
     add = _split_add(low_sums, high_sums, ncodes, nhigh)
     # b = T*b1 + c has b^2 = T^2*b1^2 + T*(2c*b1) + c^2, and 2c*b1 is a

@@ -181,21 +181,11 @@ def frobenius_orbit_count(q: int, r: int) -> int:
 HORNER_ENTRY_COST = 20
 
 
-# The enumeration also builds the squarefree kernel of the q^(degD_max+1)
-# codes and the code-sum tables of their addition (kernels.code_sum_split),
-# q^4 + q^2 entries at deg D <= 2, where there is no Horner table.  A
-# code-sum entry costs 0.07-0.09 us, a third of a walk step (1.04e8 in 9 s
-# and 814 MiB at q=101, deg D <= 2), a kernel entry 0.03-0.25 us; each
-# table is checked alone, and the default budget admits deg D <= 2 up to
-# q=73 and deg D <= 4 up to q=17.
-TABLE_ENTRY_COST = 3
-
-
 def check_enumeration_budget(q: int, degD_max: int, budget: int):
     """Check q and degD_max as field_classes does, then refuse an
     enumeration up to degD_max whose Horner entries, weighted by
-    HORNER_ENTRY_COST, or one of whose tables, weighted by
-    TABLE_ENTRY_COST, exceed the budget."""
+    HORNER_ENTRY_COST, exceed the budget, or whose squarefree kernel or
+    code-sum tables kernels.check_table_budget refuses."""
     _check_field_parameters(q, degD_max)
     what = f"field enumeration q={q} deg D <= {degD_max}"
     entries = 0
@@ -205,12 +195,7 @@ def check_enumeration_budget(q: int, degD_max: int, budget: int):
     check_budget(HORNER_ENTRY_COST * entries, budget,
                  f"{what} at cost {HORNER_ENTRY_COST} per Horner entry",
                  "weighted Horner row entries")
-    ncodes = q ** (degD_max + 1)
-    low, high = kernels.code_sum_split(q, ncodes)
-    for table, entries in (("squarefree-kernel", ncodes), ("code-sum", low**2 + high**2)):
-        check_budget(TABLE_ENTRY_COST * entries, budget,
-                     f"{what} at cost {TABLE_ENTRY_COST} per {table} entry",
-                     "weighted table entries")
+    kernels.check_table_budget(q, degD_max, budget, what)
 
 
 @functools.lru_cache(maxsize=8)

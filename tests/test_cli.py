@@ -358,6 +358,76 @@ def test_field_enumeration_has_one_price(monkeypatch, capsys, q, m, budget, unit
     assert fields_err.startswith("refused: ") and f" {unit} > budget {budget};" in fields_err
 
 
+def test_walk_and_field_tables_have_one_price(monkeypatch, capsys):
+    # at q=79 the walk of countd --m 1 builds the kernel and code-sum tables
+    # that assemble --m 1 and fields --degD-max 2 build: all three refuse
+    # them with the same count before any table is built
+    def no_table(*args):
+        raise AssertionError("table built before the refusal")
+
+    for name in ("divisor_sieve", "squarefree_kernel", "point_count_tables", "code_sums"):
+        monkeypatch.setattr(kernels, name, no_table)
+    for argv in (("countd", "--d", "2", "--m", "1"), ("assemble", "--n", "2", "--m", "1"),
+                 ("fields", "--degD-max", "2")):
+        code, out, err = run(capsys, argv[0], "--q", "79", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("refused: ") and (
+            " at cost 3 per code-sum entry needs 116868966 weighted table entries > "
+            "budget 100000000;") in err
+
+
+@pytest.mark.parametrize("argv", [
+    "countd --q 2 --d 2 --m 0 --m-to 6",
+    "forms --q 2 --m 0 --m-to 6",
+    "count --q 2 --n 2 --m 0 --m-to 13",
+    "countd --q 5 --d 2 --m 0 --m-to 4",
+])
+def test_height_range_is_refused_before_its_first_height(monkeypatch, capsys, argv):
+    # prices grow with m, and the rows are computed from the largest height
+    # down, so a range refused at its top computes no height
+    def no_loop(*args):
+        raise AssertionError("a height computed before the refusal")
+
+    for name in ("count_coprime_vectors", "discriminant_classes", "classify_triples_by_polys"):
+        monkeypatch.setattr(kernels, name, no_loop)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "") and err.startswith("refused: ")
+
+
+def test_forms_brute_bad_degree_is_bad_input(capsys):
+    # the oracle runs before the table, and still takes d < 1 as bad input
+    for d in ("0", "-2"):
+        code, out, err = run(capsys, "forms", "--q", "3", "--d", d, "--m", "1", "--brute")
+        assert (code, out, err) == (1, "", f"error: degree d must be >= 1, not {d}\n")
+
+
+def test_exact_output_past_4300_digits(monkeypatch, capsys):
+    # str(int) refuses more than 4300 digits by default from Python 3.10.7
+    # on; main lifts the limit, so a 5000-digit numerator is written whole
+    import sys
+    from fractions import Fraction
+
+    from ffcount import counting
+
+    increment = Fraction(10**4999 + 1, 10**5000)
+    report = {"increments": {1: increment}, "increment_floats": {1: float(increment)},
+              "ratio_to_previous_degree": {}}
+    monkeypatch.setattr(counting, "schanuel_sum_quadratic",
+                        lambda q, n, degD_max, budget: (increment, report))
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default
+    try:
+        code, out, err = run(capsys, "schanuel-sum", "--q", "3", "--n", "6", "--degD-max", "1")
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(saved)
+    exact = "1" + "0" * 4998 + "1/1" + "0" * 5000
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"1,{exact},0.1,", f"total,{exact},0.1,"]
+
+
 def test_memory_error_is_a_refusal(monkeypatch, capsys):
     # a table too large for the process ends in one refusal line, exit 2
     def out_of_memory(*args):

@@ -293,14 +293,16 @@ def test_genus2_field_with_synthetic_class_table(genus2_field):
 
 
 def test_schanuel_sum_quadratic():
-    with pytest.raises(RefusalError):
-        schanuel_sum_quadratic(3, 4, 2)
-    total, report = schanuel_sum_quadratic(3, 6, 2)
-    # degrees 1 and 2 give rational fields: every summand is the base constant
-    base = schanuel_constant(R3, 6)
-    assert total == 18 * base
-    assert report["all_positive"]
-    assert sorted(report["increments"]) == [1, 2]
+    # the sum converges for n > 3 = d + 1
+    with pytest.raises(RefusalError, match="converges only for n > 3, got n=3"):
+        schanuel_sum_quadratic(3, 3, 2)
+    for n in (4, 6):
+        total, report = schanuel_sum_quadratic(3, n, 2)
+        # degrees 1 and 2 give rational fields: every summand is the base constant
+        assert total == 18 * schanuel_constant(R3, n)
+        assert report["all_positive"]
+        assert sorted(report["increments"]) == [1, 2]
+    assert 18 * schanuel_constant(R3, 4) == Fraction(2080, 3)
 
 
 @pytest.mark.parametrize("q, degD_max", [(3, 6), (5, 4)])

@@ -199,23 +199,52 @@ def test_reduced_discriminant_walk_matches_full_walk(cell):
 
 
 def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
-    # 3^8 and 5^5 codes exceed the discriminant tables; the refusal must
-    # come before any table is built, both from the library and from the
-    # command line
+    # 3^8 and 5^5 codes: the walk's price refuses them at the default
+    # budget before the divisor sieve or a code-sum table is built, both
+    # from the library and from the command line
     from ffcount.cli import main
 
-    def no_tables(q, m):
+    def no_tables(*args):
         raise AssertionError("tables built before the refusal")
 
     monkeypatch.setattr(kernels, "divisor_sieve", no_tables)
+    monkeypatch.setattr(kernels, "code_sums", no_tables)
     for q, m in ((3, 7), (5, 4)):
         with pytest.raises(RefusalError):
-            discriminant_classes(q, m)
-        with pytest.raises(RefusalError):
-            count_fixed_degree_points(q, 2, m, budget=10**12)
-        argv = ["countd", "--q", str(q), "--d", "2", "--m", str(m), "--budget", "1000000000000"]
-        assert main(argv) == 2
+            count_fixed_degree_points(q, 2, m)
+        assert main(["countd", "--q", str(q), "--d", "2", "--m", str(m)]) == 2
         assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, m", [(3, 2), (5, 1), (9, 1)])
+def test_walk_builds_the_tables_its_price_counts(monkeypatch, q, m):
+    # the walk's kernel and code-sum tables are those of the field
+    # enumeration up to deg D <= 2m, priced by one check_table_budget; the
+    # divisor sieve's own smaller adder is built before the tables are
+    # recorded
+    divisor_sieve(q, m)
+    built = []
+    real_sums, real_kernel = kernels.code_sums, kernels.squarefree_kernel
+
+    def counted_sums(K, n):
+        table = real_sums(K, n)
+        built.append(len(table))
+        return table
+
+    def counted_kernel(K, top, add=None):
+        kernel = real_kernel(K, top, add)
+        built.append(len(kernel))
+        return kernel
+
+    monkeypatch.setattr(kernels, "code_sums", counted_sums)
+    monkeypatch.setattr(kernels, "squarefree_kernel", counted_kernel)
+    kernels.discriminant_histogram(q, m, reduced=True)
+    low, high = kernels.code_sum_split(q, q ** (2 * m + 1))
+    assert built == [low * low, high * high, q ** (2 * m + 1)]
+    cost = kernels.TABLE_ENTRY_COST * (low * low + high * high)
+    kernels.check_table_budget(q, 2 * m, cost, "walk")
+    with pytest.raises(RefusalError, match=f"walk at cost 3 per code-sum entry needs {cost} "):
+        kernels.check_table_budget(q, 2 * m, cost - 1, "walk")
 
 
 @pytest.mark.parametrize("cell", verify.DISCRIMINANT_KERNEL_CELLS)
