@@ -50,13 +50,14 @@ class CountResult(namedtuple("CountResult", "q g J n d m N main_term err_unit_su
 # -- brute-force oracle -------------------------------------------------------
 
 
-# At odd q the degree-2 counts walk the coefficient triples up to
-# Y -> mu*Y + kappa (kernels.discriminant_classes): about ncodes^3 /
-# (q (q-1)^2) steps for the ncodes = q^(m+1) codes of degree <= m, where
-# the candidates number ncodes^3.  A step costs 0.2-0.3 us (3.2e7 steps in
-# 5.7 s at q=3, m=5; 3.1e6 in 0.9 s at q=5, m=3, whole process) and counts
-# this many times against the budget: the default budget admits q=5 m=3,
-# q=11 m=2 and q=25 m=1, and refuses q=3 m=5 and q=7 m=3.
+# At odd q the degree-2 counts walk every coefficient triple of max degree
+# m and m - 1, up to Y -> mu*Y + kappa (kernels.discriminant_classes):
+# about ncodes^3 / (q (q-1)^2) steps for the ncodes = q^(m+1) codes of
+# degree <= m, 1-10% fewer than the walk meets at m >= 2; the candidates
+# number ncodes^3.  A step costs 0.1-0.3 us (3.2e7 steps in 4.1 s at q=3,
+# m=5; 3.1e6 in 0.8 s at q=5, m=3, whole process) and counts this many
+# times against the budget: the default budget admits q=5 m=3, q=11 m=2
+# and q=25 m=1, and refuses q=3 m=5 and q=7 m=3.
 WALK_STEP_COST = 10
 
 

@@ -17,10 +17,10 @@ addition is XOR when p = 2 and split code-sum lookups otherwise.  The
 divisor sieve, squarefree_kernel and discriminant_classes build their
 multiples this way.
 
-Both hot loops read gcds from one divisor sieve, which keeps the multiples
-of every monic d as one int bitset: the codes y with gcd(g, y) = d, the
-gcd class d of g, are d's bitset minus those of the divisors of g that d
-properly divides.  The vector count is a recursion over coordinates on
+The vector count reads gcds from a divisor sieve, which keeps the
+multiples of every monic d as one int bitset: the codes y with gcd(g, y) =
+d, the gcd class d of g, are d's bitset minus those of the divisors of g
+that d properly divides.  The count is a recursion over coordinates on
 states (running monic gcd code, max degree reached), each next state
 counted by popcount of a gcd class, split at q^m by shift and mask.  The
 recursion descends once per distinct state, weighted by its count; at the
@@ -31,15 +31,15 @@ and monic value of the first nonzero coordinate) in one process, with one
 memo dictionary of states, and a branch whose gcd has reached 1 is
 completed in closed form.
 
-For odd q, discriminant_classes walks the coprime triples once per
-(q, m), up to the substitutions Y -> mu*Y + kappa, which keep the
-discriminant class: the b of each gcd class d of a monic a with the c of
-the class gcd(d, c) = 1.  It counts them by discriminant class
-(squarefree monic part, whether the unit is a square); its callers pick
-the classes they need.  Characteristic 2 goes through a loop over
-polynomial triples instead, which on odd q is the reference for the class
-counts; its Artin-Schreier test is F_2-linear algebra
-(poly._artin_schreier_over_square).
+For odd q, discriminant_classes walks every triple once per (q, m), up to
+the substitutions Y -> mu*Y + kappa, which keep the discriminant class,
+and counts them by discriminant class (squarefree monic part, whether the
+unit is a square); its callers pick the classes they need.  It reads no
+gcd: the coprime triples of max degree m count as every triple of max
+degree m less q times every one of max degree m - 1.  Characteristic 2
+goes through a loop over polynomial triples instead, which on odd q is the
+reference for the class counts; its Artin-Schreier test is F_2-linear
+algebra (poly._artin_schreier_over_square).
 
 One sieve gives squarefree parts: squarefree_kernel maps every monic code
 up to a degree to the code of its squarefree monic part.  The
@@ -65,7 +65,7 @@ from itertools import compress, cycle
 from types import MappingProxyType
 
 from . import poly
-from .errors import check_budget
+from .errors import ConsistencyError, check_budget
 from .gf import GF, constant_extension
 from .poly import code_sums, each_repeated, scaled_codes
 
@@ -104,11 +104,6 @@ def _bitset(codes, size):
     for x in codes:
         buf[x >> 3] |= 1 << (x & 7)
     return int.from_bytes(buf, "little")
-
-
-def _select(values, bits):
-    """The values[x] at the x with bit x set in the int bits, by increasing x."""
-    return compress(values, map("1".__eq__, bin(bits)[:1:-1]))  # bit 0 first
 
 
 def _code_adder(K, size):
@@ -258,9 +253,9 @@ class DivisorSieve:
 @functools.lru_cache(maxsize=8)
 def divisor_sieve(q: int, m: int) -> DivisorSieve:
     """The DivisorSieve of the polynomials of degree <= m over F_q, cached:
-    count_coprime_vectors counts its gcd states, and discriminant_classes
-    walks its gcd classes.  Its divisors dict lists the monic codes in
-    increasing order, and a monic code has degree m iff it is >= top."""
+    count_coprime_vectors counts its gcd states.  Its divisors dict lists
+    the monic codes in increasing order, and a monic code has degree m iff
+    it is >= top."""
     return DivisorSieve(q, m)
 
 
@@ -271,28 +266,25 @@ def squarefree_kernel(K, top, add=None):
     add is the digitwise sum of the codes below q^(top+1), built by
     _code_adder unless the caller has it.
 
-    Every monic p^2 * c, for p monic irreducible of degree e <= top//2
-    and c monic of degree <= top - 2e, first gets c as its witness.  Then,
-    in increasing code order, kernel[f] = kernel[witness of f], or f itself
-    where there is none: a witness is a lower code, already resolved, and
-    p^2 * c has the squarefree part of c.  The codes of the p^2 * c come
-    from multiples() of p^2 by shift and add.
+    Every monic code starts as its own kernel.  For p monic irreducible of
+    degree e <= top//2, by degree and then code, and c monic of degree
+    <= top - 2e in code order, kernel[p^2 * c] = kernel[c], which is final
+    by then: any other p'^2 | c came before p, and p^2 | c at the lower
+    c/p^2.  The codes of the p^2 * c come from multiples() of p^2.
     """
     q = K.q
     kernel = array("i", [0]) * q ** (top + 1)
+    # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+    for k in range(top + 1):
+        kernel[q**k : 2 * q**k] = array("i", range(q**k, 2 * q**k))
     add = add or _code_adder(K, q ** (top + 1))
     for e in range(1, top // 2 + 1):
         for p in poly.monic_irreducibles(K, e):
             p2 = scaled_codes(K, poly.mul(K, p, p))
             mults = multiples(q, p2, q ** (top - 2 * e + 1), add, monic=True)
-            # monic polynomials of degree k have the codes q^k .. 2q^k - 1
             cofactors = (c for k in range(top - 2 * e + 1) for c in range(q**k, 2 * q**k))
             for c, x in zip(cofactors, mults):
-                kernel[x] = c
-    for k in range(top + 1):
-        for f in range(q**k, 2 * q**k):
-            witness = kernel[f]
-            kernel[f] = kernel[witness] if witness else f
+                kernel[x] = kernel[c]
     return kernel
 
 
@@ -457,7 +449,8 @@ def discriminant_classes(q: int, m: int) -> MappingProxyType:
     q^k + code(u^-1 * low), read from a digitwise scaling table, whose
     squarefree part squarefree_kernel at degree 2m gives.  The counts are
     collected by kernel code, and each distinct s becomes a polynomial
-    once.  Nothing is factored, and no budget is checked: the callers run
+    once; a class below 0 raises ConsistencyError.  Nothing is factored,
+    and no budget is checked: the callers run
     counting.check_walk_budget, which prices the steps and the tables.
     """
     hist, kernel = discriminant_histogram(q, m, reduced=True)
@@ -477,6 +470,8 @@ def discriminant_classes(q: int, m: int) -> MappingProxyType:
                 if n:
                     counts[kernel[size + scale[low]]] += n
             size *= q
+    if min(map(min, by_kernel)) < 0:
+        raise ConsistencyError(f"a discriminant class counts fewer than 0 triples at q={q} m={m}")
     classes = Counter()
     for s in compress(range(len(hist)), map(operator.or_, *by_kernel)):
         f = poly.from_code(q, s)  # one tuple for both unit classes
@@ -489,19 +484,21 @@ def discriminant_classes(q: int, m: int) -> MappingProxyType:
 def discriminant_histogram(q, m, reduced):
     """(hist, kernel): hist[code] counts the normalized coprime triples of
     max degree exactly m (as in discriminant_classes) by the code of their
-    discriminant b^2 - 4ac, below q^(2m+1), and kernel is
-    squarefree_kernel(K, 2m), built on the same code-sum tables.  With
-    reduced, only the b of the reduced walk are met, each weighted by the
-    size of its orbit (discriminant_classes); otherwise every b, weighted 1.
+    discriminant b^2 - 4ac, below q^(2m+1), exactly only in the sum over a
+    class; kernel is squarefree_kernel(K, 2m), built on the same code-sum
+    tables.  With reduced, only the b of the reduced walk are met, each
+    weighted by the size of its orbit (discriminant_classes); otherwise
+    every b, weighted 1.
 
-    Each b of the gcd class d of a monic a is met with the c of the class
-    gcd(d, c) = 1.  No product is formed one pair at a time: the rows -4a*c
-    and the squares b^2 come from multiples() by shift and add.
+    A triple is g times a coprime one of max degree m - k, g its monic gcd,
+    one of q^k of degree k, and g^2 keeps the discriminant class: so hist
+    is the walk of every triple of max degree m less q times the walk at
+    m - 1, both on the tables built for m.  The rows -4a*c and the squares
+    b^2 come from multiples() by shift and add.
     """
     if q % 2 == 0:
         raise ValueError("discriminant classes need odd q")
     K = GF(q)
-    sieve = divisor_sieve(q, m)
     # a code below q^(2m+1) is high * ncodes + low, as check_table_budget
     # prices it; codes add digitwise in K, so a sum is two lookups in these tables
     ncodes, nhigh = code_sum_split(q, q ** (2 * m + 1))
@@ -519,45 +516,40 @@ def discriminant_histogram(q, m, reduced):
     # are scaled by ncodes, so b^2 + x has the code hrow[x_high] + lrow[x_low]
     sq = [(high * nhigh, low * ncodes) for high, low in (divmod(code, ncodes) for code in sq)]
     high_sums = list(map([high * ncodes for high in range(nhigh)].__getitem__, high_sums))
-    if reduced:
-        zero_weight, weight = q, q * (q - 1)
-        walked = [_reduced_b(q, m, k) for k in range(m + 1)]  # by deg a
-    else:
-        zero_weight = weight = 1
-        walked = [(1 << ncodes) - 1] * (m + 1)
+    zero_weight, weight = (q, q * (q - 1)) if reduced else (1, 1)
     minus4 = K.neg(4 % K.p)
-    # b = 0 is counted apart, and weighted at the end: each step adds 1,
-    # and most counts stay small ints, which need no allocation
-    hist, hist0 = [0] * (nhigh * ncodes), [0] * (nhigh * ncodes)
-    for a in sieve.divisors:  # the monic codes
-        a_poly = poly.from_code(q, a)
-        minus4ac = multiples(q, scaled_codes(K, poly.mul_scalar(K, a_poly, minus4)), ncodes, add)
-        high4ac, low4ac = zip(*(divmod(code, ncodes) for code in minus4ac))
-        for d, bs in sieve.gcd_classes(a).items():
-            bs &= walked[poly.deg(a_poly)]
-            if not bs:
-                continue
-            # gcd(a, b, c) = 1 iff gcd(d, c) = 1 for d = gcd(a, b), and the
-            # max degree must reach m through a, b or c
-            coprime = sieve.gcd_classes(d)[1]
-            deg_m = coprime if a >= nhigh else coprime >> nhigh << nhigh
-            every, below = ((list(_select(high4ac, cs)), list(_select(low4ac, cs)))
-                            for cs in (coprime, deg_m))
-            for b in _select(range(ncodes), bs):
-                counts = hist if b else hist0
-                hb, lb = sq[b]
-                hrow, lrow = high_sums[hb : hb + nhigh], low_sums[lb : lb + ncodes]
-                for x, y in zip(*(below if b < nhigh else every)):
-                    counts[hrow[x] + lrow[y]] += 1
-    hist = list(map(operator.add, map(weight.__mul__, hist), map(zero_weight.__mul__, hist0)))
+
+    def walk(h):  # every normalized triple of max degree h, weighted, by code
+        top, size = q**h, q ** (h + 1)
+        # b = 0 is counted apart, and weighted at the end: each step adds 1,
+        # and most counts stay small ints, which need no allocation
+        hist, hist0 = [0] * q ** (2 * h + 1), [0] * q ** (2 * h + 1)
+        for k in range(h + 1):
+            walked = _reduced_b(q, h, k) if reduced else range(size)
+            # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+            for a in range(q**k, 2 * q**k):
+                a_poly = poly.mul_scalar(K, poly.from_code(q, a), minus4)
+                every = tuple(zip(*(divmod(code, ncodes)
+                                    for code in multiples(q, scaled_codes(K, a_poly), size, add))))
+                deg_h = tuple(column[top:] for column in every)
+                for b in walked:
+                    counts = hist if b else hist0
+                    hb, lb = sq[b]
+                    hrow, lrow = high_sums[hb : hb + nhigh], low_sums[lb : lb + ncodes]
+                    # the max degree must reach h through a, b or c
+                    for x, y in zip(*(every if k == h or b >= top else deg_h)):
+                        counts[hrow[x] + lrow[y]] += 1
+        return list(map(operator.add, map(weight.__mul__, hist), map(zero_weight.__mul__, hist0)))
+
+    hist, lower = walk(m), walk(m - 1) if m else []
+    hist[: len(lower)] = map(operator.sub, hist, map(q.__mul__, lower))
     return hist, squarefree_kernel(K, 2 * m, add)
 
 
-def _reduced_b(q, m, k):
-    """Bitset of the b of the reduced walk for a of degree k: b = 0, and the
-    monic b of degree <= m whose coefficient at T^k is 0."""
-    return _bitset([0] + [b for e in range(m + 1) for b in range(q**e, 2 * q**e)
-                          if b // q**k % q == 0], q ** (m + 1))
+def _reduced_b(q, h, k):
+    """The b of the reduced walk below q^(h+1) for a of degree k, in
+    increasing order: b = 0, and the monic b whose coefficient at T^k is 0."""
+    return [0] + [b for e in range(h + 1) for b in range(q**e, 2 * q**e) if b // q**k % q == 0]
 
 
 @functools.lru_cache(maxsize=8)

@@ -4,9 +4,9 @@ Each check returns (detail, ok) with ok True or False, and run_suite
 reports (name, ok, detail) for each.  The battery covers the exact
 identities every module must satisfy; the full acceptance runs live in the
 test suite.  The naive recounts the checks compare against (the full
-discriminant walk, the unnormalized coprime vectors, the same-field test,
-the Artin-Schreier scan and the divisor enumeration) live here too, off the
-command path.
+discriminant walk, the discriminant classes by definition, the
+unnormalized coprime vectors, the same-field test, the Artin-Schreier scan
+and the divisor enumeration) live here too, off the command path.
 """
 
 import itertools
@@ -166,6 +166,29 @@ def _discriminant_reduction(cells=DISCRIMINANT_REDUCTION_CELLS, deep=()):
                 return f"reduced discriminant walk wrong at q={q} m={m}", False
     return (f"reduced discriminant walk equals the full walk "
             f"({_cell_names(cells + deep, 'm')})"), True
+
+
+def discriminant_classes_by_definition(q, m):
+    """kernels.discriminant_classes with no Moebius step and no table, by
+    polynomial arithmetic on every coprime triple."""
+    K = GF(q)
+    classes = Counter()
+    for a, b, c in itertools.product(poly.enumerate_polys(K, m), repeat=3):
+        normalized = a and a[-1] == 1 and max(map(poly.deg, (a, b, c))) == m
+        if normalized and poly.gcd_many(K, (a, b, c)) == poly.ONE:
+            disc = poly.sub(K, poly.mul(K, b, b), poly.mul_scalar(K, poly.mul(K, a, c), 4 % K.p))
+            if disc:
+                unit, s, _ = poly.squarefree_part(K, disc)
+                classes[s, K.is_square(unit)] += 1
+    return classes
+
+
+def _discriminant_definition(cells=((3, 2), (5, 1)), deep=()):
+    for q, m_max in cells + deep:
+        for m in range(m_max + 1):
+            if kernels.discriminant_classes(q, m) != discriminant_classes_by_definition(q, m):
+                return f"discriminant classes differ from their definition at q={q} m={m}", False
+    return f"discriminant classes equal their definition ({_cell_names(cells + deep, 'm')})", True
 
 
 def artin_schreier_by_scan(K, w_num, w_den) -> bool:
@@ -560,7 +583,7 @@ SUITES = {
     "algebra": [_field_axioms, _gcd_properties, _bitset_states,
                 _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
                 _squarefree_sieve, _point_count_table, _artin_schreier,
-                _discriminant_reduction],
+                _discriminant_reduction, _discriminant_definition],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small],
     "riemann_roch": [_class_model_identities, _genus0_sections],
@@ -575,6 +598,7 @@ SUITES = {
 DEEP_CELLS = {
     _oracle_equivalence: ((3, 4, 2), (2, 4, 3), (3, 3, 3)),
     _discriminant_reduction: ((3, 4),),
+    _discriminant_definition: ((7, 1),),
     _point_count_table: ((3, 7),),
 }
 

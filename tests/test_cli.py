@@ -448,7 +448,8 @@ def test_verify_deep_widens_the_chosen_suite(capsys):
 def test_verify_all_deep_covers_every_deep_cell(monkeypatch, capsys):
     # the cells each check of `--suite all` reaches, with and without
     # --deep; the checks without deep cells are stubbed, and the table
-    # sides of the walk and point-count checks are cheap fakes that agree
+    # sides of the walk, definition and point-count checks are cheap fakes
+    # that agree
     from ffcount import counting, quadratic
 
     seen = set()
@@ -458,6 +459,10 @@ def test_verify_all_deep_covers_every_deep_cell(monkeypatch, capsys):
 
     def walk(q, m):
         seen.add(("walk", q, m))
+        return {}
+
+    def definition(q, m):
+        seen.add(("definition", q, m))
         return {}
 
     def tables(K, d, r_max):
@@ -475,6 +480,7 @@ def test_verify_all_deep_covers_every_deep_cell(monkeypatch, capsys):
         name: [check if check in verify.DEEP_CELLS else stub for check in group]
         for name, group in verify.SUITES.items()})
     monkeypatch.setattr(verify, "discriminant_classes_by_full_walk", walk)
+    monkeypatch.setattr(verify, "discriminant_classes_by_definition", definition)
     monkeypatch.setattr(kernels, "discriminant_classes", lambda q, m: {})
     monkeypatch.setattr(kernels, "point_count_tables", tables)
     monkeypatch.setattr(quadratic, "curve_point_counts", lambda K, u, D, r_max: ())
@@ -486,7 +492,8 @@ def test_verify_all_deep_covers_every_deep_cell(monkeypatch, capsys):
         assert code == 0 and out.endswith(f"-- {nchecks} passed, 0 failed\n")
         reached[bool(argv)] = set(seen)
     deep_only = {("oracle", *cell) for cell in verify.DEEP_CELLS[verify._oracle_equivalence]}
-    assert reached[True] - reached[False] == deep_only | {("walk", 3, 4), ("tables", 3, 7)}
+    deep_only |= {("walk", 3, 4), ("tables", 3, 7), ("definition", 7, 0), ("definition", 7, 1)}
+    assert reached[True] - reached[False] == deep_only
     # the walk at q=3 m<=4 and the tables at q=3 deg D<=7, every cell below them too
     assert {("walk", 3, m) for m in range(5)} <= reached[True]
     assert {("tables", 3, d) for d in range(1, 8)} <= reached[True]

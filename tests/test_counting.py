@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffcount import kernels, verify
@@ -17,6 +17,7 @@ from ffcount.counting import (
     schanuel_sum_quadratic,
 )
 from ffcount.errors import RefusalError
+from ffcount.gf import GF
 from ffcount.quadratic import enumerate_quadratic_fields
 from ffcount.zeta import CurveDescriptor, schanuel_constant
 
@@ -215,6 +216,19 @@ def test_degree2_routes_agree_at_more_q(cell):
     q, m = cell
     walk = count_fixed_degree_points(q, 2, m)
     assert walk == count_degree2_points_by_fields(q, 2, m).N == DEGREE2_CELLS[cell]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(q=st.sampled_from((3, 5, 7, 9, 11, 13)), m=st.integers(0, 2))
+def test_degree2_routes_agree_on_small_cells(q, m):
+    # the walk against the field sum wherever the walk has at most 1331
+    # codes, and against the polynomial triple loop, which reads neither
+    # the walk's Moebius step nor its tables, up to 2*10^4 triples
+    assume(q ** (m + 1) <= 1331)
+    walk = count_fixed_degree_points(q, 2, m)
+    assert walk == count_degree2_points_by_fields(q, 2, m).N
+    if q ** (3 * (m + 1)) <= 2 * 10**4:
+        assert walk == 2 * kernels.classify_triples_by_polys(GF(q), m)[0]
 
 
 @st.composite

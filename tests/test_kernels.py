@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ffcount import kernels, poly, quadratic, verify
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
-from ffcount.errors import RefusalError
+from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
 from ffcount.kernels import discriminant_classes, divisor_sieve
 
@@ -161,25 +161,19 @@ def test_polynomial_loop_pinned_counts(q, m, counts):
 @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_discriminant_classes_match_naive_definition(q, m):
     # b^2 - 4ac and its squarefree part by polynomial arithmetic, over every
-    # normalized coprime triple of max degree exactly m
-    K = GF(q)
-    polys = list(poly.enumerate_polys(K, m))
-    expect = Counter()
-    for a in polys:
-        if not a or a[-1] != 1:
-            continue
-        for b in polys:
-            for c in polys:
-                if max(poly.deg(a), poly.deg(b), poly.deg(c)) != m:
-                    continue
-                if poly.gcd_many(K, (a, b, c)) != poly.ONE:
-                    continue
-                four_ac = poly.mul_scalar(K, poly.mul(K, a, c), 4 % K.p)
-                disc = poly.sub(K, poly.mul(K, b, b), four_ac)
-                if disc:
-                    unit, s, _ = poly.squarefree_part(K, disc)
-                    expect[s, K.is_square(unit)] += 1
-    assert discriminant_classes(q, m) == expect
+    # normalized coprime triple of max degree exactly m, and of each lower m
+    message, ok = verify._discriminant_definition(((q, m),))
+    assert ok, message
+
+
+def test_negative_discriminant_class_is_inconsistent(monkeypatch):
+    # the Moebius step may leave one code below 0, never a class: a class
+    # total below 0 raises rather than drops out of the Counter
+    hist, kernel = kernels.discriminant_histogram(3, 1, reduced=True)
+    hist[1] -= 10**6  # the discriminant 1, class (1, square)
+    monkeypatch.setattr(kernels, "discriminant_histogram", lambda q, m, reduced: (hist, kernel))
+    with pytest.raises(ConsistencyError, match="fewer than 0 triples at q=3 m=1"):
+        discriminant_classes.__wrapped__(3, 1)
 
 
 def test_discriminant_classes_are_read_only():
@@ -219,10 +213,12 @@ def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
 @pytest.mark.parametrize("q, m", [(3, 2), (5, 1), (9, 1)])
 def test_walk_builds_the_tables_its_price_counts(monkeypatch, q, m):
     # the walk's kernel and code-sum tables are those of the field
-    # enumeration up to deg D <= 2m, priced by one check_table_budget; the
-    # divisor sieve's own smaller adder is built before the tables are
-    # recorded
-    divisor_sieve(q, m)
+    # enumeration up to deg D <= 2m, priced by one check_table_budget, and
+    # it reads no divisor sieve
+    def no_sieve(*args):
+        raise AssertionError("the walk built a divisor sieve")
+
+    monkeypatch.setattr(kernels, "divisor_sieve", no_sieve)
     built = []
     real_sums, real_kernel = kernels.code_sums, kernels.squarefree_kernel
 
