@@ -3,9 +3,11 @@ its quadratic extensions.
 
 Two independent routes produce every headline number:
 
-  * brute force: enumerate coprime polynomial vectors (or minimal-polynomial
-    coefficient triples) of the exact height, one normalized representative
-    per scalar class, inside an explicit tuple budget;
+  * brute force: coprime polynomial vectors of the exact height, one
+    normalized representative per scalar class, counted lead by lead by
+    inclusion-exclusion over a sieve of irreducible-factor degrees in
+    F_q[T] (or minimal-polynomial coefficient triples, walked), inside an
+    explicit tuple budget;
   * Moebius inversion: (q-1) * N = sum_l b(l) * sum_j lambda(a_j+(m-l)a_0, n)
     over a class model, evaluated exactly, together with its error
     decomposition around the Schanuel main term S * q^(nm).
@@ -52,9 +54,9 @@ class CountResult(namedtuple("CountResult", "q g J n d m N main_term err_unit_su
 
 # At odd q the degree-2 counts walk every coefficient triple of max degree
 # m and m - 1, up to Y -> mu*Y + kappa (kernels.discriminant_classes):
-# about ncodes^3 / (q (q-1)^2) steps for the ncodes = q^(m+1) codes of
-# degree <= m, 1-10% fewer than the walk meets at m >= 2; the candidates
-# number ncodes^3.  A step costs 0.1-0.3 us (3.2e7 steps in 4.1 s at q=3,
+# kernels.walk_steps counts the steps the walk meets, in closed form; the
+# candidates number ncodes^3 for the ncodes = q^(m+1) codes of degree <= m.
+# A step costs 0.1-0.3 us (3.2e7 steps in 4.1 s at q=3,
 # m=5; 3.1e6 in 0.8 s at q=5, m=3, whole process) and counts this many
 # times against the budget: the default budget admits q=5 m=3, q=11 m=2
 # and q=25 m=1, and refuses q=3 m=5 and q=7 m=3.
@@ -65,8 +67,7 @@ def check_walk_budget(q, m, budget, what):
     """Refuse a walk of the degree-2 tables at odd q and height m whose steps,
     weighted by WALK_STEP_COST, or whose tables, those of the field
     enumeration at deg D <= 2m (kernels.check_table_budget), exceed the budget."""
-    ncodes = q ** (m + 1)
-    check_budget(WALK_STEP_COST * (ncodes**3 // (q * (q - 1) ** 2)), budget,
+    check_budget(WALK_STEP_COST * kernels.walk_steps(q, m), budget,
                  f"{what} at cost {WALK_STEP_COST} per walk step", "weighted walk steps")
     kernels.check_table_budget(q, 2 * m, budget, what)
 

@@ -1,6 +1,6 @@
 """Enumeration kernels and the tables behind them.
 
-Two hot loops dominate everything in this package:
+Two counts drive everything in this package:
 
   * counting coprime polynomial vectors of given height (the projective
     point oracle), and
@@ -13,23 +13,18 @@ all field work precomputed into tables here.
 Products of polynomials are never formed one pair at a time: multiples()
 lists the codes of h*f for every cofactor h by shift and add, code(h*f) =
 q * code((h // q)*f) added digitwise to code((h % q)*f), where digitwise
-addition is XOR when p = 2 and split code-sum lookups otherwise.  The
-divisor sieve, squarefree_kernel and discriminant_classes build their
+addition is XOR when p = 2 and split code-sum lookups otherwise.
+factor_degrees, squarefree_kernel and discriminant_classes build their
 multiples this way.
 
-The vector count reads gcds from a divisor sieve, which keeps the
-multiples of every monic d as one int bitset: the codes y with gcd(g, y) =
-d, the gcd class d of g, are d's bitset minus those of the divisors of g
-that d properly divides.  The count is a recursion over coordinates on
-states (running monic gcd code, max degree reached), each next state
-counted by popcount of a gcd class, split at q^m by shift and mask.  The
-recursion descends once per distinct state, weighted by its count; at the
-last coordinate it counts the codes outside the union of the bitsets of
-g's irreducible divisors.  Every number is the size of an explicit set.
-count_coprime_vectors starts the recursion at every lead (the position
-and monic value of the first nonzero coordinate) in one process, with one
-memo dictionary of states, and a branch whose gcd has reached 1 is
-completed in closed form.
+The vector count reads a sieve of factor degrees: factor_degrees lists,
+at every monic g, the degrees of its distinct irreducible factors.  The
+coprime completions of a lead g (the first nonzero coordinate, monic)
+follow from them in closed form by inclusion-exclusion over the
+squarefree divisors of g, and count_coprime_vectors sums that count over
+the leads, grouped by degree data.  It reads no zeta function, so it
+stays independent of the Moebius route: a fault in the arithmetic of
+F_q[T] would have to get past the sieve to reach the count.
 
 For odd q, discriminant_classes walks every triple once per (q, m), up to
 the substitutions Y -> mu*Y + kappa, which keep the discriminant class,
@@ -98,14 +93,6 @@ def multiples(q, scaled, count, add, monic=False):
     return out
 
 
-def _bitset(codes, size):
-    """The int with bit x set for each x in codes (all below size)."""
-    buf = bytearray((size + 7) // 8)
-    for x in codes:
-        buf[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(buf, "little")
-
-
 def _code_adder(K, size):
     """add(x, y), the code of f_x + f_y for the codes below size (a power
     of q), added digitwise in K.  When p = 2 a code is the bit vector of
@@ -155,108 +142,6 @@ def _split_add(low_sums, high_sums, low, high):
         return high_sums[xh * high + yh] * low + low_sums[xl * low + yl]
 
     return add
-
-
-class DivisorSieve:
-    """Monic divisors and nonzero multiples of the polynomials of degree
-    <= m, as codes below ncodes = q^(m+1), and the gcd states read from
-    them.
-
-    divisors[g], for every monic g, lists the monic divisors of g of
-    degree >= 1 by increasing degree, g last (none for g = 1); it is built
-    from the monic multiples of every monic d.  mask(d), for d = 1 and
-    every monic d of degree 1..m, is an int bitset: bit x is set iff f_x
-    is a nonzero multiple of d, so d | e iff bit e of mask(d) is set.
-    Each mask is built from multiples() on first use and kept only as
-    this bitset; a count at n = 2 reads the masks of irreducible d only.
-
-    gcd_classes(g) splits the codes by their gcd with a monic g, one bitset
-    per divisor.  states() and coprime_count() count those classes by
-    popcount, split at top = q^m: the codes of degree exactly m are
-    top .. ncodes - 1.
-    """
-
-    def __init__(self, q, m):
-        K = self.K = GF(q)
-        self.ncodes, self.top = q ** (m + 1), q**m
-        self.add = _code_adder(K, self.ncodes)
-        self.masks = {1: (1 << self.ncodes) - 2}  # built by mask()
-        # monic polynomials of degree k have the codes q^k .. 2q^k - 1
-        self.divisors = {g: [] for k in range(m + 1) for g in range(q**k, 2 * q**k)}
-        # scaled_codes of the monic d of one degree less: d = T*d' + c0
-        # gives c*d = T*(c*d') + c*c0
-        last = {1: list(range(q))}
-        for k in range(1, m + 1):
-            scaled = {}
-            for d in range(q**k, 2 * q**k):
-                d1, c0 = divmod(d, q)
-                scaled[d] = [q * x + y for x, y in zip(last[d1], K._mul[c0])]
-                for x in multiples(q, scaled[d], q ** (m - k + 1), self.add, monic=True):
-                    self.divisors[x].append(d)
-            last = scaled
-
-    def mask(self, d):
-        """The bitset of the nonzero multiples of d (monic, or 1)."""
-        bits = self.masks.get(d)
-        if bits is None:
-            q, f = self.K.q, poly.from_code(self.K.q, d)
-            count = self.ncodes // q ** poly.deg(f)
-            codes = multiples(q, scaled_codes(self.K, f), count, self.add)
-            bits = self.masks[d] = _bitset(codes, self.ncodes) & ~1  # h = 0
-        return bits
-
-    def gcd_classes(self, g):
-        """{d: bitset of the codes y with gcd(g, y) = d} for d = 1 and each
-        divisor d of g: d's mask minus the masks of the divisors of g that d
-        properly divides.  y = 0 has gcd g."""
-        divs = self.divisors[g]
-        classes = {}
-        for d in [1] + divs:
-            exact = self.mask(d)
-            for e in divs:
-                # a cleared bit e means a multiple of e is removed already
-                if e != d and exact >> e & 1:
-                    exact &= ~self.mask(e)
-            classes[d] = exact
-        classes[g] |= 1
-        return classes
-
-    def coprime_count(self, g, flag):
-        """Codes y with gcd(g, y) = 1, from top on unless flag is set: the
-        nonzero codes outside the masks of g's irreducible divisors, and
-        y = 0 if g = 1 (y = 0 has gcd g)."""
-        hit = 0
-        for d in self.divisors[g]:
-            if len(self.divisors[d]) == 1:  # d is irreducible
-                hit |= self.mask(d)
-        if flag:
-            return self.ncodes - 1 - hit.bit_count() + (g == 1)
-        return self.ncodes - self.top - (hit >> self.top).bit_count()
-
-    def states(self, g, flag):
-        """Counter {(gcd(g, y), flag or deg y == m): codes y}: the
-        gcd_classes of g counted below top and from top on."""
-        top = self.top
-        below = (1 << top) - 1
-        states = Counter()
-        for d, exact in self.gcd_classes(g).items():
-            high = (exact >> top).bit_count()
-            low = (exact & below).bit_count()
-            if flag:
-                states[d, True] += high + low
-            else:
-                states[d, True] += high
-                states[d, False] += low
-        return +states
-
-
-@functools.lru_cache(maxsize=8)
-def divisor_sieve(q: int, m: int) -> DivisorSieve:
-    """The DivisorSieve of the polynomials of degree <= m over F_q, cached:
-    count_coprime_vectors counts its gcd states.  Its divisors dict lists
-    the monic codes in increasing order, and a monic code has degree m iff
-    it is >= top."""
-    return DivisorSieve(q, m)
 
 
 def squarefree_kernel(K, top, add=None):
@@ -383,46 +268,49 @@ def _orbit_sums(K, d, r, subs):
     return out
 
 
-def count_completions(n_rest, sieve, g, flag, memo):
-    """Tuples (y_1..y_n_rest) of codes < sieve.ncodes with gcd(g, y_*) = 1
-    and maximal degree m reached (flag marks degree m already seen).
+def factor_degrees(q, m):
+    """List over the codes below q^(m+1): at each monic code g, the
+    increasing tuple of the degrees of the distinct monic irreducible
+    factors of g; () at every other code, and at g = 1.
 
-    The first coordinate y moves the state to (gcd(g, y), flag or
-    deg y == m); sieve.states(g, flag) counts the codes by that state, and
-    each distinct state is completed once and weighted by its count.  At
-    the last coordinate the count is sieve.coprime_count(g, flag).  memo
-    holds the count of every (n_rest, g, flag) met so far.
-    """
-    if g == 1:
-        total = sieve.ncodes**n_rest
-        if flag:
-            return total
-        return total - sieve.top**n_rest
-    if n_rest == 0:
-        return 0
-    key = (n_rest, g, flag)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if n_rest == 1:
-        count = sieve.coprime_count(g, flag)
-    else:
-        count = 0
-        for (gy, next_flag), k in sieve.states(g, flag).items():
-            count += k * count_completions(n_rest - 1, sieve, gy, next_flag, memo)
-    memo[key] = count
-    return count
+    Degree by degree, a monic d of degree e whose entry is still empty is
+    irreducible, since a factor of lower degree would have marked it, and
+    e is appended at every monic multiple of d, listed by multiples()."""
+    K = GF(q)
+    ncodes = q ** (m + 1)
+    add = _code_adder(K, ncodes)
+    degrees = [()] * ncodes
+    for e in range(1, m + 1):
+        # monic polynomials of degree e have the codes q^e .. 2q^e - 1
+        for d in range(q**e, 2 * q**e):
+            if not degrees[d]:
+                scaled = scaled_codes(K, poly.from_code(q, d))
+                for x in multiples(q, scaled, q ** (m - e + 1), add, monic=True):
+                    degrees[x] += (e,)
+    return degrees
 
 
 def count_coprime_vectors(q, n, m):
     """Normalized coprime vectors of n codes below q^(m+1) with height
-    exactly m: the first nonzero coordinate, at some position, is a monic
-    g, and count_completions counts the coordinates after it.  Every lead
-    shares one memo dictionary, so that each state is counted once."""
-    sieve = divisor_sieve(q, m)
-    memo = {}
-    return sum(count_completions(n - pos - 1, sieve, g, g >= sieve.top, memo)
-               for pos in range(n) for g in sieve.divisors)
+    exactly m.  The first nonzero coordinate, at some position with r
+    coordinates after it, is a monic g whose distinct irreducible factors
+    have the degrees e_i (factor_degrees), E = sum e_i.  By
+    inclusion-exclusion over the squarefree d | g, the r-tuples y with
+    gcd(g, y_*) = 1 number sum mu(d) * q^(r(m+1-deg d)) =
+    q^(r(m+1-E)) * prod (q^(r e_i) - 1), and those of height exactly m
+    with it q^(r(m-E)) * (q^r - [deg g < m]) * prod (q^(r e_i) - 1).  The
+    leads are grouped by (deg g == m, degrees)."""
+    degrees, top = factor_degrees(q, m), q**m
+    # monic polynomials of degree k have the codes q^k .. 2q^k - 1
+    leads = Counter((g >= top, degrees[g]) for k in range(m + 1) for g in range(q**k, 2 * q**k))
+    total = 0
+    for r in range(n):
+        for (full, es), count in leads.items():
+            term = count * q ** (r * (m - sum(es))) * (q**r - (not full))
+            for e in es:
+                term *= q ** (r * e) - 1
+            total += term
+    return total
 
 
 @functools.lru_cache(maxsize=8)
@@ -550,6 +438,22 @@ def _reduced_b(q, h, k):
     """The b of the reduced walk below q^(h+1) for a of degree k, in
     increasing order: b = 0, and the monic b whose coefficient at T^k is 0."""
     return [0] + [b for e in range(h + 1) for b in range(q**e, 2 * q**e) if b // q**k % q == 0]
+
+
+def walk_steps(q, m):
+    """The steps of the reduced walks at h = m and h = m - 1 of
+    discriminant_histogram, one per (a, b, c) met, counted without listing
+    any b.  For a of degree k (q^k of them) the walked b are 0, the q^e
+    monic b of each degree e < k and the q^(e-1) of each degree k < e <= h
+    (_reduced_b); each b meets the q^(h+1) codes c if k = h or deg b = h,
+    and the q^(h+1) - q^h of degree h otherwise."""
+    steps = 0
+    for h in range(max(m - 1, 0), m + 1):
+        for k in range(h + 1):
+            walked = 1 + sum(q**e for e in range(k)) + sum(q ** (e - 1) for e in range(k + 1, h + 1))
+            full = walked if k == h else q ** (h - 1)  # the b that meet every c
+            steps += q**k * (full * q ** (h + 1) + (walked - full) * (q ** (h + 1) - q**h))
+    return steps
 
 
 @functools.lru_cache(maxsize=8)

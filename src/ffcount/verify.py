@@ -70,48 +70,35 @@ def _cell_names(cells, var):
     return "; ".join(f"q={q} {var}<={top}" for q, top in cells)
 
 
-# (q, largest m) of the exhaustive divisor-sieve checks: at q = 2, 4 and 8
+# (q, largest m) of the exhaustive factor-sieve checks: at q = 2, 4 and 8
 # codes add by XOR, and q = 9 is odd and not prime
-GCD_TABLE_CELLS = ((2, 5), (3, 3), (4, 2), (8, 1), (9, 1))
+FACTOR_SIEVE_CELLS = ((2, 5), (3, 3), (4, 2), (8, 1), (9, 1))
 
 
-def _bitset_states(cells=GCD_TABLE_CELLS):
+def _factor_degrees(cells=FACTOR_SIEVE_CELLS):
     for q, m_max in cells:
         K = GF(q)
         for m in range(m_max + 1):
-            sieve = kernels.divisor_sieve(q, m)
-            ncodes = sieve.ncodes
+            ncodes = q ** (m + 1)
+            add = kernels._code_adder(K, ncodes)
             polys = [poly.from_code(q, code) for code in range(ncodes)]
-            # shift and add from every nonzero f, and the mask of every monic f
+            # shift and add from every nonzero f, against the products
             for f in range(1, ncodes):
                 count = q ** (m - poly.deg(polys[f]) + 1)
                 products = [poly.to_code(q, poly.mul(K, h, polys[f])) for h in polys[:count]]
-                shifted = kernels.multiples(q, poly.scaled_codes(K, polys[f]), count,
-                                            sieve.add)
-                if shifted != products:
+                if kernels.multiples(q, poly.scaled_codes(K, polys[f]), count, add) != products:
                     return f"shift-and-add multiples of {f} wrong at q={q} m={m}", False
-                mask = sum(1 << x for x in set(products) - {0})
-                if f in sieve.divisors and sieve.mask(f) != mask:
-                    return f"multiple bitset of {f} wrong at q={q} m={m}", False
-            # gcd classes and states of every monic g at every code, against
-            # Euclid: gcd(g, y) is g, or read from the row of the monic part
-            # of y mod g (a lower code)
-            rows = {}
-            for g in sieve.divisors:  # the monic codes
-                rems = (poly.monic(K, poly.rem(K, h, polys[g]))[1] for h in polys)
-                rows[g] = gcds = [rows[poly.to_code(q, r)][g] if r else g for r in rems]
-                classes = {d: sum(1 << y for y, e in enumerate(gcds) if e == d)
-                           for d in set(gcds)}
-                if sieve.gcd_classes(g) != classes:
-                    return f"gcd classes of {g} wrong at q={q} m={m}", False
-                for flag in (False, True):
-                    expect = Counter((d, flag or y >= q**m) for y, d in enumerate(gcds))
-                    if sieve.states(g, flag) != expect:
-                        return f"bitset states of {g} wrong at q={q} m={m} flag={flag}", False
-                    if sieve.coprime_count(g, flag) != expect[1, True]:
-                        return f"bitset coprime count of {g} wrong at q={q} m={m}", False
-    return (f"shift-and-add multiples equal products, and the gcd classes and states "
-            f"of the divisor sieve equal Euclid ({_cell_names(cells, 'm')})"), True
+            # the degrees of the distinct irreducible factors of every monic
+            # code, against trial division; () at every other code
+            degrees = kernels.factor_degrees(q, m)
+            for g, f in enumerate(polys):
+                expect = ()
+                if f and f[-1] == 1:
+                    expect = tuple(sorted(poly.deg(p) for p in poly.factor(K, f)[1]))
+                if degrees[g] != expect:
+                    return f"factor degrees of {g} wrong at q={q} m={m}", False
+    return (f"shift-and-add multiples equal products, and the factor degrees of "
+            f"the sieve equal trial division ({_cell_names(cells, 'm')})"), True
 
 
 # (q, largest deg D) of the exhaustive field-table checks
@@ -580,7 +567,7 @@ def _hasse_weil_all():
 
 
 SUITES = {
-    "algebra": [_field_axioms, _gcd_properties, _bitset_states,
+    "algebra": [_field_axioms, _gcd_properties, _factor_degrees,
                 _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
                 _squarefree_sieve, _point_count_table, _artin_schreier,
                 _discriminant_reduction, _discriminant_definition],
@@ -596,7 +583,7 @@ SUITES = {
 # tables at genus 3, where the table of r = 3 supplies s = 1 and 3, and
 # r = 2 its own
 DEEP_CELLS = {
-    _oracle_equivalence: ((3, 4, 2), (2, 4, 3), (3, 3, 3)),
+    _oracle_equivalence: ((3, 4, 2), (2, 4, 3), (3, 3, 3), (2, 5, 4), (3, 4, 3), (7, 3, 2)),
     _discriminant_reduction: ((3, 4),),
     _discriminant_definition: ((7, 1),),
     _point_count_table: ((3, 7),),

@@ -63,8 +63,8 @@ def test_count_at_the_gcd_table_cap(capsys):
 
 
 def test_count_beyond_the_old_gcd_table_cap(capsys):
-    # q=3, m=7 (6561 codes): the brute route counts gcd states by bitset
-    # popcounts, and must equal the Moebius route
+    # q=3, m=7 (6561 codes): the brute route counts the leads over the
+    # factor-degree sieve, and must equal the Moebius route
     code, out, _ = run(capsys, "count", "--q", "3", "--n", "2", "--m", "7", "--engine", "both")
     assert code == 0
     header, row = out.splitlines()
@@ -74,8 +74,8 @@ def test_count_beyond_the_old_gcd_table_cap(capsys):
 
 
 def test_count_frontier_q2_m12(capsys):
-    # 8192 codes, inside the default budget: the brute route counts gcd
-    # states by bitset popcounts and must equal the Moebius route
+    # 8192 codes, inside the default budget: the brute route counts the
+    # leads over the factor-degree sieve and must equal the Moebius route
     code, out, _ = run(capsys, "count", "--q", "2", "--n", "2", "--m", "12")
     assert code == 0
     header, row = out.splitlines()
@@ -130,7 +130,7 @@ def test_assemble_per_field_contributions_sum_to_N(capsys):
      "at cost 100 per triple needs 13421772800 weighted oracle triples"),
     # odd q walks the reduced triples, 10 per step
     ("countd --q 3 --d 2 --m 5",
-     "at cost 10 per walk step needs 322850400 weighted walk steps"),
+     "at cost 10 per walk step needs 323280720 weighted walk steps"),
     ("forms --q 3 --m 4 --brute", "at cost 100 per triple needs 1434890700 weighted oracle triples"),
     ("assemble --q 3 --n 2 --m 2 --budget 10", "needs 6480 weighted Horner row entries"),
 ])
@@ -365,7 +365,7 @@ def test_walk_and_field_tables_have_one_price(monkeypatch, capsys):
     def no_table(*args):
         raise AssertionError("table built before the refusal")
 
-    for name in ("divisor_sieve", "squarefree_kernel", "point_count_tables", "code_sums"):
+    for name in ("squarefree_kernel", "point_count_tables", "code_sums"):
         monkeypatch.setattr(kernels, name, no_table)
     for argv in (("countd", "--d", "2", "--m", "1"), ("assemble", "--n", "2", "--m", "1"),
                  ("fields", "--degD-max", "2")):

@@ -91,6 +91,18 @@ def test_genus0_exactness_from_height_two():
                 assert all(v == 0 for v in r.error_parts().values())
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11]), n=st.integers(2, 6), m=st.integers(0, 8))
+def test_brute_and_moebius_agree_on_sampled_cells(q, n, m):
+    # every sampled cell inside q^(n(m+1)) <= 10^8 candidate tuples (m = 0
+    # always is); the literal Euclid loop joins in below 2*10^4 tuples
+    m = max(k for k in range(m + 1) if q ** (n * (k + 1)) <= 10**8)
+    N = brute_count_rational(q, n, m)
+    assert N == moebius_point_count(CurveDescriptor.rational(q), n, m).N
+    if q ** (n * (m + 1)) <= 2 * 10**4:
+        assert verify.brute_count_unnormalized(q, n, m) == (q - 1) * N
+
+
 def test_unnormalized_is_q_minus_1_times_projective():
     for q, n, m in ((2, 2, 2), (3, 2, 1), (3, 3, 1), (5, 2, 1)):
         assert verify.brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
@@ -129,9 +141,9 @@ def test_degree2_examples():
 
 
 def test_degree2_budget_counts_walk_steps_at_odd_q(monkeypatch):
-    # the walk makes about q^(3(m+1)) / (q (q-1)^2) steps, each counted
-    # WALK_STEP_COST times; even q prices its candidate triples as the form
-    # oracle does, ORACLE_TRIPLE_COST each
+    # the walk makes kernels.walk_steps steps, each counted WALK_STEP_COST
+    # times; even q prices its candidate triples as the form oracle does,
+    # ORACLE_TRIPLE_COST each
     monkeypatch.setattr(kernels, "discriminant_classes", lambda q, m: {})
     monkeypatch.setattr(kernels, "classify_triples_by_polys", lambda K, m: (0, 0))
     for q, m in ((5, 3), (11, 2), (25, 1), (3, 4)):

@@ -1,5 +1,4 @@
 import functools
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,100 +8,31 @@ from ffcount import kernels, poly, quadratic, verify
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
 from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
-from ffcount.kernels import discriminant_classes, divisor_sieve
-
-
-def test_divisor_sieve_shape():
-    sieve = divisor_sieve(3, 2)
-    assert sieve.ncodes == 27
-    # the monic codes in increasing order; those of degree 2 are >= top
-    assert list(sieve.divisors) == [1, 3, 4, 5, *range(9, 18)] and sieve.top == 9
-    # the gcd classes of a monic g split the codes: gcd(g, 0) = gcd(g, g) =
-    # g, gcd(g, 1) = 1, and gcd(g, h) = gcd(h, g) for monic h
-    classes = {g: sieve.gcd_classes(g) for g in sieve.divisors}
-    for g, by_gcd in classes.items():
-        assert sum(by_gcd.values()) == (1 << sieve.ncodes) - 1
-        assert by_gcd[g] & (1 | 1 << g) == 1 | 1 << g and by_gcd[1] & 2
-        assert all(classes[h][d] >> g & 1 for d, bits in by_gcd.items()
-                   for h in sieve.divisors if bits >> h & 1)
+from ffcount.kernels import discriminant_classes
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_sieve_gcd_table_matches_euclid(q):
-    # the gcd table read off the gcd classes of the largest cell with at
-    # most 512 codes: every monic g, at every code including zero, against
-    # Euclid directly
-    m = max(m for m in range(9) if q ** (m + 1) <= 512)
-    K = GF(q)
-    sieve = divisor_sieve(q, m)
-    polys = [poly.from_code(q, code) for code in range(sieve.ncodes)]
-    for g in sieve.divisors:
-        table = [None] * sieve.ncodes
-        for d, bits in sieve.gcd_classes(g).items():
-            while bits:
-                y = (bits & -bits).bit_length() - 1
-                assert table[y] is None, (g, y)
-                table[y], bits = d, bits & bits - 1
-        assert table == [poly.to_code(q, poly.gcd(K, polys[g], h)) for h in polys], g
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1), y=st.integers(0, 3**8 - 1))
-def test_sieve_gcd_rows_match_euclid_sample(k, low, y):
-    # q=3, m=7 (6561 codes), far beyond the exhaustive grid: y lies in the
-    # class of gcd(g, y) only.  The monic codes of degree k are 3^k .. 2*3^k - 1.
-    g = 3**k + low % 3**k
-    d = poly.to_code(3, poly.gcd(GF(3), poly.from_code(3, g), poly.from_code(3, y)))
-    classes = divisor_sieve(3, 7).gcd_classes(g)
-    assert [e for e, bits in classes.items() if bits >> y & 1] == [d]
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_bitset_states_match_euclid(q):
+def test_factor_degrees_match_factorization(q):
     # verify's sieve check on every cell with at most 512 codes: multiples
-    # against products, and the gcd classes and states of every monic g at
-    # every code, zero included, against Euclid
+    # against products, and the factor degrees of every code against
+    # trial division
     m_max = max(m for m in range(9) if q ** (m + 1) <= 512)
-    message, ok = verify._bitset_states(((q, m_max),))
+    message, ok = verify._factor_degrees(((q, m_max),))
     assert ok, message
 
 
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
-@given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1), flag=st.booleans(),
-       y=st.integers(0, 3**8 - 1))
-def test_bitset_states_match_euclid_sample(k, low, flag, y):
-    # q=3, m=7 (6561 codes): one monic row counted by state against Euclid
-    # (gcd(f, h) = gcd(f, h mod f), one gcd per remainder), and one bit of
-    # its multiple bitset against division
-    K = GF(3)
+@functools.cache
+def _factor_degrees(q, m):
+    return kernels.factor_degrees(q, m)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(k=st.integers(0, 7), low=st.integers(0, 3**7 - 1))
+def test_factor_degrees_sample_beyond_the_exhaustive_cells(k, low):
+    # q=3, m=7 (6561 codes): the monic codes of degree k are 3^k .. 2*3^k - 1
     g = 3**k + low % 3**k
-    sieve = divisor_sieve(3, 7)
-    f = poly.from_code(3, g)
-    rems = [poly.to_code(3, poly.rem(K, poly.from_code(3, h), f)) for h in range(sieve.ncodes)]
-    gcd_of = {r: poly.to_code(3, poly.gcd(K, f, poly.from_code(3, r))) for r in set(rems)}
-    expect = Counter((gcd_of[r], flag or h >= 3**7) for h, r in enumerate(rems))
-    assert sieve.states(g, flag) == expect
-    assert sieve.coprime_count(g, flag) == expect[1, True]
-    y %= sieve.ncodes
-    divides = y != 0 and not poly.rem(K, poly.from_code(3, y), f)
-    assert sieve.mask(g) >> y & 1 == divides
-
-
-def test_one_state_count_per_brute_count(monkeypatch):
-    # the leads of one count share one memo: at (2, 3, 8) every (g, flag)
-    # is counted once by states (second coordinate) and once by
-    # coprime_count (last coordinate)
-    seen = Counter()
-    for name in ("states", "coprime_count"):
-        counter = getattr(kernels.DivisorSieve, name)
-
-        def wrapped(self, g, flag, counter=counter, name=name):
-            seen[name, g, flag] += 1
-            return counter(self, g, flag)
-
-        monkeypatch.setattr(kernels.DivisorSieve, name, wrapped)
-    assert brute_count_rational(2, 3, 8, budget=10**9) == 88080384
-    assert seen and max(seen.values()) == 1
+    factors = poly.factor(GF(3), poly.from_code(3, g))[1]
+    assert _factor_degrees(3, 7)[g] == tuple(sorted(map(poly.deg, factors)))
 
 
 @pytest.mark.parametrize("q, size", [(3, 3**5), (5, 5**4), (9, 9**3), (27, 27**2)])
@@ -123,17 +53,16 @@ def test_code_sum_split_sizes_the_tables_it_builds(monkeypatch, q, size):
 
 
 def test_long_lived_caches_are_bounded():
-    for cached in (kernels.divisor_sieve, kernels.discriminant_classes,
-                   kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
+    for cached in (kernels.discriminant_classes, kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
                    poly.monic_irreducibles, poly._artin_schreier_image):
         assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 def test_memo_and_literal_recursions_agree():
-    # the state-counting recursion vs the literal loop over all vectors
-    # with Euclid gcds, which meets each point once per unit; n >= 3
-    # reaches the grouped inner levels, and q=4, 8 (codes added by XOR)
-    # and q=9 are not prime
+    # the closed count over the factor-degree sieve vs the literal loop
+    # over all vectors with Euclid gcds, which meets each point once per
+    # unit; n >= 3 has leads at several positions, and q=4, 8 (codes
+    # added by XOR) and q=9 are not prime
     for q, n, m in ((2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1), (2, 4, 2), (4, 3, 1),
                     (3, 3, 2), (8, 2, 1), (9, 2, 1)):
         assert verify.brute_count_unnormalized(q, n, m) == (q - 1) * brute_count_rational(q, n, m)
@@ -192,16 +121,35 @@ def test_reduced_discriminant_walk_matches_full_walk(cell):
     assert ok, message
 
 
+@pytest.mark.parametrize("q, m", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (9, 1)])
+def test_walk_steps_count_the_loop_bounds(q, m):
+    # the walk's loops: every monic a of degree k <= h, the b of
+    # _reduced_b, and every c below q^(h+1), or only those of degree h
+    # when neither a nor b reaches it, at h = m and m - 1
+    steps = 0
+    for h in range(max(m - 1, 0), m + 1):
+        top, size = q**h, q ** (h + 1)
+        for k in range(h + 1):
+            for b in kernels._reduced_b(q, h, k):
+                steps += q**k * (size if k == h or b >= top else size - top)
+    assert kernels.walk_steps(q, m) == steps
+
+
+def test_walk_steps_pinned():
+    cells = ((3, 5), (5, 3), (11, 2), (13, 2), (17, 2), (73, 1))
+    assert [kernels.walk_steps(q, m) for q, m in cells] == [
+        32328072, 3119700, 2301288, 6030752, 28657512, 788692]
+
+
 def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
     # 3^8 and 5^5 codes: the walk's price refuses them at the default
-    # budget before the divisor sieve or a code-sum table is built, both
-    # from the library and from the command line
+    # budget before a code-sum table is built, both from the library and
+    # from the command line
     from ffcount.cli import main
 
     def no_tables(*args):
         raise AssertionError("tables built before the refusal")
 
-    monkeypatch.setattr(kernels, "divisor_sieve", no_tables)
     monkeypatch.setattr(kernels, "code_sums", no_tables)
     for q, m in ((3, 7), (5, 4)):
         with pytest.raises(RefusalError):
@@ -214,11 +162,11 @@ def test_discriminant_classes_refuse_before_building(monkeypatch, capsys):
 def test_walk_builds_the_tables_its_price_counts(monkeypatch, q, m):
     # the walk's kernel and code-sum tables are those of the field
     # enumeration up to deg D <= 2m, priced by one check_table_budget, and
-    # it reads no divisor sieve
+    # it reads no factor-degree sieve
     def no_sieve(*args):
-        raise AssertionError("the walk built a divisor sieve")
+        raise AssertionError("the walk built a factor-degree sieve")
 
-    monkeypatch.setattr(kernels, "divisor_sieve", no_sieve)
+    monkeypatch.setattr(kernels, "factor_degrees", no_sieve)
     built = []
     real_sums, real_kernel = kernels.code_sums, kernels.squarefree_kernel
 

@@ -40,7 +40,6 @@ def test_every_cache_is_bounded():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 cached[f"{info.name}.{name}"] = value.cache_info().maxsize
     assert {"gf.GF", "gf.constant_extension", "counting.moebius_point_count",
-            "kernels.divisor_sieve", "kernels.discriminant_classes",
-            "kernels.classify_triples_by_polys", "quadratic.enumerate_quadratic_fields",
-            "poly.monic_irreducibles", "poly._artin_schreier_image"} <= set(cached)
+            "kernels.discriminant_classes", "kernels.classify_triples_by_polys",
+            "quadratic.enumerate_quadratic_fields", "poly.monic_irreducibles", "poly._artin_schreier_image"} <= set(cached)
     assert all(size is not None for size in cached.values()), cached
