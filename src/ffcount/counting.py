@@ -10,7 +10,8 @@ Two independent routes produce every headline number:
     explicit tuple budget;
   * Moebius inversion: (q-1) * N = sum_l b(l) * sum_j lambda(a_j+(m-l)a_0, n)
     over a class model, evaluated exactly, together with its error
-    decomposition around the Schanuel main term S * q^(nm).
+    decomposition around the Schanuel main term S * q^(nm), whose genus
+    window every count checks against its reflection and its bound.
 
 The two must agree wherever both run; that equality is the package's core
 acceptance property.  Degree-2 points are additionally counted twice: once
@@ -27,11 +28,11 @@ from .errors import DEFAULT_BUDGET, ConsistencyError, RefusalError, check_budget
 from .gf import GF, prime_power
 
 # riemann_roch, zeta, quadratic and fractions are imported by the Moebius,
-# decomposition, assembly and Schanuel functions that use them, so that
-# the brute-force and table routes (count --engine brute, countd) load
-# none of them; annotations naming their types are strings.  DEFAULT_BUDGET
-# and check_budget live in errors, which the parser reads without loading
-# this module, and are bound here for forms, verify and the library.
+# assembly and Schanuel functions that use them, so that the brute-force
+# and table routes (count --engine brute, countd) load none of them;
+# annotations naming their types are strings.  DEFAULT_BUDGET and
+# check_budget live in errors, which the parser reads without loading this
+# module, and are bound here for forms, verify and the library.
 
 
 class CountResult(namedtuple("CountResult", "q g J n d m N main_term err_unit_sum "
@@ -108,7 +109,10 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     Lambda(i) is the class sum of lambda(a_j + i*a_0, n) over the class
     model of desc; above the genus window it collapses to
     J*(q^(n(i+1-g)) - 1), which is what turns the full sum into
-    J*q^(n(m+1-g))/zeta(n) plus controlled corrections.
+    J*q^(n(m+1-g))/zeta(n) plus controlled corrections.  Inside the window,
+    each t(i) = Lambda(i) - J*(q^(n(i+1-g)) - 1) must equal its reflection
+    q^(n(i+1-g)) * Lambda(2g-2-i), and from m = 2g-1 on |sum_l b(l)t(m-l)|
+    must not exceed sum_l a(l)t(m-l), a(l) the effective divisor counts.
 
     Cached per (descriptor, n, m): fields that share a descriptor share
     their count, and the result is immutable.
@@ -116,7 +120,7 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     from fractions import Fraction
 
     from .riemann_roch import build_class_model, lambda_sum
-    from .zeta import moebius_sums, schanuel_constant, zeta_value
+    from .zeta import divisor_counts, moebius_sums, schanuel_constant, zeta_value
 
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -136,11 +140,20 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     piece_b = Fraction(-J * sum(b[: m + 1]))
     partial = sum(b[l] * qn ** (m - l + 1 - g) for l in range(m + 1))
     piece_c = J * partial - piece_a
+    # Fraction zeros keep err_genus_window exact at genus 0 (no window)
     window_lo = max(0, m - 2 * g + 2)
-    piece_d = Fraction(0)
+    piece_d = bound = Fraction(0)
+    a = divisor_counts(desc, m) if g else ()
     for l in range(window_lo, m + 1):
         i = m - l
-        piece_d += b[l] * (lambda_sum(model, i, n) - J * (qn ** (i + 1 - g) - 1))
+        scale = qn ** (i + 1 - g)
+        term = lambda_sum(model, i, n) - J * (scale - 1)
+        if i != g - 1 and term != scale * lambda_sum(model, 2 * g - 2 - i, n):
+            raise ConsistencyError(f"class sums fail reflection at degree {i}, n={n}")
+        piece_d += b[l] * term
+        bound += a[l] * term
+    if m >= 2 * g - 1 and abs(piece_d) > bound:
+        raise ConsistencyError("genus-window piece exceeds its absolute bound")
     if piece_a + piece_b + piece_c + piece_d != (q - 1) * N:
         raise ConsistencyError("error decomposition does not reassemble the count")
 
@@ -160,52 +173,6 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
         err_zeta_tail=piece_c / (q - 1),
         err_genus_window=piece_d / (q - 1),
     )
-
-
-def error_decomposition(desc: "CurveDescriptor", n: int, m: int) -> dict:
-    """Report the correction pieces of the Moebius count of desc at (n, m),
-    the genus-window bound in its direct and reflected forms, and re-verify
-    the assembly.
-
-    Only defined for m >= 2g-1 (below that the closed divisor-count form
-    does not cover the window).
-    """
-    from fractions import Fraction
-
-    from .riemann_roch import build_class_model, lambda_sum
-    from .zeta import divisor_counts
-
-    q, g, J = desc.q, desc.g, desc.J
-    if m < 2 * g - 1:
-        raise RefusalError(f"decomposition defined for m >= 2g-1 = {2*g-1}, got {m}")
-    result = moebius_point_count(desc, n, m)
-    model = build_class_model(desc)
-    qn = Fraction(q) ** n
-    a = divisor_counts(desc, m)
-    direct = Fraction(0)
-    for i in range(0, 2 * g - 1):
-        direct += a[m - i] * (lambda_sum(model, i, n) - J * (qn ** (i + 1 - g) - 1))
-    reflected = Fraction(0)
-    for i2 in range(0, 2 * g - 1):
-        reflected += a[m + i2 - 2 * g + 2] * qn ** (g - 1 - i2) * lambda_sum(model, i2, n)
-    if direct != reflected:
-        raise ConsistencyError("genus-window bound: direct and reflected forms differ")
-    pieces = {
-        "unit_sum": (q - 1) * result.err_unit_sum,
-        "zeta_tail": (q - 1) * result.err_zeta_tail,
-        "genus_window": (q - 1) * result.err_genus_window,
-    }
-    total = sum(pieces.values())
-    if total != (q - 1) * (result.N - result.main_term):
-        raise ConsistencyError("pieces do not sum to (q-1)(N - main term)")
-    if abs(pieces["genus_window"]) > direct:
-        raise ConsistencyError("genus-window piece exceeds its absolute bound")
-    return {
-        "pieces": pieces,
-        "window_bound_direct": direct,
-        "window_bound_reflected": reflected,
-        "sum_matches": True,
-    }
 
 
 # -- degree-2 points via minimal polynomials ----------------------------------
@@ -283,7 +250,7 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     from fractions import Fraction
 
     from .quadratic import check_enumeration_budget, field_classes
-    from .zeta import CurveDescriptor, schanuel_constant
+    from .zeta import CurveDescriptor
 
     prime_power(q)  # ValueError for a q that is no field size, before the even-q refusal
     if q % 2 == 0:
@@ -307,18 +274,17 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
         for counts in dc.counts:  # one tuple per twist
             groups.update(counts)
     total = 0
-    schanuel = Fraction(0)
+    main = Fraction(0)
     for c, k in groups.items():
         desc = classes.descriptors[c]
-        contrib = moebius_point_count(desc, n, m).N - corr
-        if contrib < 0:
+        res = moebius_point_count(desc, n, m)
+        if res.N < corr:
             raise ConsistencyError(
                 f"negative contribution from the fields of genus {desc.g} "
                 f"with point counts {c}")
-        total += k * contrib
-        schanuel += k * schanuel_constant(desc, n)
-    return QuadraticAssembly(q, n, m, total, sum(groups.values()), corr,
-                             schanuel * Fraction(q) ** (n * m))
+        total += k * (res.N - corr)
+        main += k * res.main_term  # S_K * q^(nm), checked by the count
+    return QuadraticAssembly(q, n, m, total, sum(groups.values()), corr, main)
 
 
 def schanuel_sum_quadratic(q, n, degD_max, budget=DEFAULT_BUDGET):

@@ -1,7 +1,8 @@
 """Invariant battery behind `ffcount verify`.
 
 Each check returns (detail, ok) with ok True or False, and run_suite
-reports (name, ok, detail) for each.  The battery covers the exact
+reports (name, ok, detail) for each; a check that raises is reported as
+failed, with the exception in its detail.  The battery covers the exact
 identities every module must satisfy; the full acceptance runs live in the
 test suite.  The naive recounts the checks compare against (the full
 discriminant walk, the discriminant classes by definition, the
@@ -488,25 +489,32 @@ def _oracle_equivalence(cells=((2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1), (2, 4
 
 
 def _error_decomposition():
+    # each count checks its own genus window: reflection and bound
     descs = [zeta.CurveDescriptor.rational(q) for q in (2, 3)]
     descs += [f.descriptor for f in quadratic.enumerate_quadratic_fields(3, 3) if f.genus == 1]
     for desc in descs:
         for n in (2, 3):
             for m in range(max(2 * desc.g - 1, 0), 4):
                 try:
-                    counting.error_decomposition(desc, n, m)
+                    counting.moebius_point_count(desc, n, m)
                 except ConsistencyError as exc:
                     return f"{exc} for {desc} n={n} m={m}", False
-    return "error pieces reassemble, window bound direct = reflected (g <= 1, m <= 3)", True
+    return "error pieces reassemble, window reflects and meets its bound (g <= 1, m <= 3)", True
 
 
 def _pipeline_agreement():
     for q, m in ((3, 1), (3, 2), (9, 1)):
         a = counting.count_fixed_degree_points(q, 2, m)
-        b = counting.count_degree2_points_by_fields(q, 2, m).N
-        if a != b:
-            return f"degree-2 pipelines disagree at q={q} m={m}: {a} vs {b}", False
-    return "minimal-polynomial and per-field degree-2 counts agree (q=3 m<=2; q=9 m=1)", True
+        assembly = counting.count_degree2_points_by_fields(q, 2, m)
+        if a != assembly.N:
+            return f"degree-2 pipelines disagree at q={q} m={m}: {a} vs {assembly.N}", False
+        # the assembly weights each count class by its number of fields
+        main = sum(zeta.schanuel_constant(f.descriptor, 2)
+                   for f in quadratic.enumerate_quadratic_fields(q, 2 * m)) * q ** (2 * m)
+        if assembly.main_term_partial != main:
+            return f"main terms at q={q} m={m}: {assembly.main_term_partial} vs {main}", False
+    return ("minimal-polynomial and per-field degree-2 counts agree, and so do the "
+            "main-term partial sums (q=3 m<=2; q=9 m=1)"), True
 
 
 def _twist_pairing():
@@ -594,6 +602,9 @@ def run_suite(suite: str, deep: bool = False):
     groups = SUITES.values() if suite == "all" else [SUITES[suite]]
     results = []
     for check in itertools.chain.from_iterable(groups):
-        detail, ok = check(deep=DEEP_CELLS[check]) if deep and check in DEEP_CELLS else check()
+        try:
+            detail, ok = check(deep=DEEP_CELLS[check]) if deep and check in DEEP_CELLS else check()
+        except Exception as exc:
+            detail, ok = f"raised {type(exc).__name__}: {exc}", False
         results.append((check.__name__.lstrip("_"), ok, detail))
     return results

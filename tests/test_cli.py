@@ -598,6 +598,23 @@ def test_verify_fast_suites(capsys):
             assert "q=2 m<=2" in out
 
 
+def test_verify_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    from ffcount.errors import ConsistencyError
+
+    def _planted():
+        raise ConsistencyError("planted")
+
+    oracle, _, pipeline = verify.SUITES["counting"]
+    monkeypatch.setitem(verify.SUITES, "counting", [oracle, _planted, pipeline])
+    code, out, err = run(capsys, "verify", "--suite", "counting")
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert lines[0].startswith("ok     oracle_equivalence: ")
+    assert lines[1] == "FAIL   planted: raised ConsistencyError: planted"
+    assert lines[2].startswith("ok     pipeline_agreement: ")
+    assert lines[3:] == ["-- 2 passed, 1 failed"]
+
+
 def test_bad_descriptor_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.desc"
     path.write_text("q = 3\ng = 1\nL_coeffs = 1, 0, 2\n")

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -5,18 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ffcount import kernels, verify
+from ffcount import kernels, riemann_roch, verify, zeta
 from ffcount.counting import (
     QuadraticAssembly,
     brute_count_p1_over_field,
     brute_count_rational,
     count_degree2_points_by_fields,
     count_fixed_degree_points,
-    error_decomposition,
     moebius_point_count,
     schanuel_sum_quadratic,
 )
-from ffcount.errors import RefusalError
+from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
 from ffcount.quadratic import enumerate_quadratic_fields
 from ffcount.zeta import CurveDescriptor, schanuel_constant
@@ -109,20 +109,59 @@ def test_unnormalized_is_q_minus_1_times_projective():
 
 
 def test_error_decomposition_genus0():
-    rep = error_decomposition(R2, 2, 3)
-    assert rep["window_bound_direct"] == 0
-    assert rep["pieces"]["genus_window"] == 0
+    # no genus window: an exact zero, which count prints as 0/1
+    r = moebius_point_count(R2, 2, 3)
+    assert r.err_genus_window == 0 and isinstance(r.err_genus_window, Fraction)
+    assert r.main_term + sum(r.error_parts().values()) == r.N
 
 
 def test_error_decomposition_genus1():
     f = [f for f in enumerate_quadratic_fields(3, 3) if f.genus == 1][0]
     for m in (1, 2, 3):
         r = moebius_point_count(f.descriptor, 2, m)
-        rep = error_decomposition(f.descriptor, 2, m)
-        assert rep["window_bound_direct"] == rep["window_bound_reflected"]
-        assert sum(rep["pieces"].values()) == (f.q - 1) * (r.N - r.main_term)
-    with pytest.raises(RefusalError):
-        error_decomposition(f.descriptor, 2, 0)
+        assert sum(r.error_parts().values()) == r.N - r.main_term
+
+
+def test_window_reflection_fault_raises(genus2_field, monkeypatch):
+    # a class sum off by a multiple of q-1 at degree 0 and n = 4 keeps
+    # (q-1) | the inversion sum, and the class table's own validation
+    # (n <= 3) passes; the count's window, degrees 0..2 at m = 3, reflects
+    _, desc = genus2_field
+    count = moebius_point_count.__wrapped__
+    count(desc, 4, 3)
+    real = riemann_roch.lambda_sum
+
+    def broken(model, i, n):
+        return real(model, i, n) + (model.q - 1 if (i, n) == (0, 4) else 0)
+
+    monkeypatch.setattr(riemann_roch, "lambda_sum", broken)
+    with pytest.raises(ConsistencyError, match="reflection"):
+        count(desc, 4, 3)
+
+
+def test_window_bound_fault_raises(monkeypatch):
+    # with a(m) = 0 the bound loses the degree-0 window term, which b(m)
+    # weights in the piece: b(1) = -4 and b(3) = 12 for this field
+    desc = [f for f in enumerate_quadratic_fields(3, 3) if f.genus == 1][0].descriptor
+    real = zeta.divisor_counts
+    monkeypatch.setattr(zeta, "divisor_counts", lambda d, l_max: real(d, l_max)[:-1] + [0])
+    for m in (1, 3):
+        with pytest.raises(ConsistencyError, match="bound"):
+            moebius_point_count.__wrapped__(desc, 2, m)
+
+
+# L(t) = 1 + c*t + q*t^2 with |c| <= 2*sqrt(q)
+HASSE_WEIL_GENUS1 = st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25)).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(-math.isqrt(4 * q), math.isqrt(4 * q))))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(qc=HASSE_WEIL_GENUS1, n=st.integers(2, 6), m=st.integers(0, 12))
+def test_genus1_window_checks_hold_in_hasse_weil_window(qc, n, m):
+    q, c = qc
+    r = moebius_point_count.__wrapped__(CurveDescriptor(q, 1, (1, c, q)), n, m)
+    assert r.N >= 0
+    assert r.main_term + sum(r.error_parts().values()) == r.N
 
 
 def test_degree2_examples():
@@ -308,14 +347,10 @@ def test_genus2_field_with_synthetic_class_table(genus2_field):
     # the per-class table pins only multisets per degree; points and the
     # canonical class determine them for a hyperelliptic genus-2 curve
     f, desc = genus2_field
+    # the window bound holds from m = 2g-1 = 3 on; every m reflects its
+    # window terms, with negative exponents at degree 0
     for m in (0, 1, 2, 3):
         assert moebius_point_count(desc, 2, m).N == brute_count_p1_over_field(f, m)
-    # decomposition kicks in at m >= 2g-1 = 3, with negative-exponent
-    # reflection terms exercised by the genus window
-    rep = error_decomposition(desc, 2, 3)
-    assert rep["window_bound_direct"] == rep["window_bound_reflected"]
-    with pytest.raises(RefusalError):
-        error_decomposition(desc, 2, 2)
 
 
 def test_schanuel_sum_quadratic():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcount import kernels, poly, quadratic, verify
+from ffcount import kernels, poly, verify
 from ffcount.counting import brute_count_rational, count_fixed_degree_points
 from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF
@@ -50,12 +50,6 @@ def test_code_sum_split_sizes_the_tables_it_builds(monkeypatch, q, size):
     kernels._code_adder(GF(q), size)
     low, high = kernels.code_sum_split(q, size)
     assert built == [low * low, high * high]
-
-
-def test_long_lived_caches_are_bounded():
-    for cached in (kernels.discriminant_classes, kernels.classify_triples_by_polys, quadratic.enumerate_quadratic_fields,
-                   poly.monic_irreducibles, poly._artin_schreier_image):
-        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 def test_memo_and_literal_recursions_agree():
