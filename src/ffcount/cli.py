@@ -8,11 +8,11 @@ of memory) exit with status 2 and a reason on stderr; other errors exit 1.
 """
 
 import argparse
-import csv
 import io
 import operator
 import os
 import sys
+from itertools import chain, islice
 
 # every computing module, and json, is imported by the commands that use
 # it, so that `import ffcount.cli` compiles the parser alone and each
@@ -34,32 +34,64 @@ def _fmt(value):
     return str(value)
 
 
+# rows per out.write: enough to cut the calls of a large output to a few,
+# few enough that a streamed output stays small in memory
+BLOCK_ROWS = 1024
+
+
+def _blocks(rows, headers):
+    """The rows as lists of formatted cells, in lists of BLOCK_ROWS rows,
+    the last one shorter."""
+    rows = iter(rows)
+    while block := list(islice(rows, BLOCK_ROWS)):
+        yield [r if type(r) is list else [_fmt(r.get(h, "")) for h in headers] for r in block]
+
+
 def emit(rows, headers, fmt, out=None):
-    """Write rows, any iterable, as CSV or JSON, one row at a time.  A row
-    is a dict keyed by header, whose values _fmt formats, or a list of the
-    formatted cells in header order."""
+    """Write rows, any iterable, as CSV or JSON, one block of BLOCK_ROWS
+    rows per out.write.  A row is a dict keyed by header, whose values
+    _fmt formats, or a list of the formatted cells in header order."""
     out = out or sys.stdout
-    table = (r if type(r) is list else [_fmt(r.get(h, "")) for h in headers] for r in rows)
     if fmt == "json":
-        _write_json(table, headers, out)
+        _write_json(_blocks(rows, headers), headers, out)
         return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(table)
+    for block in _blocks(chain([list(headers)], rows), headers):
+        out.write(_csv_block(block))
 
 
-def _write_json(table, headers, out):
+def _csv_block(block):
+    """The bytes csv.writer(out, lineterminator="\n") writes for the rows
+    of block.  csv writes a cell as it is unless it holds a comma, a quote
+    or "\n" ("\r" too, in some Python versions), and quotes the row of
+    one empty cell.  So a block is its rows joined when the joined text
+    has one comma fewer than cells per row, one newline per row, no quote
+    and no "\r", and no row is one empty cell; any other block, one with
+    an empty row among them, goes through csv.writer."""
+    text = "\n".join(map(",".join, block)) + "\n"
+    if (text.count(",") == sum(map(len, block)) - len(block) and text.count("\n") == len(block)
+            and '"' not in text and "\r" not in text and [""] not in block):
+        return text
+    import csv
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(block)
+    return buf.getvalue()
+
+
+def _write_json(blocks, headers, out):
     """Write the bytes of json.dumps([dict(zip(headers, cells)) for cells
-    in table], indent=2) and a newline, one row at a time.  Every cell is a
-    string, quoted by json's C string encoder; json.dumps with an indent
-    runs its pure-Python encoder and builds the whole text first."""
+    in the blocks], indent=2) and a newline, one block per out.write.
+    Every cell is a string, quoted by json's C string encoder; json.dumps
+    with an indent runs its pure-Python encoder and builds the whole text
+    first."""
     from json.encoder import encode_basestring_ascii
 
     keys = [f"    {encode_basestring_ascii(h)}: " for h in headers]
     first = opening = "[\n  {\n"
-    for cells in table:
-        out.write(opening)
-        out.write(",\n".join(map(operator.add, keys, map(encode_basestring_ascii, cells))))
+    for block in blocks:
+        objects = (",\n".join(map(operator.add, keys, map(encode_basestring_ascii, cells)))
+                   for cells in block)
+        out.write(opening + "\n  },\n  {\n".join(objects))
         opening = "\n  },\n  {\n"
     out.write("[]\n" if opening is first else "\n  }\n]\n")
 

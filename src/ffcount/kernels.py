@@ -48,8 +48,11 @@ size: D has coefficients in F_q, so D(x^q) = D(x)^q has the character of
 D(x).  The extensions share their tables: F_{q^s} lies in F_{q^r} for
 s | r, as the orbits whose size divides s, so the counts N_1..N_g of a
 genus come from the tables of the r > g/2 alone, each s read off one of
-them with the character of F_{q^s}.  These tables are built per call and
-not kept.
+them with the character of F_{q^s}.  The sums are built one orbit at a
+time: the values D(x) of every code at one rep x, by Horner's rule over
+the codes, then added into the sum of each F_{q^s} that holds x, so no
+table of all the values at all the reps is ever held.  These tables are
+built per call and not kept.
 """
 
 import functools
@@ -237,34 +240,48 @@ def _orbit_sums(K, d, r, subs):
     the orbit's size, and F_{q^s} is the union of the orbits in F_{q^r}
     whose size divides s.  chi_s on F_{q^s} is y -> y^((q^s - 1) / 2),
     not chi_r, whose restriction is chi_s^(r/s), trivial when r/s is even.
-    The low parts are evaluated at every rep x digit by digit, by Horner's
-    rule low[code][x] = c0 + x * low[code // q][x] over the field tables,
-    the q codes of one parent from one row of products x * low[parent][x],
-    and D(x) = x^d + low[code][x].
+
+    The sums are built one orbit rep x at a time over every code, by
+    Horner's rule low[q*parent + c0] = c0 + x * low[parent] through the
+    tables step[c0][v] = c0 + x*v: a level holds the values at x of the
+    codes below q^k, and the next one is every q-th entry from c0, one
+    map of step[c0] over them per digit.  The last level is never stored:
+    D(x) = x^d + low[code], so for each s whose field holds x the table
+    v -> size * chi_s(x^d + step[c0][v]) maps the values of the codes
+    below q^(d-1) straight to the terms of the codes q*parent + c0, which
+    are summed per digit c0 and interleaved at the end.
     """
     q = K.q
     Kr, emb = constant_extension(K, r)
     add, mul = Kr._add, Kr._mul
-    reps, sizes = _frobenius_orbits(Kr, q)
-    rows = [mul[x] for x in reps]
     plus = [add[emb[c0]] for c0 in range(q)]  # plus[c0][v] = c0 + v
-    low = [[emb[c0]] * len(reps) for c0 in range(q)]  # the constants
-    for parent in range(1, q ** (d - 1)):
-        products = list(map(list.__getitem__, rows, low[parent]))
-        low += [list(map(row.__getitem__, products)) for row in plus]
-    out = []
+    chis = []
     for s in subs:
         half = (q**s - 1) // 2
-        chi = [0] + [1 if Kr.pow(v, half) == 1 else -1 for v in range(1, Kr.q)]
-        # per rep x of an orbit inside F_{q^s}, size * chi_s(x^d + v) for
-        # every value v of the low part; the reps are ordered by orbit
-        # size, so the sum stops after the last orbit inside, and a larger
-        # orbit before it weighs 0
-        last = max(j for j, size in enumerate(sizes) if s % size == 0)
-        zero = [0] * Kr.q
-        by_value = [[size * chi[v] for v in add[Kr.pow(x, d)]] if s % size == 0 else zero
-                    for x, size in zip(reps[: last + 1], sizes)]
-        out.append([sum(map(list.__getitem__, by_value, row)) for row in low])
+        chis.append([0] + [1 if Kr.pow(v, half) == 1 else -1 for v in range(1, Kr.q)])
+    # sums[i][c0][parent]: S_(subs[i]) at the code q*parent + c0
+    sums = [[[0] * q ** (d - 1) for _ in range(q)] for _ in subs]
+    for x, size in zip(*_frobenius_orbits(Kr, q)):
+        step = [list(map(row.__getitem__, mul[x])) for row in plus]
+        values = [0]  # the low part of the one code below q^0
+        for _ in range(d - 1):
+            parents, values = values, [0] * (q * len(values))
+            for c0, row in enumerate(step):
+                values[c0::q] = map(row.__getitem__, parents)
+        shifted = add[Kr.pow(x, d)]  # shifted[v] = x^d + v
+        for chi, s, by_digit in zip(chis, subs, sums):
+            if s % size:  # x lies outside F_{q^s}
+                continue
+            weighted = [size * chi[v] for v in shifted]
+            for c0, row in enumerate(step):
+                terms = [weighted[v] for v in row]  # at low[parent] = v, the term of q*parent + c0
+                by_digit[c0] = list(map(operator.add, by_digit[c0], map(terms.__getitem__, values)))
+    out = []
+    for by_digit in sums:
+        total = [0] * q**d
+        for c0, part in enumerate(by_digit):
+            total[c0::q] = part
+        out.append(total)
     return out
 
 

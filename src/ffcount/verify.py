@@ -5,9 +5,10 @@ reports (name, ok, detail) for each; a check that raises is reported as
 failed, with the exception in its detail.  The battery covers the exact
 identities every module must satisfy; the full acceptance runs live in the
 test suite.  The naive recounts the checks compare against (the full
-discriminant walk, the discriminant classes by definition, the
-unnormalized coprime vectors, the same-field test, the Artin-Schreier scan
-and the divisor enumeration) live here too, off the command path.
+discriminant walk, the discriminant classes by definition, the walk's
+steps over its loops, the unnormalized coprime vectors, the same-field
+test, the Artin-Schreier scan and the divisor enumeration) live here too,
+off the command path.
 """
 
 import itertools
@@ -177,6 +178,34 @@ def _discriminant_definition(cells=((3, 2), (5, 1)), deep=()):
             if kernels.discriminant_classes(q, m) != discriminant_classes_by_definition(q, m):
                 return f"discriminant classes differ from their definition at q={q} m={m}", False
     return f"discriminant classes equal their definition ({_cell_names(cells + deep, 'm')})", True
+
+
+def walk_steps_by_loops(q, m):
+    """kernels.walk_steps counted over the loops of the reduced walks at
+    h = m and m - 1 of kernels.discriminant_histogram: every monic a of
+    degree k <= h, the b of kernels._reduced_b, and every c below
+    q^(h+1), or only those of degree h when neither a nor b reaches it."""
+    steps = 0
+    for h in range(max(m - 1, 0), m + 1):
+        top, size = q**h, q ** (h + 1)
+        for k in range(h + 1):
+            for b in kernels._reduced_b(q, h, k):
+                steps += q**k * (size if k == h or b >= top else size - top)
+    return steps
+
+
+# (q, m) of the walk-price check: every m of the walk at q=3 up to 3, and
+# the walks at q=5, 7 and 9 that the tests and the benchmark run
+WALK_STEP_CELLS = ((3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (9, 1))
+
+
+def _walk_steps(cells=WALK_STEP_CELLS):
+    for q, m in cells:
+        price, loops = kernels.walk_steps(q, m), walk_steps_by_loops(q, m)
+        if price != loops:
+            return f"walk price {price} at q={q} m={m}, but its loops take {loops} steps", False
+    return ("the walk's price equals the steps of its loops ("
+            + "; ".join(f"q={q} m={m}" for q, m in cells) + ")"), True
 
 
 def artin_schreier_by_scan(K, w_num, w_den) -> bool:
@@ -578,7 +607,7 @@ SUITES = {
     "algebra": [_field_axioms, _gcd_properties, _factor_degrees,
                 _enumeration_cardinality, _squarefree_reexpansion, _irreducible_counts,
                 _squarefree_sieve, _point_count_table, _artin_schreier,
-                _discriminant_reduction, _discriminant_definition],
+                _discriminant_reduction, _discriminant_definition, _walk_steps],
     "places": [_principal_divisor_degree, _height_two_ways],
     "zeta": [_sequence_identities, _sequences_vs_enumeration, _euler_product_small],
     "riemann_roch": [_class_model_identities, _genus0_sections],

@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ffcount import forms, kernels, verify
 from ffcount.cli import main
@@ -513,7 +516,7 @@ def test_json_format(capsys):
     ("count", "--q", "2", "--n", "2", "--m", "0", "--m-to", "3"),
 ])
 def test_json_is_the_bytes_of_one_json_dumps(capsys, argv):
-    # the rows are written one at a time, as json.dumps(rows, indent=2)
+    # the rows are written in blocks, as json.dumps(rows, indent=2)
     # writes the CSV rows as dicts of strings
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -530,6 +533,62 @@ def test_json_of_no_rows_and_escaped_cells():
         cli.emit(rows, ["x\\", "y"], "json", buf)
         assert buf.getvalue() == json.dumps([dict(zip(["x\\", "y"], r)) for r in rows],
                                             indent=2) + "\n"
+
+
+# cells from the characters csv quotes or doubles, the backslash, a
+# space and non-ASCII characters, "" among them
+CSV_CELLS = st.text(alphabet=[",", '"', "\r", "\n", "\\", " ", "a", "7", "\u00e9", "\u2028"],
+                    max_size=3)
+MANY_ROWS = [["1", "T^2+1", ""]] * 1500 + [["a,b"], [""], []] + [["x", "y"]] * 600
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(headers=st.lists(CSV_CELLS, max_size=3),
+       rows=st.lists(st.lists(CSV_CELLS, max_size=4), max_size=8),
+       copies=st.sampled_from([1, 1, 200]))
+@example(headers=["x"], rows=[[""]], copies=1)
+@example(headers=[], rows=[[], [""], []], copies=1)
+@example(headers=["q", "D"], rows=MANY_ROWS, copies=1)
+def test_csv_blocks_are_the_bytes_of_csv_writer(headers, rows, copies):
+    # rows of one empty cell and empty rows, and, at 200 copies, blocks
+    # of 1024 rows with a row that csv quotes in some of them and not in
+    # others
+    from ffcount import cli
+
+    rows = rows * copies
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([headers, *rows])
+    out = io.StringIO()
+    cli.emit(rows, headers, "csv", out)
+    assert out.getvalue() == expected.getvalue()
+
+
+class CountingStdout(io.StringIO):
+    """A stdout stand-in that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_large_outputs_are_written_in_blocks(monkeypatch, fmt):
+    # 6250 rows in a handful of writes, not one write per row; the CSV is
+    # the benchmark's recorded output, which this test only reads
+    import sys
+
+    recorded = (pathlib.Path(__file__).parents[1] / "perfbench" / "expected"
+                / "fields_q_5_degD-max_5.out").read_text(encoding="utf-8")
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["fields", "--q", "5", "--degD-max", "5", "--format", fmt]) == 0
+    assert stdout.writes <= 10
+    if fmt == "csv":
+        assert stdout.getvalue() == recorded
+    else:
+        assert json.loads(stdout.getvalue()) == list(csv.DictReader(io.StringIO(recorded)))
 
 
 def test_byte_identical_reruns(capsys):
@@ -718,6 +777,9 @@ def test_start_up_loads_only_the_parser():
     # the package itself loads no submodule
     probe = "import sys, ffcount; print([m for m in sys.modules if m.startswith('ffcount.')])"
     assert fresh_python("-c", probe).strip() == "[]"
+    # csv is loaded only to write a block of rows that needs quoting
+    probe = "import sys, ffcount.cli; print('csv' in sys.modules)"
+    assert fresh_python("-c", probe).strip() == "False"
     # countd runs on the tables alone: no Fraction is made
     probe = ("import sys; from ffcount.cli import main; "
              "main(['countd', '--q', '3', '--d', '2', '--m', '1']); "

@@ -115,18 +115,12 @@ def test_reduced_discriminant_walk_matches_full_walk(cell):
     assert ok, message
 
 
-@pytest.mark.parametrize("q, m", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (9, 1)])
+@pytest.mark.parametrize("q, m", verify.WALK_STEP_CELLS)
 def test_walk_steps_count_the_loop_bounds(q, m):
-    # the walk's loops: every monic a of degree k <= h, the b of
-    # _reduced_b, and every c below q^(h+1), or only those of degree h
-    # when neither a nor b reaches it, at h = m and m - 1
-    steps = 0
-    for h in range(max(m - 1, 0), m + 1):
-        top, size = q**h, q ** (h + 1)
-        for k in range(h + 1):
-            for b in kernels._reduced_b(q, h, k):
-                steps += q**k * (size if k == h or b >= top else size - top)
-    assert kernels.walk_steps(q, m) == steps
+    # verify's walk-price check, cell by cell: the price against the
+    # walk's loops
+    message, ok = verify._walk_steps(((q, m),))
+    assert ok, message
 
 
 def test_walk_steps_pinned():
