@@ -55,27 +55,12 @@ def emit(rows, headers, fmt, out=None):
     if fmt == "json":
         _write_json(_blocks(rows, headers), headers, out)
         return
-    for block in _blocks(chain([list(headers)], rows), headers):
-        out.write(_csv_block(block))
-
-
-def _csv_block(block):
-    """The bytes csv.writer(out, lineterminator="\n") writes for the rows
-    of block.  csv writes a cell as it is unless it holds a comma, a quote
-    or "\n" ("\r" too, in some Python versions), and quotes the row of
-    one empty cell.  So a block is its rows joined when the joined text
-    has one comma fewer than cells per row, one newline per row, no quote
-    and no "\r", and no row is one empty cell; any other block, one with
-    an empty row among them, goes through csv.writer."""
-    text = "\n".join(map(",".join, block)) + "\n"
-    if (text.count(",") == sum(map(len, block)) - len(block) and text.count("\n") == len(block)
-            and '"' not in text and "\r" not in text and [""] not in block):
-        return text
     import csv
 
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(block)
-    return buf.getvalue()
+    for block in _blocks(chain([list(headers)], rows), headers):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(block)
+        out.write(buf.getvalue())
 
 
 def _write_json(blocks, headers, out):

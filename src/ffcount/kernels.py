@@ -241,15 +241,14 @@ def _orbit_sums(K, d, r, subs):
     whose size divides s.  chi_s on F_{q^s} is y -> y^((q^s - 1) / 2),
     not chi_r, whose restriction is chi_s^(r/s), trivial when r/s is even.
 
-    The sums are built one orbit rep x at a time over every code, by
-    Horner's rule low[q*parent + c0] = c0 + x * low[parent] through the
-    tables step[c0][v] = c0 + x*v: a level holds the values at x of the
-    codes below q^k, and the next one is every q-th entry from c0, one
-    map of step[c0] over them per digit.  The last level is never stored:
+    The sums are built one orbit rep x at a time over every code.  The
+    low parts at x come from Horner's rule low[q*parent + c0] = c0 +
+    x * low[parent] through the tables step[c0][v] = c0 + x*v: a level
+    holds the values at x of the codes below q^k, and the next one is
+    every q-th entry from c0, one map of step[c0] over them per digit.
     D(x) = x^d + low[code], so for each s whose field holds x the table
-    v -> size * chi_s(x^d + step[c0][v]) maps the values of the codes
-    below q^(d-1) straight to the terms of the codes q*parent + c0, which
-    are summed per digit c0 and interleaved at the end.
+    v -> size * chi_s(x^d + v) maps the q^d values to their terms, which
+    are added into the sums of F_{q^s}.
     """
     q = K.q
     Kr, emb = constant_extension(K, r)
@@ -259,30 +258,20 @@ def _orbit_sums(K, d, r, subs):
     for s in subs:
         half = (q**s - 1) // 2
         chis.append([0] + [1 if Kr.pow(v, half) == 1 else -1 for v in range(1, Kr.q)])
-    # sums[i][c0][parent]: S_(subs[i]) at the code q*parent + c0
-    sums = [[[0] * q ** (d - 1) for _ in range(q)] for _ in subs]
+    sums = [[0] * q**d for _ in subs]
     for x, size in zip(*_frobenius_orbits(Kr, q)):
         step = [list(map(row.__getitem__, mul[x])) for row in plus]
         values = [0]  # the low part of the one code below q^0
-        for _ in range(d - 1):
+        for _ in range(d):
             parents, values = values, [0] * (q * len(values))
             for c0, row in enumerate(step):
                 values[c0::q] = map(row.__getitem__, parents)
         shifted = add[Kr.pow(x, d)]  # shifted[v] = x^d + v
-        for chi, s, by_digit in zip(chis, subs, sums):
-            if s % size:  # x lies outside F_{q^s}
-                continue
-            weighted = [size * chi[v] for v in shifted]
-            for c0, row in enumerate(step):
-                terms = [weighted[v] for v in row]  # at low[parent] = v, the term of q*parent + c0
-                by_digit[c0] = list(map(operator.add, by_digit[c0], map(terms.__getitem__, values)))
-    out = []
-    for by_digit in sums:
-        total = [0] * q**d
-        for c0, part in enumerate(by_digit):
-            total[c0::q] = part
-        out.append(total)
-    return out
+        for i, (chi, s) in enumerate(zip(chis, subs)):
+            if s % size == 0:  # x lies in F_{q^s}
+                weighted = [size * chi[v] for v in shifted]
+                sums[i] = list(map(operator.add, sums[i], map(weighted.__getitem__, values)))
+    return sums
 
 
 def factor_degrees(q, m):

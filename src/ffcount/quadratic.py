@@ -171,14 +171,11 @@ def frobenius_orbit_count(q: int, r: int) -> int:
 # The enumeration's work is the Horner tables of kernels.point_count_tables:
 # per degree d of D, of genus g, one entry per code of the q^d low parts
 # and per Frobenius orbit rep of F_{q^r}, for each r with g/2 < r <= g.
-# An entry costs 0.1-0.2 us, whole process with the output (2.9e6 entries
-# in 0.55 s and 39 MiB at q=3, deg D <= 10; 5.0e6 in 0.62 s at q=5,
-# deg D <= 7; 1.8e7 in 2.4 s and 94 MiB at q=3, deg D <= 11, on a shared
-# 2-core VM).  It was priced at twice counting.WALK_STEP_COST when it cost
-# 0.4-0.7 us, about twice a walk step, and keeps that price, so the
-# refusals stay where they were: the default budget admits q=3
-# deg D <= 10, q=5 deg D <= 7, q=7 deg D <= 6 and q=9 deg D <= 5, and
-# refuses q=3 deg D <= 11 and q=11 deg D <= 5.
+# An entry costs 0.2-0.3 us, whole process with the output (0.77 s at
+# q=3, deg D <= 10), and counts twice counting.WALK_STEP_COST against the
+# budget: the default budget admits q=3 deg D <= 10, q=5 deg D <= 7, q=7
+# deg D <= 6 and q=9 deg D <= 5, and refuses q=3 deg D <= 11 and q=11
+# deg D <= 5.
 HORNER_ENTRY_COST = 20
 
 
