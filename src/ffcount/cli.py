@@ -336,103 +336,94 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def build_parser():
+# the arguments that several commands share, each declared once
+SHARED = {
+    "--q": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--m-to": dict(type=int, default=None),
+    "--degD-max": dict(type=int, required=True),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                     help="work budget of the exhaustive engines, in the unit "
+                          "each refusal names"),
+}
+# zeta's --q and --n, which a descriptor file or a flag may make needless
+OPTIONAL = dict(required=False)
+
+# name -> (help, handler, arguments in --help order); an argument is a
+# flag of SHARED, or (flag, keywords), the keywords updating SHARED[flag]
+# where the flag is shared
+COMMANDS = {
+    "zeta": ("zeta values, divisor sequences, Schanuel constants", cmd_zeta, [
+        ("--q", OPTIONAL), ("--g", dict(type=int, default=0)),
+        ("--L", dict(help="comma-separated L coefficients")),
+        ("--descriptor", dict(help="descriptor file path")),
+        ("--s", dict(type=int)), ("--n", OPTIONAL), ("--schanuel", dict(action="store_true")),
+        ("--divisors", dict(type=int, metavar="L_MAX")),
+        ("--moebius", dict(type=int, metavar="L_MAX")),
+        ("--euler-D", dict(type=int)), ("--hasse-weil", dict(action="store_true")), "--format",
+    ]),
+    "count": ("projective line/space point counts over F_q(T)", cmd_count, [
+        "--q", "--n", "--m", "--m-to",
+        ("--engine", dict(choices=("brute", "moebius", "both"), default="both")),
+        ("--workers", dict(type=int, default=1, help="accepted for old command lines "
+                                                     "(>= 1); the count runs in one process")),
+        "--format", "--budget",
+    ]),
+    "countd": ("degree-d point counts via minimal polynomials", cmd_countd, [
+        "--q", ("--d", dict(type=int, required=True)), "--m", "--m-to", "--format", "--budget",
+    ]),
+    "assemble": ("degree-2 counts assembled over quadratic fields", cmd_assemble, [
+        "--q", "--n", "--m", ("--per-field", dict(action="store_true")), "--format", "--budget",
+    ]),
+    "fields": ("enumerate quadratic extensions", cmd_fields, [
+        "--q", "--degD-max", ("--write-descriptors", dict(metavar="DIR")), "--format", "--budget",
+    ]),
+    "forms": ("decomposable-form counts and relations (n = 2)", cmd_forms, [
+        "--q", ("--d", dict(type=int, default=2)), "--m", "--m-to",
+        ("--brute", dict(action="store_true", help="run the form oracle too")),
+        "--format", "--budget",
+    ]),
+    "schanuel-sum": ("partial sums of Schanuel constants over fields", cmd_schanuel_sum, [
+        "--q", "--n", "--degD-max", "--format", "--budget",
+    ]),
+    "verify": ("run the invariant battery", cmd_verify, [
+        ("--suite", dict(default="all", choices=("all",) + VERIFY_SUITES)),
+        ("--deep", dict(action="store_true", help="include the slower checks")),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, with the arguments of command only,
+    or of every command when command is None."""
     ap = argparse.ArgumentParser(
         prog="ffcount",
         description="Exact point counts, heights and zeta data over rational "
                     "function fields.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="work budget of the exhaustive engines, in the unit "
-                            "each refusal names")
-
-    p = sub.add_parser("zeta", help="zeta values, divisor sequences, Schanuel constants")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--g", type=int, default=0)
-    p.add_argument("--L", type=str, default=None, help="comma-separated L coefficients")
-    p.add_argument("--descriptor", type=str, default=None, help="descriptor file path")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--schanuel", action="store_true")
-    p.add_argument("--divisors", type=int, default=None, metavar="L_MAX")
-    p.add_argument("--moebius", type=int, default=None, metavar="L_MAX")
-    p.add_argument("--euler-D", type=int, default=None)
-    p.add_argument("--hasse-weil", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("count", help="projective line/space point counts over F_q(T)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m-to", type=int, default=None)
-    p.add_argument("--engine", choices=("brute", "moebius", "both"), default="both")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for old command lines (>= 1); the count runs in one process")
-    add_common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("countd", help="degree-d point counts via minimal polynomials")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m-to", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_countd)
-
-    p = sub.add_parser("assemble", help="degree-2 counts assembled over quadratic fields")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--per-field", action="store_true")
-    add_common(p)
-    p.set_defaults(func=cmd_assemble)
-
-    p = sub.add_parser("fields", help="enumerate quadratic extensions")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--degD-max", type=int, required=True)
-    p.add_argument("--write-descriptors", type=str, default=None, metavar="DIR")
-    add_common(p)
-    p.set_defaults(func=cmd_fields)
-
-    p = sub.add_parser("forms", help="decomposable-form counts and relations (n = 2)")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m-to", type=int, default=None)
-    p.add_argument("--brute", action="store_true", help="run the form oracle too")
-    add_common(p)
-    p.set_defaults(func=cmd_forms)
-
-    p = sub.add_parser("schanuel-sum", help="partial sums of Schanuel constants over fields")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degD-max", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_schanuel_sum)
-
-    p = sub.add_parser("verify", help="run the invariant battery")
-    p.add_argument("--suite", default="all",
-                   choices=("all",) + VERIFY_SUITES)
-    p.add_argument("--deep", action="store_true", help="include the slower checks")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (summary, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            for argument in arguments:
+                flag, keywords = (argument, {}) if isinstance(argument, str) else argument
+                p.add_argument(flag, **{**SHARED.get(flag, {}), **keywords})
     return ap
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact values may pass 4300 digits
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the running command's arguments are built
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         # bad input, not a refusal: checked before any subcommand runs
         if getattr(args, "budget", 0) < 0:
             raise ValueError(f"--budget must be >= 0, not {args.budget}")
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (RefusalError, MemoryError) as exc:  # MemoryError carries no message
         print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -119,7 +119,7 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     """
     from fractions import Fraction
 
-    from .riemann_roch import build_class_model, lambda_sum
+    from .riemann_roch import build_class_model, lambda_sum, reflection_identity_check
     from .zeta import divisor_counts, moebius_sums, schanuel_constant, zeta_value
 
     if n < 2:
@@ -146,10 +146,9 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     a = divisor_counts(desc, m) if g else ()
     for l in range(window_lo, m + 1):
         i = m - l
-        scale = qn ** (i + 1 - g)
-        term = lambda_sum(model, i, n) - J * (scale - 1)
-        if i != g - 1 and term != scale * lambda_sum(model, 2 * g - 2 - i, n):
+        if not reflection_identity_check(model, i, n):
             raise ConsistencyError(f"class sums fail reflection at degree {i}, n={n}")
+        term = lambda_sum(model, i, n) - J * (qn ** (i + 1 - g) - 1)
         piece_d += b[l] * term
         bound += a[l] * term
     if m >= 2 * g - 1 and abs(piece_d) > bound:

@@ -462,6 +462,23 @@ def walk_steps(q, m):
     return steps
 
 
+def coprime_triples(K, m):
+    """The normalized triples (a monic, b, c) over K with gcd 1 and max
+    degree exactly m, in code order, by polynomial arithmetic: the gcd of
+    (a, b) is taken once per pair, and that of it and c only when it is
+    not 1."""
+    polys = list(poly.enumerate_polys(K, m))
+    top = [f for f in polys if len(f) == m + 1]  # degree exactly m
+    for a in polys:
+        if not a or a[-1] != 1:
+            continue
+        for b in polys:
+            g = poly.gcd(K, a, b) if b else a
+            for c in polys if m + 1 in (len(a), len(b)) else top:
+                if g == poly.ONE or (c and poly.gcd(K, g, c) == poly.ONE):
+                    yield a, b, c
+
+
 @functools.lru_cache(maxsize=8)
 def classify_triples_by_polys(K, m):
     """(sep, insep): normalized triples (a monic, b, c) with gcd 1 and max
@@ -479,22 +496,10 @@ def classify_triples_by_polys(K, m):
     sep counts the discriminant classes with deg s >= 1, it is a reference
     independent of discriminant_classes."""
     sep = insep = 0
-    all_polys = list(poly.enumerate_polys(K, m))
-    monics = [f for f in all_polys if f and f[-1] == 1]
-    for a in monics:
-        for b in all_polys:
-            g1 = poly.gcd(K, a, b) if b else a
-            for c in all_polys:
-                if max(poly.deg(a), poly.deg(b), poly.deg(c)) != m:
-                    continue
-                if g1 != poly.ONE:
-                    g2 = poly.gcd(K, g1, c) if c else g1
-                    if g2 != poly.ONE:
-                        continue
-                if not poly.quadratic_stays_irreducible(K, a, b, c):
-                    continue
-                if K.q % 2 == 0 and not b:
-                    insep += 1
-                else:
-                    sep += 1
+    for a, b, c in coprime_triples(K, m):
+        if poly.quadratic_stays_irreducible(K, a, b, c):
+            if K.q % 2 == 0 and not b:
+                insep += 1
+            else:
+                sep += 1
     return sep, insep

@@ -162,13 +162,11 @@ def discriminant_classes_by_definition(q, m):
     polynomial arithmetic on every coprime triple."""
     K = GF(q)
     classes = Counter()
-    for a, b, c in itertools.product(poly.enumerate_polys(K, m), repeat=3):
-        normalized = a and a[-1] == 1 and max(map(poly.deg, (a, b, c))) == m
-        if normalized and poly.gcd_many(K, (a, b, c)) == poly.ONE:
-            disc = poly.sub(K, poly.mul(K, b, b), poly.mul_scalar(K, poly.mul(K, a, c), 4 % K.p))
-            if disc:
-                unit, s, _ = poly.squarefree_part(K, disc)
-                classes[s, K.is_square(unit)] += 1
+    for a, b, c in kernels.coprime_triples(K, m):
+        disc = poly.sub(K, poly.mul(K, b, b), poly.mul_scalar(K, poly.mul(K, a, c), 4 % K.p))
+        if disc:
+            unit, s, _ = poly.squarefree_part(K, disc)
+            classes[s, K.is_square(unit)] += 1
     return classes
 
 

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffcount import forms, kernels, verify
+from ffcount import cli, forms, kernels, verify
 from ffcount.cli import main
 
 
@@ -786,6 +787,68 @@ def test_start_up_loads_only_the_parser():
              "main(['countd', '--q', '3', '--d', '2', '--m', '1']); "
              "print('fractions' in sys.modules)")
     assert fresh_python("-c", probe).splitlines() == ["q,n,d,m,N", "3,2,2,1,432", "False"]
+
+
+# one command line per subcommand, passing the arguments it shares
+SAMPLE_LINES = {
+    "zeta": "zeta --q 2 --n 3 --schanuel --format json",
+    "count": "count --q 2 --n 2 --m 0 --m-to 3 --budget 7",
+    "countd": "countd --q 3 --d 2 --m 1 --format json",
+    "assemble": "assemble --q 3 --n 2 --m 2 --per-field",
+    "fields": "fields --q 3 --degD-max 3 --write-descriptors out",
+    "forms": "forms --q 3 --m 1 --m-to 2 --brute",
+    "schanuel-sum": "schanuel-sum --q 3 --n 6 --degD-max 3 --budget 9",
+    "verify": "verify --suite forms --deep",
+}
+
+
+def subcommand_help(capsys, parser, name):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([name, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_one_command_parser_equals_the_full_parser(capsys, name):
+    full, own = cli.build_parser(), cli.build_parser(name)
+    assert subcommand_help(capsys, own, name) == subcommand_help(capsys, full, name)
+    argv = SAMPLE_LINES[name].split()
+    assert own.parse_args(argv) == full.parse_args(argv)
+    # every other subcommand is registered with -h alone
+    for other in set(cli.COMMANDS) - {name}:
+        assert subcommand_help(capsys, own, other).splitlines()[0] == f"usage: ffcount {other} [-h]"
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert list(cli.COMMANDS) == ["zeta", "count", "countd", "assemble", "fields", "forms",
+                                  "schanuel-sum", "verify"]
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out
+    for name, (summary, _, _) in cli.COMMANDS.items():
+        assert re.search(rf"^ +{re.escape(name)} +{re.escape(summary)}$", out, re.M), name
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["countd", "--q", "3", "--d", "2", "--m", "1"], "countd"),
+    (["verify", "--suite", "nope"], "verify"),
+    (["bogus"], None),
+    (["--", "count", "--q", "2", "--n", "2", "--m", "1"], None),
+    ([], None),
+])
+def test_main_builds_the_arguments_of_the_running_command_only(monkeypatch, capsys, argv,
+                                                               command):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or real(name))
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    assert built == [command]
 
 
 # the modules each command loads besides ffcount, cli and errors, fractions
