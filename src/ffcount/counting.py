@@ -24,7 +24,7 @@ import functools
 from collections import Counter, namedtuple
 
 from . import kernels
-from .errors import DEFAULT_BUDGET, ConsistencyError, RefusalError, check_budget
+from .errors import DEFAULT_BUDGET, ConsistencyError, RefusalError, check_budget, exact_quotient
 from .gf import GF, prime_power
 
 # riemann_roch, zeta, quadratic and fractions are imported by the Moebius,
@@ -130,9 +130,7 @@ def moebius_point_count(desc: "CurveDescriptor", n: int, m: int) -> CountResult:
     q, g, J = desc.q, desc.g, desc.J
     b = moebius_sums(desc, m)
     pre = sum(b[l] * lambda_sum(model, m - l, n) for l in range(m + 1))
-    if pre % (q - 1):
-        raise ConsistencyError(f"(q-1) does not divide the inversion sum {pre}")
-    N = pre // (q - 1)
+    N = exact_quotient(pre, q - 1, "the inversion sum over (q-1)")
 
     zeta_n = zeta_value(desc, n)
     piece_a = J * Fraction(q) ** (n * (m + 1 - g)) / zeta_n

@@ -22,6 +22,16 @@ class DescriptorError(ValueError):
     """Invalid curve descriptor data (bad invariants or file syntax)."""
 
 
+def exact_quotient(n: int, d: int, what: str) -> int:
+    """n // d for a division of counts that must be exact; a remainder
+    raises ConsistencyError naming what, n and d.  The numbers are
+    formatted only then, so a quotient of any size costs no str()."""
+    quotient, remainder = divmod(n, d)
+    if remainder:
+        raise ConsistencyError(f"{what} is not integral: {n}/{d}")
+    return quotient
+
+
 def check_budget(candidates: int, budget: int, what: str, unit: str = "candidate tuples"):
     """Refuse a run of what whose work, candidates of the named unit,
     exceeds the budget."""

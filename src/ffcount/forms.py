@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from . import kernels
 from .counting import DEFAULT_BUDGET, check_oracle_budget, count_fixed_degree_points
-from .errors import ConsistencyError, RefusalError
+from .errors import ConsistencyError, RefusalError, exact_quotient
 from .gf import GF
 
 
@@ -120,11 +120,7 @@ def form_count(table: FormTable) -> int:
                 f"the table has none"
             )
         acc -= (table.p - 1) * table.frobenius
-    if acc % table.d:
-        raise ConsistencyError(
-            f"form count is not integral: {acc}/{table.d} (N table {table.counts})"
-        )
-    return acc // table.d
+    return exact_quotient(acc, table.d, f"the form count from N table {table.counts}")
 
 
 def form_count_identity_check(table: FormTable) -> bool:

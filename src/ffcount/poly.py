@@ -18,7 +18,7 @@ import functools
 import operator
 from itertools import chain, cycle
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, exact_quotient
 
 ZERO = ()
 ONE = (1,)
@@ -247,26 +247,13 @@ def is_irreducible(K, f) -> bool:
 
 
 def count_monic_irreducibles(q: int, d: int) -> int:
-    """Number of monic irreducibles of degree d over F_q (necklace count)."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += moebius_int(d // e) * q**e
-    return total // d
-
-
-def moebius_int(n: int) -> int:
-    r, res, d = n, 1, 2
-    while d * d <= r:
-        if r % d == 0:
-            r //= d
-            if r % d == 0:
-                return 0
-            res = -res
-        d += 1
-    if r > 1:
-        res = -res
-    return res
+    """Number I_q(d) of monic irreducibles of degree d over F_q, from
+    q^d = sum over e | d of e * I_q(e): each element of F_{q^d} is one of
+    the e roots of exactly one monic irreducible, of a degree e | d."""
+    if d < 1:
+        raise ValueError("irreducibles have degree >= 1")
+    rest = q**d - sum(e * count_monic_irreducibles(q, e) for e in range(1, d) if d % e == 0)
+    return exact_quotient(rest, d, f"the count of monic irreducibles of degree {d} over F_{q}")
 
 
 def factor(K, f):

@@ -34,7 +34,6 @@ The minimal-polynomial counters elsewhere still cover char-2 counting.
 """
 
 import functools
-import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -162,10 +161,9 @@ def _check_field_parameters(q, degD_max):
 
 
 def frobenius_orbit_count(q: int, r: int) -> int:
-    """Orbits of x -> x^q on F_{q^r}: (1/r) * sum over s | r of
-    phi(r/s) * q^s."""
-    phi = [sum(math.gcd(k, n) == 1 for k in range(1, n + 1)) for n in range(r + 1)]
-    return sum(phi[r // s] * q**s for s in range(1, r + 1) if r % s == 0) // r
+    """Orbits of x -> x^q on F_{q^r}: sum over s | r of I_q(s), since an
+    orbit of size s is the root set of one monic irreducible of degree s."""
+    return sum(poly.count_monic_irreducibles(q, s) for s in range(1, r + 1) if r % s == 0)
 
 
 # The enumeration's work is the Horner tables of kernels.point_count_tables:

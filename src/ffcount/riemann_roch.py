@@ -78,7 +78,7 @@ def _validate_class_dims(desc, table):
                 raise DescriptorError(
                     f"class_dims[{j + 1}][{i}] = {d} violates the Clifford bound"
                 )
-    if sum(1 for row in table if row[0] == 1) != 1 or any(row[0] > 1 for row in table):
+    if sum(1 for row in table if row[0] == 1) != 1:
         raise DescriptorError("degree 0 must have exactly one class of dimension 1")
     model = ClassModel(desc, table)
     if not class_sum_identity_check(model, 2 * g - 2):

@@ -291,7 +291,7 @@ def _point_count_table(cells=FIELD_TABLE_CELLS, deep=()):
 
 
 def _irreducible_counts():
-    for q, d_max in ((2, 8), (3, 5), (4, 3), (5, 3), (9, 2)):
+    for q, d_max in ((2, 8), (3, 5), (4, 4), (5, 4), (9, 2)):
         K = GF(q)
         for d in range(1, d_max + 1):
             found = sum(poly.is_irreducible(K, f) for f in poly.enumerate_monic(K, d))

@@ -13,7 +13,7 @@ integer arguments s >= 2.
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConsistencyError, DescriptorError, RefusalError
+from .errors import ConsistencyError, DescriptorError, RefusalError, exact_quotient
 from .gf import prime_power
 from .poly import count_monic_irreducibles
 
@@ -127,9 +127,7 @@ def closed_form_divisor_count(desc: CurveDescriptor, m: int) -> int:
     if m < 2 * desc.g - 1:
         raise ValueError("closed form requires m >= 2g-1")
     num = desc.J * (desc.q ** (m + 1 - desc.g) - 1)
-    if num % (desc.q - 1):
-        raise ConsistencyError(f"(q-1) does not divide J*(q^(m+1-g)-1) = {num}")
-    return num // (desc.q - 1)
+    return exact_quotient(num, desc.q - 1, "the closed form J*(q^(m+1-g)-1)/(q-1)")
 
 
 def _L_at(desc: CurveDescriptor, t: Fraction) -> Fraction:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +46,12 @@ def test_every_cache_is_bounded():
             "kernels.discriminant_classes", "kernels.classify_triples_by_polys",
             "quadratic.enumerate_quadratic_fields", "poly.monic_irreducibles", "poly._artin_schreier_image"} <= set(cached)
     assert all(size is not None for size in cached.values()), cached
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so every invariant of the
+    # package raises instead
+    for path in sorted(Path(ffcount.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts at lines {lines}"

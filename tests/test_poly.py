@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ffcount import poly
-from ffcount.errors import ConsistencyError
+from ffcount.errors import ConsistencyError, exact_quotient
 from ffcount.gf import GF, constant_extension
 
 K2, K3 = GF(2), GF(3)
@@ -81,9 +81,34 @@ def test_irreducibility_examples():
     assert poly.monic_irreducibles(K2, 2) == (P(1, 1, 1),)
 
 
-@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2),
+                                 (4, 1), (4, 2), (4, 3), (4, 4), (5, 1), (5, 3), (5, 4)])
 def test_irreducible_counts_match_necklace_formula(q, d):
     assert len(poly.monic_irreducibles(GF(q), d)) == poly.count_monic_irreducibles(q, d)
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    assert exact_quotient(60, 4, "I_4(4)") == 15
+    assert exact_quotient(-12, 3, "a negative count") == -4
+    with pytest.raises(ConsistencyError, match=r"^I_4\(4\) is not integral: 61/4$"):
+        exact_quotient(61, 4, "I_4(4)")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_irreducible_count_raises_on_a_wrong_lower_count(q, monkeypatch):
+    # I_q(4) = (q^4 - I_q(1) - 2 I_q(2)) / 4, so one irreducible quadratic
+    # too many leaves a remainder of 2, which must raise, not round away
+    count = poly.count_monic_irreducibles
+    monkeypatch.setattr(poly, "count_monic_irreducibles",
+                        lambda q, d: count(q, d) + (d == 2))
+    with pytest.raises(ConsistencyError, match=f"degree 4 over F_{q} is not integral"):
+        count(q, 4)
+
+
+def test_irreducible_count_needs_a_positive_degree():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            poly.count_monic_irreducibles(2, d)
 
 
 def test_enumerate_polys():

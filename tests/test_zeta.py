@@ -130,6 +130,15 @@ def test_euler_product_size_guard():
         euler_product_truncation(3, 2, 20)
 
 
+def test_euler_product_refusal_point():
+    # at q=2, s=2 the bit estimate admits D = 18 (2092532 bits against the
+    # limit of 2097152) and refuses D = 19
+    assert 1 < euler_product_truncation(2, 2, 18) < zeta_value(CurveDescriptor.rational(2), 2)
+    with pytest.raises(RefusalError, match=r"at q=2, D=19 needs ~4189676 bits, above the "
+                                           r"limit of 2097152"):
+        euler_product_truncation(2, 2, 19)
+
+
 def test_euler_bound_decreases():
     bounds = [euler_truncation_bound(2, 2, D) for D in range(1, 12)]
     assert all(b1 > b2 > 0 for b1, b2 in zip(bounds, bounds[1:]))
