@@ -252,16 +252,17 @@ def cmd_fields(args):
             bound = quadratic.min_generator_height_bound(dc)
             tail = [_fmt(bound), _fmt(2 * bound - dc.genus), "true"]
             shared = {}
-            for c in set().union(*dc.counts):
+            for c in dc.sizes:
                 desc = classes.descriptors[c]
                 shared[c] = [str(dc.genus), ";".join(map(str, desc.L)), str(desc.J),
                              ";".join(map(str, c)), *tail]
+            twisted = {c: shared[quadratic.twist_counts(args.q, c)] for c in dc.sizes}
             head = [q, str(dc.deg_D)]
             format_D = quadratic.monic_formatter(args.q, dc.deg_D)
-            for code, plain, twisted in zip(dc.codes, *dc.counts):
+            for code, plain in zip(dc.codes, dc.counts):
                 D = format_D(code)
                 yield [*head, D, one, *shared[plain]]
-                yield [*head, D, eps, *shared[twisted]]
+                yield [*head, D, eps, *twisted[plain]]
 
     emit(rows(), ["q", "deg_D", "D", "u", "g", "L_coeffs", "J", "point_counts",
                   "min_gen_height_bound", "clifford_gap_2delta_minus_g", "hasse_weil_ok"],

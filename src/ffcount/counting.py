@@ -268,8 +268,7 @@ def count_degree2_points_by_fields(q, n, m, budget=DEFAULT_BUDGET) -> QuadraticA
     classes = field_classes(q, 2 * m)
     groups = Counter()
     for dc in classes.degrees:
-        for counts in dc.counts:  # one tuple per twist
-            groups.update(counts)
+        groups.update(dc.sizes)
     total = 0
     main = Fraction(0)
     for c, k in groups.items():
@@ -305,11 +304,8 @@ def schanuel_sum_quadratic(q, n, degD_max, budget=DEFAULT_BUDGET):
     for dc in classes.degrees:
         # fields with equal point counts share their descriptor, hence
         # their Schanuel constant
-        groups = Counter()
-        for counts in dc.counts:  # one tuple per twist
-            groups.update(counts)
         increments[dc.deg_D] = sum((k * schanuel_constant(classes.descriptors[c], n)
-                                    for c, k in groups.items()), Fraction(0))
+                                    for c, k in dc.sizes.items()), Fraction(0))
     total = sum(increments.values(), Fraction(0))
     degs = sorted(increments)
     ratios = {

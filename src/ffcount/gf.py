@@ -102,9 +102,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero")
         return self._inv[a]
 
-    def div(self, a, b):
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a, k):
         if k < 0:
             a, k = self.inv(a), -k

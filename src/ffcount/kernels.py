@@ -40,9 +40,10 @@ One sieve gives squarefree parts: squarefree_kernel maps every monic code
 up to a degree to the code of its squarefree monic part.  The
 discriminant classes read it at degree 2m, and the quadratic-field
 enumeration reads it for the squarefree D, together with the point counts
-of y^2 = u*D(x) over F_{q^r}: one character sum over the values D(x) per
-code, built digit by digit as the code-sum tables are, gives both twists,
-the twist u entering only through its character chi_r(u).  The sum runs
+of y^2 = D(x) over F_{q^r}: one character sum over the values D(x) per
+code, built digit by digit as the code-sum tables are.  Only the untwisted
+counts are tabled; those of y^2 = eps*D(x) follow from them alone
+(quadratic.twist_counts), eps entering only through chi_r(eps).  The sum runs
 over one x per orbit of the Frobenius x -> x^q, weighted by the orbit's
 size: D has coefficients in F_q, so D(x^q) = D(x)^q has the character of
 D(x).  The extensions share their tables: F_{q^s} lies in F_{q^r} for
@@ -177,40 +178,30 @@ def squarefree_kernel(K, top, add=None):
 
 
 def point_count_tables(K, d, r_max):
-    """(plain, twisted): lists over the low-part codes of the monic D of
-    degree d of the tuples (N_1, ..., N_r_max) of y^2 = D(x) and of
-    y^2 = eps*D(x), eps = K.non_square_unit(), where N_r counts the points
+    """List over the low-part codes of the monic D of degree d of the
+    tuples (N_1, ..., N_r_max) of y^2 = D(x), where N_r counts the points
     over F_{q^r}, those at infinity included, as
     quadratic.curve_point_counts counts them.
 
     With chi the quadratic character of F_{q^r} (chi(0) = 0), an affine x
-    gives 1 + chi(u)*chi(D(x)) points, and infinity gives 1 for odd d and
-    1 + chi(u) for even d, so N_r(u) = q^r + 1 + chi(u)*(S + [d even])
-    with one character sum S = sum over x of chi(D(x)) per code
-    (_orbit_sums); eps is a non-square of F_q, so chi(eps) = (-1)^r.
+    gives 1 + chi(D(x)) points, and infinity gives 1 for odd d and 2 for
+    even d, so N_r = q^r + 1 + S + [d even] with one character sum
+    S = sum over x of chi(D(x)) per code (_orbit_sums).  The twist
+    y^2 = eps*D(x) is quadratic.twist_counts of these.
 
     F_{q^s} lies in F_{q^r} for every s | r, so only the r > r_max // 2,
     which divide no larger r' <= r_max, get a table, and each s is read
     off the largest of them that it divides.
     """
+    q = K.q
     if r_max == 0:
-        return [()] * K.q**d, [()] * K.q**d
+        return [()] * q**d
     sums = {}
     for r in range(r_max, r_max // 2, -1):
         subs = [s for s in range(1, r + 1) if r % s == 0 and s not in sums]
         sums.update(zip(subs, _orbit_sums(K, d, r, subs)))
-    plain, twisted = zip(*(_point_counts(K.q, d, s, sums[s]) for s in range(1, r_max + 1)))
-    return list(zip(*plain)), list(zip(*twisted))
-
-
-def _point_counts(q, d, r, sums):
-    """(N_r(1), N_r(eps)) as two lists, from the character sums S over
-    F_{q^r} of the codes (point_count_tables)."""
-    base = q**r + 1 + (1 - d % 2)  # infinity's [d even] enters as S does
-    plain = [base + t for t in sums]
-    if r % 2 == 0:  # eps is a square in F_{q^r}
-        return plain, plain
-    return plain, [2 * (q**r + 1) - n for n in plain]
+    # infinity's [d even] enters as S does
+    return list(zip(*(map((q**s + 2 - d % 2).__add__, sums[s]) for s in range(1, r_max + 1))))
 
 
 def _frobenius_orbits(Kr, q):

@@ -12,21 +12,24 @@ monic D (D = T^d + the polynomial of the code), through two tables from
 `kernels`: the squarefree kernel, a sieve over p^2 * c for each monic
 irreducible p that maps every monic code up to the largest degree to its
 squarefree part, so that the squarefree D are its fixed points; and the
-point counts N_1..N_g of both twists for every code, from character sums
+point counts N_1..N_g of y^2 = D(x) for every code, from character sums
 over a Horner table of the values D(x) at one x per Frobenius orbit of
-the largest extensions F_{q^r}, which contain the smaller ones.  No D is
-factored and no curve is counted point by point; `poly.squarefree_part`
-and `curve_point_counts` are the naive definitions the tables are checked
-against (`ffcount verify --suite algebra`).
+the largest extensions F_{q^r}, which contain the smaller ones.  The
+counts of the twist y^2 = eps*D(x) follow from those alone (twist_counts).
+No D is factored and no curve is counted point by point;
+`poly.squarefree_part` and `curve_point_counts` are the naive definitions
+the tables and the twist are checked against (`ffcount verify --suite
+algebra`).
 
 The field layer works on count classes.  field_classes keeps, per degree,
-the codes of the squarefree D and the counts tuple of each (code, twist);
-fields with equal point counts share one descriptor, built and Hasse-Weil
-checked once.  The Schanuel sum and the degree-2 assembly count the
-counts tuples, and `ffcount fields` writes its rows from the classes, each
-D formatted by one concatenation of two digit tables (monic_formatter).
-Only enumerate_quadratic_fields builds one QuadraticFieldDesc per field,
-for the callers that read fields one by one.
+the codes of the squarefree D, the untwisted counts tuple of each code,
+and the size of each class: the number of fields, of either twist, with
+one counts tuple.  Fields with equal point counts share one descriptor,
+built and Hasse-Weil checked once.  The Schanuel sum and the degree-2
+assembly sum over the class sizes, and `ffcount fields` writes its rows
+from the classes, each D formatted by one concatenation of two digit
+tables (monic_formatter).  Only enumerate_quadratic_fields builds one
+QuadraticFieldDesc per field, for the callers that read fields one by one.
 
 Characteristic 2 is refused here: quadratic extensions are then of
 Artin-Schreier or inseparable type and have no squarefree-D normal form.
@@ -35,9 +38,9 @@ The minimal-polynomial counters elsewhere still cover char-2 counting.
 
 import functools
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from types import MappingProxyType
 
 from . import kernels, poly
@@ -54,6 +57,7 @@ __all__ = [
     "enumerate_quadratic_fields",
     "monic_formatter",
     "curve_point_counts",
+    "twist_counts",
     "build_descriptor",
     "min_generator_height_bound",
 ]
@@ -109,6 +113,14 @@ def curve_point_counts(K: FiniteField, u: int, D, r_max: int):
     return tuple(out)
 
 
+def twist_counts(q: int, counts):
+    """The point counts of y^2 = eps*D(x) from those of y^2 = D(x), eps a
+    non-square of F_q, and back: chi_r(eps) = (-1)^r, so with N_r(u) =
+    q^r + 1 + chi_r(u)*(S + [deg D even]) (kernels.point_count_tables),
+    N_r(eps) = N_r(1) at even r and 2(q^r + 1) - N_r(1) at odd r."""
+    return tuple(2 * (q**r + 1) - n if r % 2 else n for r, n in enumerate(counts, 1))
+
+
 def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
     """Zeta numerator from point counts N_1..N_g via Newton's identities.
 
@@ -139,11 +151,13 @@ def build_descriptor(q: int, g: int, counts) -> CurveDescriptor:
     return CurveDescriptor(q, g, tuple(c))
 
 
-DegreeClasses = namedtuple("DegreeClasses", "deg_D genus codes counts")
+DegreeClasses = namedtuple("DegreeClasses", "deg_D genus codes counts sizes")
 DegreeClasses.__doc__ = """The fields of one degree of D by count classes: the low codes of
-the squarefree monic D = T^deg_D + f_code, in increasing order, and
-counts[i][j], the point counts N_1..N_genus of y^2 = u*D(x) for the
-j-th code and the i-th twist u."""
+the squarefree monic D = T^deg_D + f_code, in increasing order;
+counts[j], the point counts N_1..N_genus of y^2 = D(x) for the j-th code
+(twist_counts gives those of y^2 = eps*D(x)); and sizes, a read-only
+mapping from each counts tuple of either twist to the number of fields
+that have it, in the order (code, u) of its first field."""
 
 FieldClasses = namedtuple("FieldClasses", "twists degrees descriptors")
 FieldClasses.__doc__ = """The class view of the fields with 1 <= deg D <= degD_max: the
@@ -217,20 +231,25 @@ def field_classes(q: int, degD_max: int) -> FieldClasses:
         # the squarefree D are the fixed points of the kernel
         codes = tuple(compress(range(lead), map(operator.eq, kernel[lead : 2 * lead],
                                                  range(lead, 2 * lead))))
-        counts = tuple(tuple(map(table.__getitem__, codes))
-                       for table in kernels.point_count_tables(K, d, g))
-        # the counts tuples in the order of their first field
-        for c in dict.fromkeys(chain.from_iterable(zip(*counts))):
+        counts = tuple(map(kernels.point_count_tables(K, d, g).__getitem__, codes))
+        # the untwisted classes come in the order of their first code, and
+        # each is followed by its twist: the order of the first fields
+        sizes = Counter()
+        for c, k in Counter(counts).items():
+            sizes[c] += k
+            sizes[twist_counts(q, c)] += k
+        for c in sizes:
             if c in descriptors:
                 continue
             desc = descriptors[c] = build_descriptor(q, g, c)
             report = hasse_weil_check(desc)
             if not report["ok"]:
-                code, u = next((code, u) for code, pair in zip(codes, zip(*counts))
-                               for u, counted in zip(twists, pair) if counted == c)
+                code, u = next((code, u) for code, plain in zip(codes, counts)
+                               for u, counted in zip(twists, (plain, twist_counts(q, plain)))
+                               if counted == c)
                 field = QuadraticFieldDesc(q, poly.from_code(q, code, pad=d) + (1,), u, g, c, desc)
                 raise ConsistencyError(f"{field.label()} failed Hasse-Weil: {report['failures']}")
-        degrees.append(DegreeClasses(d, g, codes, counts))
+        degrees.append(DegreeClasses(d, g, codes, counts, MappingProxyType(sizes)))
     return FieldClasses(twists, tuple(degrees), MappingProxyType(descriptors))
 
 
@@ -246,10 +265,12 @@ def enumerate_quadratic_fields(q: int, degD_max: int):
     out = []
     for dc in classes.degrees:
         d, g = dc.deg_D, dc.genus
-        for code, plain, twisted in zip(dc.codes, *dc.counts):
+        twisted = {c: twist_counts(q, c) for c in dc.sizes}
+        for code, plain in zip(dc.codes, dc.counts):
             D = poly.from_code(q, code, pad=d) + (1,)
+            twin = twisted[plain]
             out.append(QuadraticFieldDesc(q, D, one, g, plain, descriptors[plain]))
-            out.append(QuadraticFieldDesc(q, D, eps, g, twisted, descriptors[twisted]))
+            out.append(QuadraticFieldDesc(q, D, eps, g, twin, descriptors[twin]))
     return tuple(out)
 
 

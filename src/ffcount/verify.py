@@ -279,10 +279,9 @@ def _point_count_table(cells=FIELD_TABLE_CELLS, deep=()):
         for d in range(1, d_max + 1):
             # r up to the genus, and r = 1 at genus 0 too
             r_max = max((d - 1) // 2, 1)
-            tables = kernels.point_count_tables(K, d, r_max)
-            for code, D in enumerate(poly.enumerate_monic(K, d)):
-                for u, table in zip((1, eps), tables):
-                    counts = table[code]
+            table = kernels.point_count_tables(K, d, r_max)
+            for plain, D in zip(table, poly.enumerate_monic(K, d), strict=True):
+                for u, counts in ((1, plain), (eps, quadratic.twist_counts(q, plain))):
                     if counts != quadratic.curve_point_counts(K, u, D, r_max):
                         return (f"point-count tables wrong at q={q} D={poly.format_poly(D)} "
                                 f"u={u}: {counts}"), False
@@ -545,7 +544,10 @@ def _pipeline_agreement():
 
 
 def _twist_pairing():
+    # the records of u = eps carry quadratic.twist_counts of the tabled
+    # counts, so they are checked against the curve counted point by point
     K = GF(3)
+    eps = K.non_square_unit()
     fields = quadratic.enumerate_quadratic_fields(3, 4)
     by_D = {}
     for f in fields:
@@ -554,6 +556,8 @@ def _twist_pairing():
         if len(pair) != 2:
             return f"missing twist for D={D}", False
         f1, f2 = pair.values()
+        if f2.point_counts != quadratic.curve_point_counts(K, eps, D, f2.genus):
+            return f"{f2.label()} has point counts {f2.point_counts}", False
         if f1.genus >= 1:
             if f1.descriptor.L[1] + f2.descriptor.L[1] != 0:
                 return f"twist trace sum nonzero for D={D}", False

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import pathlib
@@ -180,6 +181,22 @@ def test_fields_write_descriptors(tmp_path, capsys):
     assert parse_descriptor(text).q == 3
 
 
+def test_fields_descriptor_files_match_their_recorded_hash(tmp_path, capsys):
+    # the 54 files at q=3, deg D <= 3, twisted descriptors included: the
+    # sha256 of each name, a newline and the file's bytes, in name order,
+    # recorded when both twists were tabled by their own character sums
+    outdir = tmp_path / "descs"
+    code, _, _ = run(capsys, "fields", "--q", "3", "--degD-max", "3",
+                     "--write-descriptors", str(outdir))
+    assert code == 0
+    digest = hashlib.sha256()
+    paths = sorted(outdir.iterdir())
+    for path in paths:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert len(paths) == 54
+    assert digest.hexdigest() == "0caea50f7a46a3c61a67bf4b56447f66f782ac3209f0ba38011f2cbd3bb5efc9"
+
+
 def test_unwritable_descriptor_dir_exits_1(tmp_path, capsys):
     # no directory can be made under a regular file: exit 1 before any output
     (tmp_path / "file").write_text("")
@@ -300,8 +317,8 @@ def test_schanuel_sum_cli(capsys):
 
 
 def test_field_enumeration_budget(capsys, monkeypatch):
-    # q=3, deg D <= 11 builds 18145134 Horner entries (about 8 s and
-    # 127 MiB): both commands refuse it before any table is built
+    # q=3, deg D <= 11 builds 18145134 Horner entries (about 4-5 s and
+    # 63 MiB): both commands refuse it before any table is built
     monkeypatch.setattr(kernels, "point_count_tables", None)
     for command in (["fields"], ["schanuel-sum", "--n", "6"]):
         code, out, err = run(capsys, *command, "--q", "3", "--degD-max", "11")
@@ -471,7 +488,7 @@ def test_verify_all_deep_covers_every_deep_cell(monkeypatch, capsys):
 
     def tables(K, d, r_max):
         seen.add(("tables", K.q, d))
-        return [()] * K.q**d, [()] * K.q**d
+        return [()] * K.q**d
 
     real_brute = counting.brute_count_rational
 
@@ -649,7 +666,7 @@ def test_count_starts_no_process_pool(capsys, monkeypatch):
 
 def test_verify_fast_suites(capsys):
     # every line is a passed check, then the summary: no report-only lines
-    for suite in ("algebra", "zeta", "riemann_roch", "counting", "forms"):
+    for suite in ("algebra", "zeta", "riemann_roch", "counting", "quadratic", "forms"):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         *checks, summary = out.splitlines()
         assert code == 0 and checks

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcount import kernels, poly, verify
+from ffcount import kernels, poly, quadratic, verify
 from ffcount.errors import ConsistencyError, RefusalError
 from ffcount.gf import GF, constant_extension
 from ffcount.quadratic import (
@@ -20,6 +20,7 @@ from ffcount.quadratic import (
     frobenius_orbit_count,
     min_generator_height_bound,
     monic_formatter,
+    twist_counts,
 )
 from ffcount.verify import same_field
 from ffcount.zeta import divisor_counts, hasse_weil_check
@@ -29,10 +30,10 @@ T3T = (0, 2, 0, 1)  # T^3 - T
 
 
 def test_hasse_weil_failure_raises(monkeypatch):
-    # N_r = 4 q^r + 1 for every code and both twists, far outside the window
+    # N_r = 4 q^r + 1 for every code, far outside the window, and so is
+    # its twist 2(q^r + 1) - N_r at odd r
     def bad_tables(K, d, r_max):
-        counts = tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))
-        return [counts] * K.q**d, [counts] * K.q**d
+        return [tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))] * K.q**d
 
     monkeypatch.setattr(kernels, "point_count_tables", bad_tables)
     field_classes.cache_clear()
@@ -50,13 +51,10 @@ def test_hasse_weil_failure_raises(monkeypatch):
 def test_hasse_weil_failure_names_a_twisted_field(monkeypatch):
     # only the twist eps = 2 is counted wrong: the first failing field is
     # the first squarefree D of genus 1 with u = 2
-    real = kernels.point_count_tables
+    def bad_twists(q, counts):
+        return tuple(4 * q**r + 1 for r in range(1, len(counts) + 1))
 
-    def bad_twists(K, d, r_max):
-        plain, _ = real(K, d, r_max)
-        return plain, [tuple(4 * K.q**r + 1 for r in range(1, r_max + 1))] * K.q**d
-
-    monkeypatch.setattr(kernels, "point_count_tables", bad_twists)
+    monkeypatch.setattr(quadratic, "twist_counts", bad_twists)
     field_classes.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match=r"q5_D\[T\^3\+1\]_u2 failed Hasse-Weil"):
@@ -212,9 +210,9 @@ def test_field_tables_sample_at_the_largest_cells(cell, low, twist):
     code = low % q**d
     D = poly.from_code(q, code, pad=d) + (1,)
     u = K.non_square_unit() if twist else 1
-    kernel, tables = _field_tables(q, d)
+    kernel, table = _field_tables(q, d)
     assert kernel[q**d + code] == poly.to_code(q, poly.squarefree_part(K, D)[1])
-    counts = tables[twist][code]
+    counts = twist_counts(q, table[code]) if twist else table[code]
     assert counts == curve_point_counts(K, u, D, len(counts))
 
 
@@ -223,12 +221,12 @@ def test_genus4_tables_read_every_s_off_the_largest_r():
     # and 4, whose characters differ from the restriction of chi_4 at
     # s = 1 and 2, and r = 3 supplies s = 3
     K, d = GF(3), 9
-    plain, twisted = kernels.point_count_tables(K, d, 4)
+    table = kernels.point_count_tables(K, d, 4)
     rng = random.Random(20)
     for code in rng.sample(range(3**d), 12):
         D = poly.from_code(3, code, pad=d) + (1,)
-        assert plain[code] == curve_point_counts(K, 1, D, 4), code
-        assert twisted[code] == curve_point_counts(K, 2, D, 4), code
+        assert table[code] == curve_point_counts(K, 1, D, 4), code
+        assert twist_counts(3, table[code]) == curve_point_counts(K, 2, D, 4), code
 
 
 def test_orbit_table_over_a_non_prime_field():
@@ -236,10 +234,10 @@ def test_orbit_table_over_a_non_prime_field():
     # also supplies r = 1
     K = GF(9)
     eps = K.non_square_unit()
-    plain, twisted = kernels.point_count_tables(K, 3, 2)
-    for code, D in enumerate(poly.enumerate_monic(K, 3)):
+    table = kernels.point_count_tables(K, 3, 2)
+    for plain, D in zip(table, poly.enumerate_monic(K, 3), strict=True):
         expected = tuple(curve_point_counts(K, u, D, 2) for u in (1, eps))
-        assert (plain[code], twisted[code]) == expected, D
+        assert (plain, twist_counts(9, plain)) == expected, D
 
 
 @pytest.mark.parametrize("q, d_max", [(3, 7), (5, 5), (7, 4), (9, 3)])
@@ -252,18 +250,14 @@ def test_monic_formatter_equals_format_poly(q, d_max):
 
 @pytest.mark.parametrize("q, degD_max", [(3, 6), (5, 5)])
 def test_twisted_point_counts(q, degD_max):
-    # eps is a non-square in F_{q^r} for odd r and a square for even r, so
-    # over odd r each x, and infinity, gives the pair 2 points, and over
-    # even r the two curves are isomorphic
-    by_D = {}
+    # the class view tables only y^2 = D(x); each record of u = eps gets
+    # twist_counts of its D's counts, which must be the points of
+    # y^2 = eps*D(x) counted one x at a time
+    K = GF(q)
+    eps = K.non_square_unit()
     for f in enumerate_quadratic_fields(q, degD_max):
-        by_D.setdefault(f.D, []).append(f.point_counts)
-    for D, (plain, twisted) in by_D.items():
-        for r, (n1, n_eps) in enumerate(zip(plain, twisted), start=1):
-            if r % 2:
-                assert n1 + n_eps == 2 * q**r + 2, (D, r)
-            else:
-                assert n1 == n_eps, (D, r)
+        if f.u == eps:
+            assert f.point_counts == curve_point_counts(K, eps, f.D, f.genus), f.label()
 
 
 @pytest.mark.parametrize("q, r", [(2, 6), (3, 1), (3, 4), (5, 3), (7, 2), (9, 2)])
